@@ -166,15 +166,19 @@ def trace_functional(x: AlgElement) -> ParamScalar:
     """
     if not x.is_coinvariant():
         raise ValueError(f"trace of a non-coinvariant element: {x}")
-    total = ZERO
+    # sum the coefficients per flag exponent, then divide once for each;
+    # the unit monomial contributes 0: the representation images cancel
+    by_m: dict = {}
+    by_n: dict = {}
     for t, c in x.terms.items():
-        if t.mu != 0:
-            continue
-        if t.m:
-            total = total + c / (ONE - qpow(t.m))
-        elif t.n:
-            total = total - c / (ONE - ppow(t.n))
-        # the unit monomial contributes 0: the representation images cancel
+        if t.mu == 0 and (t.m or t.n):
+            flags, e = (by_m, t.m) if t.m else (by_n, t.n)
+            flags[e] = flags.get(e, ZERO) + c
+    total = ZERO
+    for m, c in by_m.items():
+        total = total + c / (ONE - qpow(m))
+    for n, c in by_n.items():
+        total = total - c / (ONE - ppow(n))
     return total
 
 

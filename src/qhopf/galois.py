@@ -164,17 +164,21 @@ _CONN_CACHE: dict[int, TensorElement] = {}
 
 
 def strong_connection(k: int) -> TensorElement:
-    """Value of the connection on u^k, computed by the sandwich recursion."""
-    hit = _CONN_CACHE.get(k)
-    if hit is not None:
-        return hit
-    if k == 0:
-        out = TensorElement.unit()
-    elif k > 0:
-        out = _sandwich(_SEED_PLUS, strong_connection(k - 1))
-    else:
-        out = _sandwich(_SEED_MINUS, strong_connection(k + 1))
-    _CONN_CACHE[k] = out
+    """Value of the connection on u^k, computed by the sandwich recursion.
+
+    The recursion runs as a loop upward from the largest cached power of
+    the same sign, so the stack depth does not grow with |k|.
+    """
+    step, seed = (1, _SEED_PLUS) if k > 0 else (-1, _SEED_MINUS)
+    j = k
+    while j and j not in _CONN_CACHE:
+        j -= step
+    out = _CONN_CACHE.get(j)
+    if out is None:
+        out = _CONN_CACHE[0] = TensorElement.unit()
+    while j != k:
+        j += step
+        out = _CONN_CACHE[j] = _sandwich(seed, out)
     return out
 
 

@@ -2,22 +2,35 @@
 
 Every symbolic computation in this package happens over the field
 Q(p, q) of rational functions in the two deformation parameters with
-rational coefficients.  :class:`ParamScalar` stores a reduced fraction
-of bivariate polynomials in a canonical form, so equality of values
-coincides with equality of representations.
+rational coefficients.  A :class:`ParamScalar` is always in canonical
+form, so equality of values coincides with equality of representations.
+The value's own reduced denominator picks one of two representations:
 
-Polynomials are sparse dicts mapping exponent pairs ``(i, j)`` (for
-``p^i q^j``) to :class:`fractions.Fraction` coefficients.  The monomial
-order is graded lexicographic with ``p < q``.  A canonical fraction is
-reduced by the polynomial gcd of numerator and denominator and scaled
-so that the lowest-order coefficient of the denominator equals 1; this
-way ``1/(1 - q)`` and ``(1 - q^2)/(1 - p)`` render literally.
+- If the denominator is a monomial, the value is a Laurent polynomial,
+  stored as one sparse dict ``{(i, j): c}`` for ``c p^i q^j`` with
+  signed exponents.  Coefficients are ints; a
+  :class:`fractions.Fraction` appears only for a non-integer one.  Sums,
+  products and negation of such values are plain dict arithmetic, with
+  no gcd.  Everything the algebra layers build lies in Z[p^±1, q^±1].
+- Otherwise (``1/(1 - q)``, division in expressions, Gauss-binomial
+  quotients) the value is a fraction of two polynomials with Fraction
+  coefficients, reduced by their polynomial gcd and scaled so that the
+  lowest-order coefficient of the denominator equals 1.  An operation
+  with such an operand takes this field path, and its result returns to
+  the Laurent form when its reduced denominator is a monomial.
+
+The read-only views ``num`` and ``den`` give the reduced fraction for
+either representation, with exponents >= 0 and Fraction coefficients;
+rendering reads the same fraction, so ``1/q`` and ``(1 - q^2)/(1 - p)``
+render literally.  The monomial order is graded lexicographic with
+``p < q``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Union
 
 __all__ = [
@@ -535,148 +548,161 @@ def format_linear(pairs) -> str:
 # ParamScalar
 # ---------------------------------------------------------------------------
 
+# tag of a Laurent value with at least one non-integer coefficient
+_RATIONAL = "rational"
+
+
+def _laurent(terms):
+    """(terms, tag) of a Laurent dict, with integral coefficients as ints."""
+    tag = None
+    for m, c in terms.items():
+        if c.__class__ is not int:
+            c = Fraction(c)
+            if c.denominator == 1:
+                terms[m] = c.numerator
+            else:
+                terms[m] = c
+                tag = _RATIONAL
+    return terms, tag
+
+
+def _reduce(num, den):
+    """(terms, tag) of the canonical form of num/den (den nonzero)."""
+    num = {m: Fraction(c) for m, c in num.items() if c}
+    den = {m: Fraction(c) for m, c in den.items() if c}
+    if not num:
+        return {}, None
+    if len(den) > 1:
+        g = _pgcd(num, den)
+        if len(g) != 1 or next(iter(g)) != (0, 0):
+            num = _pdiv_exact(num, g)
+            den = _pdiv_exact(den, g)
+        c = den[min(den, key=_gkey)]
+        if c != 1:
+            num = _pscale(num, 1 / c)
+            den = _pscale(den, 1 / c)
+        if len(den) > 1:
+            return num, den
+    # a monomial denominator: the value is a Laurent polynomial
+    (di, dj), dc = next(iter(den.items()))
+    return _laurent({(i - di, j - dj): c / dc for (i, j), c in num.items()})
+
+
 class ParamScalar:
     """A rational function in p and q over Q, always in canonical form.
 
     Instances are immutable value objects; all arithmetic is exact.
+    ``num`` and ``den`` are read-only views of the reduced fraction.
     """
 
-    __slots__ = ("num", "den")
+    # _d is None or _RATIONAL: _n is a Laurent dict, with int or with
+    # some Fraction coefficients; otherwise _n/_d is a reduced fraction
+    # whose denominator _d is not a monomial
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
-            num = {(0, 0): Fraction(num)} if num else {}
-        else:
-            num = {m: Fraction(c) for m, c in num.items() if c}
-        if den is None:
-            den = _POLY_ONE
-        elif isinstance(den, (int, Fraction)):
-            if not den:
-                raise ZeroDivisionError("zero polynomial denominator")
-            den = {(0, 0): Fraction(den)}
-        else:
-            den = {m: Fraction(c) for m, c in den.items() if c}
-            if den == _POLY_ONE:
-                den = _POLY_ONE
-        if not den:
-            raise ZeroDivisionError("zero polynomial denominator")
-        if not num:
-            object.__setattr__(self, "num", {})
-            object.__setattr__(self, "den", _POLY_ONE)
-            return
-        if den is not _POLY_ONE and den != _POLY_ONE:
-            if len(den) == 1:
-                # monomial denominator: cancel the common monomial factor
-                (di, dj), dc = next(iter(den.items()))
-                si = min(di, min(i for i, _ in num))
-                sj = min(dj, min(j for _, j in num))
-                if si or sj:
-                    num = _pshift(num, -si, -sj)
-                    di, dj = di - si, dj - sj
-                if dc != 1:
-                    num = _pscale(num, 1 / dc)
-                den = _POLY_ONE if (di == 0 and dj == 0) \
-                    else {(di, dj): _F1}
-            else:
-                g = _pgcd(num, den)
-                if len(g) != 1 or next(iter(g)) != (0, 0):
-                    num = _pdiv_exact(num, g)
-                    den = _pdiv_exact(den, g)
-                c = den[min(den, key=_gkey)]
-                if c != 1:
-                    num = _pscale(num, 1 / c)
-                    den = _pscale(den, 1 / c)
-                if len(den) == 1 and den == _POLY_ONE:
-                    den = _POLY_ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            num = {(0, 0): num}
+        terms, tag = _laurent({m: c for m, c in num.items() if c})
+        if den is not None:
+            terms, tag = _divide(_new(terms, tag), ParamScalar(den))
+        _set_n(self, terms)
+        _set_d(self, tag)
 
     def __setattr__(self, *args):
         raise AttributeError("ParamScalar is immutable")
 
+    def _parts(self):
+        # numerator and denominator polynomials, exponents >= 0
+        n, d = self._n, self._d
+        if d.__class__ is dict:
+            return n, d
+        si = min([0] + [i for i, _ in n])
+        sj = min([0] + [j for _, j in n])
+        if not (si or sj):
+            return n, _POLY_ONE
+        return _pshift(n, -si, -sj), {(-si, -sj): 1}
+
+    @property
+    def num(self):
+        return MappingProxyType(
+            {m: Fraction(c) for m, c in self._parts()[0].items()})
+
+    @property
+    def den(self):
+        return MappingProxyType(
+            {m: Fraction(c) for m, c in self._parts()[1].items()})
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return not self.num
+        return not self._n
 
     def is_one(self):
-        return self.den == _POLY_ONE and self.num == _POLY_ONE
+        return self._d is None and self._n == {(0, 0): 1}
 
     def is_constant(self):
-        return self.den == _POLY_ONE and (
-            not self.num or set(self.num) == {(0, 0)})
+        n = self._n
+        return self._d.__class__ is not dict and (
+            not n or (len(n) == 1 and (0, 0) in n))
 
     def is_integer(self):
-        if not self.is_constant():
-            return False
-        if not self.num:
-            return True
-        return self.num[(0, 0)].denominator == 1
+        return self._d is None and self.is_constant()
 
     def as_fraction(self):
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.num.get((0, 0), _F0)
+        return Fraction(self._n.get((0, 0), 0))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (ParamScalar, int, Fraction)):
-            return NotImplemented
-        other = scalar(other)
-        if self.den is _POLY_ONE and other.den is _POLY_ONE:
-            return _mk(_padd(self.num, other.num))
-        if self.den == other.den:
-            return ParamScalar(_padd(self.num, other.num), self.den)
-        return ParamScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den))
+        if other.__class__ is not ParamScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ParamScalar(other)
+        return _combine(self, other, _padd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (ParamScalar, int, Fraction)):
-            return NotImplemented
-        other = scalar(other)
-        if self.den is _POLY_ONE and other.den is _POLY_ONE:
-            return _mk(_psub(self.num, other.num))
-        if self.den == other.den:
-            return ParamScalar(_psub(self.num, other.num), self.den)
-        return ParamScalar(
-            _psub(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den))
+        if other.__class__ is not ParamScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ParamScalar(other)
+        return _combine(self, other, _psub)
 
     def __rsub__(self, other):
         return scalar(other) - self
 
     def __neg__(self):
-        ps = ParamScalar.__new__(ParamScalar)
-        object.__setattr__(ps, "num", _pneg(self.num))
-        object.__setattr__(ps, "den", self.den)
-        return ps
+        return _new(_pneg(self._n), self._d)
 
     def __mul__(self, other):
-        if not isinstance(other, (ParamScalar, int, Fraction)):
-            return NotImplemented
-        other = scalar(other)
-        if self.den is _POLY_ONE and other.den is _POLY_ONE:
-            return _mk(_pmul(self.num, other.num))
-        return ParamScalar(_pmul(self.num, other.num),
-                           _pmul(self.den, other.den))
+        if other.__class__ is not ParamScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ParamScalar(other)
+        a, b = self._d, other._d
+        if a is None and b is None:
+            return _new(_pmul(self._n, other._n), None)
+        if a.__class__ is not dict and b.__class__ is not dict:
+            return _new(*_laurent(_pmul(self._n, other._n)))
+        sn, sd = self._parts()
+        on, od = other._parts()
+        return _new(*_reduce(_pmul(sn, on), _pmul(sd, od)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (ParamScalar, int, Fraction)):
-            return NotImplemented
-        other = scalar(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        return ParamScalar(_pmul(self.num, other.den),
-                           _pmul(self.den, other.num))
+        if other.__class__ is not ParamScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ParamScalar(other)
+        return _new(*_divide(self, other))
 
     def __rtruediv__(self, other):
         return scalar(other) / self
@@ -698,38 +724,83 @@ class ParamScalar:
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = scalar(other)
-        if not isinstance(other, ParamScalar):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if other.__class__ is not ParamScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ParamScalar(other)
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()),
-                     frozenset(self.den.items())))
+        # a constant hashes like the int or Fraction it equals
+        if self.is_constant():
+            return hash(self.as_fraction())
+        d = self._d
+        return hash((frozenset(self._n.items()),
+                     frozenset(d.items()) if d.__class__ is dict else None))
 
     # -- evaluation and rendering -------------------------------------------
 
     def evaluate(self, p_val, q_val):
         """Evaluate at numeric parameter values; exact on Fractions."""
-        dv = _peval(self.den, p_val, q_val)
+        num, den = self._parts()
+        dv = _peval(den, p_val, q_val)
         if dv == 0:
             raise ZeroDivisionError(
                 f"pole of {self} at p={p_val}, q={q_val}")
-        return _peval(self.num, p_val, q_val) / dv
+        nv = _peval(num, p_val, q_val)
+        # int coefficients at int arguments still divide exactly
+        return (Fraction(nv) if nv.__class__ is int else nv) / dv
 
     def subs_swap(self):
         """The image under exchanging p and q."""
-        return ParamScalar({(j, i): c for (i, j), c in self.num.items()},
-                           {(j, i): c for (i, j), c in self.den.items()})
+        n, d = self._n, self._d
+        swapped = {(j, i): c for (i, j), c in n.items()}
+        if d.__class__ is not dict:
+            return _new(swapped, d)
+        return ParamScalar(swapped, {(j, i): c for (i, j), c in d.items()})
 
     def __str__(self):
-        if self.den == _POLY_ONE:
-            return _poly_str(self.num)
-        return f"{_wrap(_poly_str(self.num))}/{_wrap(_poly_str(self.den))}"
+        num, den = self._parts()
+        if den is _POLY_ONE:
+            return _poly_str(num)
+        return f"{_wrap(_poly_str(num))}/{_wrap(_poly_str(den))}"
 
     def __repr__(self):
         return f"ParamScalar({str(self)!r})"
+
+
+_set_n = ParamScalar._n.__set__
+_set_d = ParamScalar._d.__set__
+
+
+def _new(terms, tag) -> ParamScalar:
+    # raw builder for canonical (terms, tag) pairs
+    x = object.__new__(ParamScalar)
+    _set_n(x, terms)
+    _set_d(x, tag)
+    return x
+
+
+def _combine(x, y, op):
+    # x + y or x - y, with op the matching polynomial helper
+    a, b = x._d, y._d
+    if a is None and b is None:
+        return _new(op(x._n, y._n), None)
+    if a.__class__ is not dict and b.__class__ is not dict:
+        return _new(*_laurent(op(x._n, y._n)))
+    xn, xd = x._parts()
+    yn, yd = y._parts()
+    if xd == yd:
+        return _new(*_reduce(op(xn, yn), xd))
+    return _new(*_reduce(op(_pmul(xn, yd), _pmul(yn, xd)), _pmul(xd, yd)))
+
+
+def _divide(x, y):
+    if not y._n:
+        raise ZeroDivisionError("division by zero polynomial")
+    xn, xd = x._parts()
+    yn, yd = y._parts()
+    return _reduce(_pmul(xn, yd), _pmul(xd, yn))
 
 
 def scalar_arith(x: ParamScalar, y: ParamScalar, op: str) -> ParamScalar:
@@ -751,14 +822,6 @@ def scalar_eval(x: ParamScalar, p_val, q_val):
     return scalar(x).evaluate(p_val, q_val)
 
 
-def _mk(num, den=None) -> ParamScalar:
-    # raw builder for internal callers that guarantee canonical parts
-    ps = ParamScalar.__new__(ParamScalar)
-    object.__setattr__(ps, "num", num)
-    object.__setattr__(ps, "den", _POLY_ONE if den is None else den)
-    return ps
-
-
 def scalar(x) -> ParamScalar:
     """Promote an int or Fraction to a ParamScalar."""
     if isinstance(x, ParamScalar):
@@ -768,10 +831,10 @@ def scalar(x) -> ParamScalar:
     raise TypeError(f"cannot promote {type(x).__name__} to ParamScalar")
 
 
-ZERO = ParamScalar(0)
-ONE = ParamScalar(1)
-P = ParamScalar({(1, 0): _F1})
-Q = ParamScalar({(0, 1): _F1})
+ZERO = _new({}, None)
+ONE = _new({(0, 0): 1}, None)
+P = _new({(1, 0): 1}, None)
+Q = _new({(0, 1): 1}, None)
 
 _PPOW_CACHE: dict[int, ParamScalar] = {0: ONE, 1: P}
 _QPOW_CACHE: dict[int, ParamScalar] = {0: ONE, 1: Q}
@@ -781,8 +844,7 @@ def ppow(k: int) -> ParamScalar:
     """p^k for a signed exponent (negative k gives 1/p^|k|)."""
     hit = _PPOW_CACHE.get(k)
     if hit is None:
-        hit = _mk(_POLY_ONE, {(-k, 0): _F1}) if k < 0 else _mk({(k, 0): _F1})
-        _PPOW_CACHE[k] = hit
+        hit = _PPOW_CACHE[k] = _new({(k, 0): 1}, None)
     return hit
 
 
@@ -790,8 +852,7 @@ def qpow(k: int) -> ParamScalar:
     """q^k for a signed exponent."""
     hit = _QPOW_CACHE.get(k)
     if hit is None:
-        hit = _mk(_POLY_ONE, {(0, -k): _F1}) if k < 0 else _mk({(0, k): _F1})
-        _QPOW_CACHE[k] = hit
+        hit = _QPOW_CACHE[k] = _new({(0, k): 1}, None)
     return hit
 
 

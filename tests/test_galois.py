@@ -1,7 +1,10 @@
 """Strong connection: seeds, recursion, closed form, and identities."""
 
+import sys
+
 import pytest
 
+from qhopf import galois
 from qhopf.scalars import ONE, P, Q, qbinomial, qpow
 from qhopf.galois import (TensorElement, check_connection_properties,
                           connection_seed, galois_witness, lifted_can,
@@ -139,3 +142,20 @@ def test_json_and_text_render():
     assert js[0]["left"] == {"mu": -1, "m": 0, "n": 0, "nu": 0}
     assert js[0]["coeff"] == "1"
     assert "(x)" in ell.text()
+
+
+def test_strong_connection_stack_depth_is_bounded(monkeypatch):
+    monkeypatch.setattr(galois, "_CONN_CACHE", {})
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        plus, minus = strong_connection(40), strong_connection(-40)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert plus == strong_connection_closed(40, "+")
+    assert minus == strong_connection_closed(40, "-")
+    # the cache was filled on the way up; a smaller power is a cache hit
+    assert galois._CONN_CACHE[39] is strong_connection(39)
