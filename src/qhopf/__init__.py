@@ -5,8 +5,10 @@ obtained by gluing two quantum solid tori, its circle coaction, the
 two-disc base algebra sitting inside it, a strong connection for the
 fibration with its Gauss-binomial closed form, the idempotents of the
 associated line modules, and the exact trace pairing that certifies the
-fibration nontrivial.  A truncated-operator layer provides an
-independent numeric oracle for every symbolic identity.
+fibration nontrivial.  A truncated-operator layer, ``qhopf.numrep``,
+provides an independent numeric oracle for every symbolic identity; it
+is the only module that needs numpy, and importing the package does not
+load it.
 """
 
 from .scalars import ONE, P, Q, ZERO, ParamScalar, ppow, qbinomial, qpow
@@ -21,8 +23,5 @@ from .galois import (TensorElement, check_connection_properties,
                      strong_connection_closed)
 from .chern import CoinvariantMatrix, idempotent, matrix_trace, pairing, \
     trace_functional
-from .numrep import (TruncatedRep, build_rep, classical_maps_check, evaluate,
-                     faithfulness_probe, mvn_witness_check, numeric_trace,
-                     polar_isometry_check, spectrum_check)
 
 __version__ = "0.1.0"

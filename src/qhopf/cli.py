@@ -29,6 +29,23 @@ def _fraction(text: str) -> Fraction:
             from exc
 
 
+# budget of --N: numeric traces are banded, O(N) memory and time per
+# monomial, so the ceiling bounds a run of the chern and numeric suites
+N_MIN, N_MAX = 2, 100_000
+
+
+def _truncation(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") \
+            from exc
+    if not N_MIN <= n <= N_MAX:
+        raise argparse.ArgumentTypeError(
+            f"truncation dimension must lie in [{N_MIN}, {N_MAX}], got {n}")
+    return n
+
+
 def _default_seed() -> int:
     env = os.environ.get("QHOPF_SEED")
     if env is not None:
@@ -86,8 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="value of p (rational or decimal; default 1/2)")
     p.add_argument("--q", type=_fraction, default=Fraction(1, 3),
                    help="value of q (default 1/3)")
-    p.add_argument("--N", type=int, default=300,
-                   help="truncation dimension for numeric checks")
+    p.add_argument("--N", type=_truncation, default=300,
+                   help=f"truncation dimension for numeric traces, "
+                        f"{N_MIN} <= N <= {N_MAX} (default 300)")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: QHOPF_SEED or 7)")
     return ap

@@ -12,6 +12,23 @@ keeps the first N basis vectors and sends the top one to 0 under the
 shift, so all identity checks restrict to the sub-block the boundary
 cannot reach.
 
+Every operator here is held as a band map {offset: vector}: the
+operator sends e_k to the sum over offsets s of vector_s[k] e_(k+s),
+and vector_s[k] is 0 wherever k+s leaves [0, N).  Each generator is a
+single weighted diagonal (the phase has offset 0, the shift +1, its
+adjoint -1), and a product of single-offset operators again has one
+offset:
+
+    (s1, v1)(s2, v2) = (s1 + s2, k -> v1[k+s2] v2[k]),
+
+zero wherever k+s2 leaves [0, N), which is exactly the truncation.  A
+monomial image therefore costs O(N) and is computed from the generator
+definitions alone, never from the symbolic trace formula.  Dense
+matrices are formed only where a check needs one: the operator norms
+of the defect checks, the flag spectra, and the public ``gen`` and
+``evaluate``.  numpy is imported with this module, which the rest of
+the package loads only inside the numeric verification suites.
+
 Also here: spectra of the flag operators, polar-isometry and
 shift-tensor-projection witnesses, the defect of the classical
 coordinate maps, and a randomized separation probe for nonzero algebra
@@ -47,53 +64,103 @@ __all__ = [
 FAMILIES = ("rho1theta", "rho2theta", "classical")
 
 
+# ---------------------------------------------------------------------------
+# band maps {offset: vector}
+# ---------------------------------------------------------------------------
+
+def _band_mul(x: dict, y: dict) -> dict:
+    """Product of two band maps, band by band.
+
+    (s1, v1)(s2, v2) = (s1 + s2, k -> v1[k+s2] v2[k]), zero wherever
+    k+s2 leaves [0, N); a band whose offset reaches N is zero and drops
+    out.
+    """
+    out: dict = {}
+    for s2, v2 in y.items():
+        dim = len(v2)
+        for s1, v1 in x.items():
+            s = s1 + s2
+            if abs(s) >= dim:
+                continue
+            w = np.zeros(dim, dtype=complex)
+            if s2 >= 0:
+                w[:dim - s2] = v1[s2:] * v2[:dim - s2]
+            else:
+                w[-s2:] = v1[:dim + s2] * v2[-s2:]
+            out[s] = out[s] + w if s in out else w
+    return out
+
+
+def _band_comb(*pairs) -> dict:
+    """Linear combination sum c * x of band maps, given as (c, x) pairs."""
+    out: dict = {}
+    for c, x in pairs:
+        for s, v in x.items():
+            w = c * v
+            out[s] = out[s] + w if s in out else w
+    return out
+
+
+def _band_identity(dim: int) -> dict:
+    return {0: np.ones(dim, dtype=complex)}
+
+
+def _band_adjoint(x: dict) -> dict:
+    out = {}
+    for s, v in x.items():
+        w = np.zeros(len(v), dtype=complex)
+        if s >= 0:
+            w[s:] = v[:len(v) - s].conj()
+        else:
+            w[:len(v) + s] = v[-s:].conj()
+        out[-s] = w
+    return out
+
+
+def _band_dense(x: dict, dim: int) -> np.ndarray:
+    """The dim x dim matrix of a band map, built at O(dim * bands)."""
+    out = np.zeros((dim, dim), dtype=complex)
+    k = np.arange(dim)
+    for s, v in x.items():
+        if s >= 0:
+            out[k[s:], k[:dim - s]] = v[:dim - s]
+        else:
+            out[k[:dim + s], k[-s:]] = v[-s:]
+    return out
+
+
 @dataclass
 class TruncatedRep:
-    """Generator matrices of one truncated irreducible representation."""
+    """Banded generator images of one truncated irreducible representation.
+
+    ``bands`` maps each of "a", "a*", "b", "b*" to its band map, with
+    read-only vectors; ``gen`` returns a fresh dense matrix each call.
+    """
 
     family: str
     phases: tuple
     N: int
     p: float
     q: float
-    matrices: dict = field(repr=False)
-    _pows: dict = field(default_factory=dict, repr=False)
+    bands: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.matrices["a"].shape[0]
+        return len(next(iter(self.bands["a"].values())))
 
     def gen(self, name: str) -> np.ndarray:
-        return self.matrices[name]
-
-    def _power(self, key: str, base: np.ndarray, k: int) -> np.ndarray:
-        hit = self._pows.get((key, k))
-        if hit is None:
-            hit = np.linalg.matrix_power(base, k)
-            self._pows[(key, k)] = hit
-        return hit
-
-    def _flag(self, which: str) -> np.ndarray:
-        # which is "fa" for 1 - aa* or "fb" for 1 - bb*
-        hit = self._pows.get((which, 1))
-        if hit is None:
-            g = "a" if which == "fa" else "b"
-            hit = np.eye(self.dim, dtype=complex) - \
-                self.matrices[g] @ self.matrices[g + "*"]
-            self._pows[(which, 1)] = hit
-        return hit
+        return _band_dense(self.bands[name], self.dim)
 
 
-def _weighted_shift(N: int, r: float) -> np.ndarray:
-    m = np.zeros((N, N), dtype=complex)
-    for k in range(N - 1):
-        m[k + 1, k] = math.sqrt(1.0 - r ** (k + 1))
-    return m
+def _weighted_shift(N: int, r: float) -> dict:
+    w = np.zeros(N, dtype=complex)
+    w[:N - 1] = np.sqrt(1.0 - r ** np.arange(1, N))
+    return {1: w}
 
 
 def build_rep(family: str, phases, N: int, p_val: float,
               q_val: float) -> TruncatedRep:
-    """Assemble the generator matrices of one representation truncation."""
+    """Assemble the banded generators of one representation truncation."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if not (0.0 < p_val < 1.0 and 0.0 < q_val < 1.0):
@@ -105,51 +172,57 @@ def build_rep(family: str, phases, N: int, p_val: float,
     if family == "classical":
         if len(phases) != 2:
             raise ValueError("the classical family takes two phases")
-        a = np.array([[cmath.exp(1j * phases[0])]])
-        b = np.array([[cmath.exp(1j * phases[1])]])
+        a = {0: np.array([cmath.exp(1j * phases[0])])}
+        b = {0: np.array([cmath.exp(1j * phases[1])])}
     else:
         if len(phases) != 1:
             raise ValueError("the shift families take one phase")
         if N < 2:
             raise ValueError("truncation dimension must be at least 2")
-        phase = cmath.exp(1j * phases[0]) * np.eye(N, dtype=complex)
+        phase = {0: np.full(N, cmath.exp(1j * phases[0]))}
         if family == "rho1theta":
             a, b = phase, _weighted_shift(N, p_val)
         else:
             a, b = _weighted_shift(N, q_val), phase
-    mats = {"a": a, "a*": a.conj().T, "b": b, "b*": b.conj().T}
-    return TruncatedRep(family, phases, N, p_val, q_val, mats)
+    bands = {"a": a, "a*": _band_adjoint(a), "b": b, "b*": _band_adjoint(b)}
+    for x in bands.values():
+        for v in x.values():
+            v.flags.writeable = False
+    return TruncatedRep(family, phases, N, p_val, q_val, bands)
 
 
-def _mono_matrix(t: BasisMonomial, rep: TruncatedRep) -> np.ndarray:
-    dim = rep.dim
+def _flag(rep: TruncatedRep, g: str) -> dict:
+    # 1 - g g* for g = "a" or "b"
+    return _band_comb((1.0, _band_identity(rep.dim)),
+                      (-1.0, _band_mul(rep.bands[g], rep.bands[g + "*"])))
+
+
+def _mono_bands(t: BasisMonomial, rep: TruncatedRep) -> dict:
+    """Image of a^mu (1-aa*)^m (1-bb*)^n b^nu as a band map."""
     factors = []
     if t.mu:
-        base = rep.gen("a") if t.mu > 0 else rep.gen("a*")
-        factors.append(rep._power("a" if t.mu > 0 else "a*", base,
-                                  abs(t.mu)))
+        factors += [rep.bands["a" if t.mu > 0 else "a*"]] * abs(t.mu)
     if t.m:
-        factors.append(rep._power("fa", rep._flag("fa"), t.m))
+        factors += [_flag(rep, "a")] * t.m
     if t.n:
-        factors.append(rep._power("fb", rep._flag("fb"), t.n))
+        factors += [_flag(rep, "b")] * t.n
     if t.nu:
-        base = rep.gen("b") if t.nu > 0 else rep.gen("b*")
-        factors.append(rep._power("b" if t.nu > 0 else "b*", base,
-                                  abs(t.nu)))
-    if not factors:
-        return np.eye(dim, dtype=complex)
-    out = factors[0]
-    for m in factors[1:]:
-        out = out @ m
+        factors += [rep.bands["b" if t.nu > 0 else "b*"]] * abs(t.nu)
+    out = _band_identity(rep.dim)
+    for f in factors:
+        out = _band_mul(out, f)
     return out
+
+
+def _image(x: AlgElement, rep: TruncatedRep) -> dict:
+    """Band map of an element: substitute the banded generators."""
+    return _band_comb(*((complex(c.evaluate(rep.p, rep.q)),
+                         _mono_bands(t, rep)) for t, c in x.terms.items()))
 
 
 def evaluate(x: AlgElement, rep: TruncatedRep) -> np.ndarray:
-    """Matrix image of an element: substitute the generator matrices."""
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for t, c in x.terms.items():
-        out += complex(c.evaluate(rep.p, rep.q)) * _mono_matrix(t, rep)
-    return out
+    """Matrix image of an element: substitute the generator images."""
+    return _band_dense(_image(x, rep), rep.dim)
 
 
 def _safe_norm(m: np.ndarray, cols: int) -> float:
@@ -162,17 +235,23 @@ def _safe_norm(m: np.ndarray, cols: int) -> float:
 
 def relation_defects(rep: TruncatedRep) -> dict[str, float]:
     """Defects of the four defining relations on the safe block."""
-    a, ast = rep.gen("a"), rep.gen("a*")
-    b, bst = rep.gen("b"), rep.gen("b*")
-    eye = np.eye(rep.dim, dtype=complex)
+    a, ast = rep.bands["a"], rep.bands["a*"]
+    b, bst = rep.bands["b"], rep.bands["b*"]
+    one = _band_identity(rep.dim)
     cols = rep.dim - 1 if rep.dim > 1 else 1
     rels = {
-        "a*a - q aa* - (1-q)": ast @ a - rep.q * (a @ ast) - (1 - rep.q) * eye,
-        "b*b - p bb* - (1-p)": bst @ b - rep.p * (b @ bst) - (1 - rep.p) * eye,
-        "ab - ba": a @ b - b @ a,
-        "(1-aa*)(1-bb*)": (eye - a @ ast) @ (eye - b @ bst),
+        "a*a - q aa* - (1-q)": _band_comb(
+            (1.0, _band_mul(ast, a)), (-rep.q, _band_mul(a, ast)),
+            (-(1 - rep.q), one)),
+        "b*b - p bb* - (1-p)": _band_comb(
+            (1.0, _band_mul(bst, b)), (-rep.p, _band_mul(b, bst)),
+            (-(1 - rep.p), one)),
+        "ab - ba": _band_comb((1.0, _band_mul(a, b)),
+                              (-1.0, _band_mul(b, a))),
+        "(1-aa*)(1-bb*)": _band_mul(_flag(rep, "a"), _flag(rep, "b")),
     }
-    return {name: _safe_norm(m, cols) for name, m in rels.items()}
+    return {name: _safe_norm(_band_dense(m, rep.dim), cols)
+            for name, m in rels.items()}
 
 
 def homomorphism_defect(x: AlgElement, y: AlgElement,
@@ -185,9 +264,10 @@ def homomorphism_defect(x: AlgElement, y: AlgElement,
     from .s3core import mul
     d = x.shift_reach() + y.shift_reach()
     cols = rep.dim - d
-    lhs = evaluate(mul(x, y), rep)
-    rhs = evaluate(x, rep) @ evaluate(y, rep)
-    return _safe_norm(lhs - rhs, cols)
+    lhs = _image(mul(x, y), rep)
+    rhs = _band_mul(_image(x, rep), _image(y, rep))
+    return _safe_norm(_band_dense(_band_comb((1.0, lhs), (-1.0, rhs)),
+                                  rep.dim), cols)
 
 
 class TraceResult(tuple):
@@ -246,7 +326,9 @@ def numeric_trace(x: AlgElement, N: int, p_val: float, q_val: float,
         rho2 = build_rep("rho2theta", (0.0,), N, p_val, q_val)
     else:
         rho1, rho2 = reps
-    value = complex(np.trace(evaluate(x, rho2)) - np.trace(evaluate(x, rho1)))
+    # the trace of a band map is the sum of its offset-0 vector
+    value = complex(np.sum(_image(x, rho2).get(0, 0))
+                    - np.sum(_image(x, rho1).get(0, 0)))
     return TraceResult(value, trace_tail_bound(x, N, p_val, q_val))
 
 
@@ -257,13 +339,12 @@ def spectrum_check(rep: TruncatedRep) -> dict:
     p^k, k < N; family 2 mirrors this with 1 - aa* and q.
     """
     if rep.family == "rho1theta":
-        flag = np.eye(rep.dim) - rep.gen("b") @ rep.gen("b*")
-        base = rep.p
+        flag, base = _flag(rep, "b"), rep.p
     elif rep.family == "rho2theta":
-        flag = np.eye(rep.dim) - rep.gen("a") @ rep.gen("a*")
-        base = rep.q
+        flag, base = _flag(rep, "a"), rep.q
     else:
         raise ValueError("spectrum check applies to the shift families")
+    flag = _band_dense(flag, rep.dim)
     eig = np.sort(np.linalg.eigvalsh(flag))
     want = np.sort(np.array([base ** k for k in range(rep.dim)]))
     # multiplicity one is only resolvable where the geometric gaps beat

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qhopf.cli import main
 
 
@@ -109,3 +111,59 @@ def test_cli_subprocess_entry():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["value"] == "-1"
+
+
+def test_package_import_does_not_load_numpy():
+    # numpy is needed only by the operator models, which the numeric
+    # suites import when they run
+    code = ("import sys, qhopf, qhopf.cli\n"
+            "assert qhopf.cli.main(['pairing', '--mu', '-1']) == 0\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("suite", ["numeric", "all"])
+@pytest.mark.parametrize("value", ["1", "0", "-3", "100001", "1e3", "x"])
+def test_verify_truncation_budget_rejects_at_parse_time(capsys, monkeypatch,
+                                                         suite, value):
+    from qhopf import numrep
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before --N was validated")
+
+    monkeypatch.setattr(numrep, "build_rep", no_suite)
+    code, out, err = run_cli(capsys, "verify", suite, "--N", value)
+    assert code == 2
+    assert out == ""
+    assert "--N" in err
+
+
+def test_verify_truncation_budget_bounds_and_help(capsys):
+    from qhopf.cli import N_MAX, N_MIN, _build_parser
+    assert (N_MIN, N_MAX) == (2, 100_000)
+    ap = _build_parser()
+    for n in (N_MIN, 300, N_MAX):
+        assert ap.parse_args(["verify", "numeric", "--N", str(n)]).N == n
+    assert main(["verify", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "2 <= N <= 100000" in help_text
+
+
+def test_verify_chern_near_the_classical_limit(capsys):
+    # at p = q = 0.99 and N = 300 the discarded trace mass per unit
+    # coefficient is about 4.9 per flag side; the check must compare each
+    # element against its own tail bound, not one fixed constant
+    code, out, _ = run_cli(capsys, "verify", "chern", "--p", "0.99",
+                           "--q", "0.99")
+    report = json.loads(out)
+    check = next(c for c in report["reports"][0]["checks"]
+                 if c["check_name"] ==
+                 "exact trace matches the truncated operator trace")
+    fixed_tail = 2 * 0.99 ** 300 / (1 - 0.99)
+    assert check["pass"] is True
+    assert check["worst_error"] > fixed_tail
+    assert check["worst_error"] <= check["max_bound"]
+    assert code == 0

@@ -176,3 +176,126 @@ def test_faithfulness_probe():
         if x.is_zero():
             continue
         assert faithfulness_probe(x, seed=i)
+
+
+# ---------------------------------------------------------------------------
+# banded images against a dense reference built here from gen() matrices
+# ---------------------------------------------------------------------------
+
+def _dense_monomial(t, rep):
+    # a^mu (1-aa*)^m (1-bb*)^n b^nu from dense matrix powers
+    power = np.linalg.matrix_power
+    a, ast, b, bst = (rep.gen(g) for g in ("a", "a*", "b", "b*"))
+    eye = np.eye(rep.dim, dtype=complex)
+    return (power(a if t.mu >= 0 else ast, abs(t.mu))
+            @ power(eye - a @ ast, t.m) @ power(eye - b @ bst, t.n)
+            @ power(b if t.nu >= 0 else bst, abs(t.nu)))
+
+
+def _dense_element(x, rep):
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for t, c in x.terms.items():
+        out += complex(c.evaluate(rep.p, rep.q)) * _dense_monomial(t, rep)
+    return out
+
+
+def _reps(N, rng):
+    theta = 2 * math.pi * rng.random()
+    return [build_rep("rho1theta", (theta,), N, P_VAL, Q_VAL),
+            build_rep("rho2theta", (theta,), N, P_VAL, Q_VAL),
+            build_rep("classical", (theta, 2 * math.pi * rng.random()), N,
+                      P_VAL, Q_VAL)]
+
+
+# every flag exponent up to 4 on either side
+FLAGS = ([(0, 0)] + [(k, 0) for k in range(1, 5)]
+         + [(0, k) for k in range(1, 5)])
+
+
+@pytest.mark.parametrize("N", [2, 3, 12, 40])
+def test_banded_images_match_dense_reference(N):
+    rng = random.Random(1000 + N)
+    shifts = sorted({0, 1, 2, N - 1, N, N + 1} | {-1, -2, 1 - N, -N, -N - 1})
+    for rep in _reps(N, rng):
+        for mu in shifts:
+            for nu in shifts:
+                for m, n in FLAGS:
+                    t = BasisMonomial(mu, m, n, nu)
+                    x = AlgElement.from_monomial(t)
+                    got = evaluate(x, rep)
+                    assert np.abs(got - _dense_monomial(t, rep)).max() <= 1e-13
+                    # a shift of N or more steps leaves the truncation
+                    reach = {"rho1theta": abs(nu), "rho2theta": abs(mu)}
+                    if reach.get(rep.family, 0) >= N:
+                        assert not got.any()
+        for _ in range(40):
+            x = random_element(rng, max_shift=N + 1, max_flag=4, max_terms=4)
+            assert np.abs(evaluate(x, rep) - _dense_element(x, rep)).max() \
+                <= 1e-13
+
+
+@pytest.mark.parametrize("N", [2, 3, 12, 40])
+def test_banded_traces_and_defects_match_dense_reference(N):
+    from qhopf.verify import random_coinvariant
+    rng = random.Random(2000 + N)
+    rho1 = build_rep("rho1theta", (0.0,), N, P_VAL, Q_VAL)
+    rho2 = build_rep("rho2theta", (0.0,), N, P_VAL, Q_VAL)
+    for _ in range(20):
+        x = random_coinvariant(rng, max_flag=4)
+        want = (np.trace(_dense_element(x, rho2))
+                - np.trace(_dense_element(x, rho1)))
+        got = numeric_trace(x, N, P_VAL, Q_VAL, reps=(rho1, rho2))
+        assert abs(got.value - want) <= 1e-13
+    for rep in _reps(N, rng):
+        a, ast = rep.gen("a"), rep.gen("a*")
+        b, bst = rep.gen("b"), rep.gen("b*")
+        eye = np.eye(rep.dim, dtype=complex)
+        cols = rep.dim - 1 if rep.dim > 1 else 1
+        want = {
+            "a*a - q aa* - (1-q)":
+                ast @ a - rep.q * (a @ ast) - (1 - rep.q) * eye,
+            "b*b - p bb* - (1-p)":
+                bst @ b - rep.p * (b @ bst) - (1 - rep.p) * eye,
+            "ab - ba": a @ b - b @ a,
+            "(1-aa*)(1-bb*)": (eye - a @ ast) @ (eye - b @ bst),
+        }
+        got = relation_defects(rep)
+        assert set(got) == set(want)
+        for name, m in want.items():
+            assert got[name] == pytest.approx(
+                np.linalg.norm(m[:, :cols], 2), abs=1e-13)
+        if rep.family == "classical":
+            continue
+        for _ in range(10):
+            x = random_element(rng, max_shift=1, max_flag=2)
+            y = random_element(rng, max_shift=1, max_flag=2)
+            cols = rep.dim - x.shift_reach() - y.shift_reach()
+            if cols <= 0:
+                continue
+            diff = (_dense_element(mul(x, y), rep)
+                    - _dense_element(x, rep) @ _dense_element(y, rep))
+            assert homomorphism_defect(x, y, rep) == pytest.approx(
+                np.linalg.norm(diff[:, :cols], 2), abs=1e-13)
+
+
+def test_generator_matrices_are_values():
+    rep = build_rep("rho1theta", (0.3,), 12, P_VAL, Q_VAL)
+    reps = (build_rep("rho1theta", (0.0,), 12, P_VAL, Q_VAL),
+            build_rep("rho2theta", (0.0,), 12, P_VAL, Q_VAL))
+    x = AlgElement({BasisMonomial(0, 1, 0, 0): Q,
+                    BasisMonomial(0, 0, 2, 0): Q * Q,
+                    BasisMonomial(1, 0, 1, 1): Q})
+    trace = numeric_trace(x, 12, P_VAL, Q_VAL, reps=reps)
+    defects = relation_defects(rep)
+    for r in (rep, *reps):
+        for g in ("a", "a*", "b", "b*"):
+            m = r.gen(g)
+            m[1, 0] = 0
+            m[0, 0] = 5
+            assert r.gen(g)[0, 0] != 5
+    assert numeric_trace(x, 12, P_VAL, Q_VAL, reps=reps) == trace
+    assert relation_defects(rep) == defects
+    # the banded generators themselves are read-only
+    for v in rep.bands["b"].values():
+        with pytest.raises(ValueError):
+            v[0] = 0
