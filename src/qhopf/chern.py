@@ -28,7 +28,6 @@ from .s3core import AlgElement, BasisMonomial, mul
 __all__ = [
     "CoinvariantMatrix",
     "idempotent",
-    "matrix_trace",
     "trace_functional",
     "pairing",
 ]
@@ -95,6 +94,7 @@ class CoinvariantMatrix:
         return all(e.is_coinvariant() for row in self.entries for e in row)
 
     def trace(self) -> AlgElement:
+        """Sum of the diagonal entries; stays coinvariant."""
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
         acc = AlgElement.zero()
@@ -152,11 +152,6 @@ def idempotent(mu: int) -> CoinvariantMatrix:
     return CoinvariantMatrix(entries)
 
 
-def matrix_trace(e: CoinvariantMatrix) -> AlgElement:
-    """Sum of the diagonal entries; stays coinvariant."""
-    return e.trace()
-
-
 def trace_functional(x: AlgElement) -> ParamScalar:
     """The trace on the coinvariant subalgebra, evaluated exactly.
 
@@ -188,4 +183,4 @@ def pairing(mu: int) -> ParamScalar:
     Exact in p and q; the result is reported as computed (for mu = -1 it
     must be the constant -1).
     """
-    return trace_functional(matrix_trace(idempotent(mu)))
+    return trace_functional(idempotent(mu).trace())

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import chern, galois, gluing, hopf, verify
 from .exprs import ExprError, evaluate, evaluate_algebra, parse
 from .scalars import ParamScalar
-from .s3core import AlgElement, mul, winding_decompose
+from .s3core import AlgElement, mul
 
 SCHEMA = 1
 
@@ -170,7 +170,7 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
         x = evaluate_algebra(args.expression)
         report["result"] = {
             str(w): _element_payload(part)
-            for w, part in winding_decompose(x).items()}
+            for w, part in x.winding_components().items()}
         return report, 0
 
     if cmd == "coaction":
@@ -214,24 +214,10 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
 
     if cmd == "verify":
         seed = args.seed if args.seed is not None else _default_seed()
-        p_val, q_val = float(args.p), float(args.q)
-        if args.suite == "all":
-            reports = verify.suite_all(p_val=p_val, q_val=q_val, N=args.N,
-                                       seed=seed)
-        elif args.suite == "algebra":
-            reports = [verify.suite_algebra(seed=seed)]
-        elif args.suite == "gluing":
-            reports = [verify.suite_gluing(seed=seed)]
-        elif args.suite == "galois":
-            reports = [verify.suite_galois()]
-        elif args.suite == "chern":
-            reports = [verify.suite_chern(p_val=p_val, q_val=q_val, N=args.N,
-                                          seed=seed)]
-        elif args.suite == "numeric":
-            reports = [verify.suite_numeric(p_val=p_val, q_val=q_val,
-                                            N=args.N, seed=seed)]
-        else:
-            reports = [verify.suite_classical(seed=seed)]
+        names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+        reports = [verify.run_suite(name, p_val=float(args.p),
+                                    q_val=float(args.q), N=args.N, seed=seed)
+                   for name in names]
         ok = all(r["pass"] for r in reports)
         report["suite"] = args.suite
         report["params"] = {"p": str(args.p), "q": str(args.q), "N": args.N,

@@ -15,6 +15,13 @@ three generator families cannot be mixed in one expression: base
 generators are routed through their embedding, so a mixed expression
 would hide which algebra the result lives in.  Negative powers exist
 only for u.  Division is by scalar-valued subexpressions only.
+
+Nesting budget: no symbol may sit inside more than ``MAX_NESTING``
+levels, where every enclosing parenthesis pair, unary minus and postfix
+operator (``^*`` or ``^n``) counts as one level; ``((a^*))^*`` nests
+``a`` four deep.  Parsing and evaluation recurse once per level, so a
+deeper input raises :class:`ExprError` instead of exhausting the
+interpreter stack.  Long sums and products cost no depth.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .hopf import LaurentElement
 
 __all__ = [
     "ExprError",
+    "MAX_NESTING",
     "parse",
     "evaluate",
     "evaluate_algebra",
@@ -97,6 +105,8 @@ class Star:
 
 _NAMES = {"a", "b", "u", "p", "q", "f0", "f1"}
 
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -134,6 +144,16 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0   # levels enclosing the token being parsed
+        self.peak = 0    # deepest level reached inside the current atom
+
+    def nest(self, levels: int, pos: int) -> int:
+        depth = self.depth + levels
+        if depth > MAX_NESTING:
+            raise ExprError(
+                f"expression nests deeper than {MAX_NESTING} levels", pos)
+        self.peak = max(self.peak, depth)
+        return depth
 
     def peek(self):
         return self.tokens[self.pos]
@@ -180,12 +200,20 @@ class _Parser:
                 return node
 
     def factor(self):
-        if self.peek()[0] == "-":
+        tok = self.peek()
+        if tok[0] == "-":
             self.advance()
-            return Neg(self.factor())
+            outer, self.depth = self.depth, self.nest(1, tok[2])
+            node = Neg(self.factor())
+            self.depth = outer
+            return node
+        outer_peak, self.peak = self.peak, self.depth
         node = self.atom()
+        inner = self.peak - self.depth
         while self.peek()[0] == "^":
-            self.advance()
+            # each postfix operator encloses the whole atom once more
+            inner += 1
+            self.nest(inner, self.advance()[2])
             tok = self.peek()
             if tok[0] == "*":
                 self.advance()
@@ -200,6 +228,7 @@ class _Parser:
             else:
                 raise ExprError("expected '*' or an integer after '^'",
                                 tok[2])
+        self.peak = max(outer_peak, self.peak)
         return node
 
     def atom(self):
@@ -211,8 +240,10 @@ class _Parser:
                 raise ExprError(f"unknown symbol {tok[1]!r}", tok[2])
             return Sym(tok[1])
         if tok[0] == "(":
+            outer, self.depth = self.depth, self.nest(1, tok[2])
             node = self.expr()
             self.expect(")")
+            self.depth = outer
             return node
         raise ExprError(f"unexpected token {tok[1]!r}", tok[2])
 
@@ -224,7 +255,24 @@ def parse(text: str):
 
 # -- evaluation ---------------------------------------------------------------
 
+_BINARY = (Add, Sub, Mul, Div)
+
+
+def _left_spine(node):
+    # a long sum or product is a left-deep chain of binary nodes; walk it
+    # with a loop so that its length costs no stack depth
+    spine = []
+    while isinstance(node, _BINARY):
+        spine.append(node)
+        node = node.left
+    return node, spine[::-1]
+
+
 def _families(node, found: set):
+    if isinstance(node, _BINARY):
+        node, spine = _left_spine(node)
+        for op in spine:
+            _families(op.right, found)
     if isinstance(node, Sym):
         if node.name in ("a", "b"):
             found.add("ab")
@@ -236,56 +284,37 @@ def _families(node, found: set):
         _families(node.arg, found)
     elif isinstance(node, Pow):
         _families(node.base, found)
-    elif isinstance(node, (Add, Sub, Mul, Div)):
-        _families(node.left, found)
-        _families(node.right, found)
     return found
 
 
-def _unit_like(value):
-    if isinstance(value, AlgElement):
-        return AlgElement.one()
-    if isinstance(value, LaurentElement):
-        return LaurentElement.one()
-    return ONE
+def _lift(x, like):
+    # a scalar operand of a sum becomes a multiple of the other's unit
+    if isinstance(x, ParamScalar) and not isinstance(like, ParamScalar):
+        return like.one().scale(x)
+    return x
 
 
-def _promote(value, like):
-    # lift a scalar to a multiple of the unit of the other operand's algebra
-    if isinstance(value, ParamScalar):
-        if isinstance(like, AlgElement):
-            return AlgElement.one().scale(value)
-        if isinstance(like, LaurentElement):
-            return LaurentElement.one() * value
-    return value
-
-
-def _add(xv, yv, sign):
-    if isinstance(xv, ParamScalar) and not isinstance(yv, ParamScalar):
-        xv = _promote(xv, yv)
-    if isinstance(yv, ParamScalar) and not isinstance(xv, ParamScalar):
-        yv = _promote(yv, xv)
-    if type(xv) is not type(yv):
-        raise ExprError("cannot add elements of different algebras", 0)
-    return xv + yv if sign > 0 else xv - yv
-
-
-def _mul_values(xv, yv):
-    if isinstance(xv, ParamScalar) and isinstance(yv, ParamScalar):
-        return xv * yv
-    if isinstance(xv, ParamScalar):
-        return yv * xv if isinstance(yv, LaurentElement) else yv.scale(xv)
-    if isinstance(yv, ParamScalar):
-        return xv * yv if isinstance(xv, LaurentElement) else xv.scale(yv)
-    if type(xv) is not type(yv):
-        raise ExprError("cannot multiply elements of different algebras", 0)
-    from .s3core import mul
-    if isinstance(xv, AlgElement):
-        return mul(xv, yv)
-    return xv * yv
+def _binary(node, x, y):
+    if isinstance(node, Add):
+        return _lift(x, y) + _lift(y, x)
+    if isinstance(node, Sub):
+        return _lift(x, y) - _lift(y, x)
+    if isinstance(node, Mul):
+        return x * y
+    if not isinstance(y, ParamScalar):
+        raise ExprError("division only by scalar expressions", 0)
+    if y.is_zero():
+        raise ZeroDivisionError("division by zero")
+    return x * (ONE / y)
 
 
 def _eval(node):
+    if isinstance(node, _BINARY):
+        node, spine = _left_spine(node)
+        val = _eval(node)
+        for op in spine:
+            val = _binary(op, val, _eval(op.right))
+        return val
     if isinstance(node, Num):
         return scalar(node.value)
     if isinstance(node, Sym):
@@ -300,20 +329,6 @@ def _eval(node):
         return iota_image(node.name)
     if isinstance(node, Neg):
         return -_eval(node.arg)
-    if isinstance(node, Add):
-        return _add(_eval(node.left), _eval(node.right), +1)
-    if isinstance(node, Sub):
-        return _add(_eval(node.left), _eval(node.right), -1)
-    if isinstance(node, Mul):
-        return _mul_values(_eval(node.left), _eval(node.right))
-    if isinstance(node, Div):
-        num, den = _eval(node.left), _eval(node.right)
-        if not isinstance(den, ParamScalar):
-            raise ExprError("division only by scalar expressions", 0)
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero")
-        inv = ONE / den
-        return _mul_values(num, inv)
     if isinstance(node, Pow):
         base = _eval(node.base)
         k = node.exponent
@@ -327,9 +342,9 @@ def _eval(node):
                     out = out * inv
                 return out
             raise ExprError("negative powers exist only for powers of u", 0)
-        out = _unit_like(base)
+        out = ONE if isinstance(base, ParamScalar) else base.one()
         for _ in range(k):
-            out = _mul_values(out, base)
+            out = out * base
         return out
     if isinstance(node, Star):
         val = _eval(node.arg)

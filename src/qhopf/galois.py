@@ -16,12 +16,10 @@ ell(u^k) together telescopes to 1 (the partition identity).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Union
-
-from .scalars import ONE, ParamScalar, ppow, qbinomial, qpow, scalar
+from .scalars import ONE, ppow, qbinomial, qpow
 from .hopf import CotensorElement
-from .s3core import AlgElement, BasisMonomial, UNIT_MONO, _mono_mul, _raw
+from .s3core import AlgElement, BasisMonomial, UNIT_MONO, _checked, _mono_mul
+from .sparse import SparseElement, bilinear, extend
 
 __all__ = [
     "TensorElement",
@@ -35,60 +33,20 @@ __all__ = [
     "check_connection_properties",
 ]
 
-ScalarLike = Union[ParamScalar, int, Fraction]
 
-PairKey = tuple  # (BasisMonomial, BasisMonomial)
-
-
-class TensorElement:
+class TensorElement(SparseElement):
     """Element of (sphere algebra) (x) (sphere algebra), sparse."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[PairKey, ScalarLike] | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = scalar(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+    @staticmethod
+    def _key(key):
+        s, t = key
+        return _checked(s), _checked(t)
 
     @classmethod
     def unit(cls):
         return cls({(UNIT_MONO, UNIT_MONO): ONE})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return TensorElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement({k: -c for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def scale(self, c: ScalarLike):
-        c = scalar(c)
-        return TensorElement({k: w * c for k, w in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
     def json_terms(self) -> list[dict]:
         out = []
@@ -101,7 +59,7 @@ class TensorElement:
         return out
 
     def text(self) -> str:
-        if not self.terms:
+        if not self._d:
             return "0"
         bits = []
         for (s, t), c in self.sorted_terms():
@@ -112,32 +70,15 @@ class TensorElement:
             bits.append(f"{lead}{s.text()} (x) {t.text()}")
         return " + ".join(bits)
 
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"TensorElement({self.text()!r})"
-
 
 def _sandwich(outer: TensorElement, inner: TensorElement) -> TensorElement:
     # sum over outer terms x (x) y of  (x . inner-left) (x) (inner-right . y)
-    out: dict = {}
-    for (x, y), c in outer.terms.items():
-        for (s, t), d in inner.terms.items():
-            cd = c * d
-            left = _mono_mul(x, s)
-            right = _mono_mul(t, y)
-            for lm, lc in left:
-                clc = cd * lc
-                for rm, rc in right:
-                    key = (lm, rm)
-                    v = out.get(key)
-                    v = clc * rc if v is None else v + clc * rc
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-    return TensorElement(out)
+    def image(xy, st):
+        (x, y), (s, t) = xy, st
+        right = _mono_mul(t, y)
+        return [((lm, rm), lc if rc is ONE else rc if lc is ONE else lc * rc)
+                for lm, lc in _mono_mul(x, s) for rm, rc in right]
+    return TensorElement._raw(bilinear(outer._d, inner._d, image))
 
 
 # seeds: ell(u) and ell(u*)
@@ -212,32 +153,15 @@ def strong_connection_closed(n: int, sign: str = "+") -> TensorElement:
 
 def lifted_can(t: TensorElement) -> CotensorElement:
     """Apply the coaction to the right leg and multiply the algebra legs."""
-    out: dict = {}
-    for (s, r), c in t.terms.items():
-        w = r.winding
-        for m, k in _mono_mul(s, r):
-            key = (m, w)
-            v = out.get(key)
-            v = c * k if v is None else v + c * k
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return CotensorElement(out)
+    def image(sr):
+        w = sr[1].winding
+        return [((m, w), k) for m, k in _mono_mul(*sr)]
+    return CotensorElement._raw(extend(t.terms, image))
 
 
 def multiply_legs(t: TensorElement) -> AlgElement:
     """The multiplication map applied to a two-leg tensor."""
-    out: dict = {}
-    for (s, r), c in t.terms.items():
-        for m, k in _mono_mul(s, r):
-            v = out.get(m)
-            v = c * k if v is None else v + c * k
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return _raw(out)
+    return AlgElement._raw(extend(t.terms, lambda sr: _mono_mul(*sr)))
 
 
 def partition_identity_holds(n: int, sign: str = "+") -> bool:
@@ -245,45 +169,16 @@ def partition_identity_holds(n: int, sign: str = "+") -> bool:
     return multiply_legs(strong_connection_closed(n, sign)) == AlgElement.one()
 
 
-def _compose_witnesses(w_h: TensorElement, w_g: TensorElement) -> TensorElement:
-    # product-of-preimages rule: witnesses for 1 (x) h and 1 (x) g give
-    # sum_ij (g_j h_i) (x) (h~_i g~_j), a witness for 1 (x) hg
-    out: dict = {}
-    for (h, ht), c in w_h.terms.items():
-        for (g, gt), d in w_g.terms.items():
-            cd = c * d
-            left = _mono_mul(g, h)
-            right = _mono_mul(ht, gt)
-            for lm, lc in left:
-                clc = cd * lc
-                for rm, rc in right:
-                    key = (lm, rm)
-                    v = out.get(key)
-                    v = clc * rc if v is None else v + clc * rc
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-    return TensorElement(out)
-
-
 def galois_witness(k: int) -> TensorElement:
     """A preimage of 1 (x) u^k under the lifted canonical map.
 
-    Built from the degree +-1 seeds by iterating the product-of-preimages
-    composition.  For this algebra the iterate coincides with the
-    connection value, which is asserted, as is the preimage property.
+    The product-of-preimages rule (witnesses sum_i h_i (x) h~_i for
+    1 (x) h and sum_j g_j (x) g~_j for 1 (x) g give
+    sum_ij g_j h_i (x) h~_i g~_j for 1 (x) hg), iterated from the degree
+    +-1 seeds, is the sandwich recursion of the connection, so the
+    witness is the connection value; its preimage property is checked.
     """
-    if k == 0:
-        out = TensorElement.unit()
-    else:
-        seed = _SEED_PLUS if k > 0 else _SEED_MINUS
-        out = seed
-        for _ in range(abs(k) - 1):
-            out = _compose_witnesses(out, seed)
-    if out != strong_connection(k):
-        raise AssertionError(
-            f"composed witness for power {k} differs from the connection")
+    out = strong_connection(k)
     if lifted_can(out) != CotensorElement({(UNIT_MONO, k): ONE}):
         raise AssertionError(f"witness for power {k} failed verification")
     return out

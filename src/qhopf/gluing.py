@@ -17,12 +17,12 @@ gluing check verifies that matching condition.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Union
+from operator import itemgetter
 
-from .scalars import ONE, ParamScalar, ppow, qpow, scalar
-from .hopf import LaurentElement
-from .s3core import AlgElement, BasisMonomial
+from .scalars import ONE
+from .hopf import LaurentElement, _over_powers_text, _power, coaction
+from .s3core import AlgElement, BasisMonomial, _mono_mul, monomial
+from .sparse import SparseElement, bilinear, extend
 
 __all__ = [
     "DiscMonomial",
@@ -40,122 +40,67 @@ __all__ = [
     "trivialization_over_base",
 ]
 
-ScalarLike = Union[ParamScalar, int, Fraction]
-
 DiscMonomial = tuple  # (mu, m): x_mu (1 - x x*)^m
 
 
-def _rpow(tag: str, k: int) -> ParamScalar:
-    return ppow(k) if tag == "p" else qpow(k)
-
-
-_DISC_RIGHT_CACHE: dict = {}
-
-
-def _disc_right_letter(tag: str, t: DiscMonomial, g: str):
-    # canonical expansion of (x_mu w^m) * g, w = 1 - x x*
-    key = (tag, t, g)
-    hit = _DISC_RIGHT_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _disc_key(t) -> DiscMonomial:
     mu, m = t
-    if g == "x":
-        out = [((mu + 1, m), _rpow(tag, m))]
-        if mu < 0:
-            out.append(((mu + 1, m + 1), -_rpow(tag, m + 1)))
-    elif g == "x*":
-        out = [((mu - 1, m), _rpow(tag, -m))]
-        if mu > 0:
-            out.append(((mu - 1, m + 1), -_rpow(tag, -m)))
-    else:
-        raise ValueError(f"unknown disc generator {g!r}")
-    out = tuple(out)
-    _DISC_RIGHT_CACHE[key] = out
-    return out
+    monomial(mu, m, 0, 0)   # integer indices, m >= 0
+    return mu, m
 
 
-class DiscElement:
-    """Element of one quantum disc; the parameter tag is 'p' or 'q'."""
+def _disc_mono_mul(tag: str, t1: DiscMonomial, t2: DiscMonomial):
+    # The q-disc is the subalgebra generated by a: x_mu (1-xx*)^m is
+    # a_mu (1-aa*)^m, multiplied by the sphere's a-rules.  The p-disc has
+    # the same relation with p for q, so its structure constants are the
+    # q-disc ones with p and q exchanged.
+    prod = _mono_mul(BasisMonomial(t1[0], t1[1], 0, 0),
+                     BasisMonomial(t2[0], t2[1], 0, 0))
+    if tag == "q":
+        return [((t.mu, t.m), k) for t, k in prod]
+    return [((t.mu, t.m), k if k is ONE else k.subs_swap()) for t, k in prod]
 
-    __slots__ = ("tag", "terms")
 
-    def __init__(self, tag: str,
-                 terms: Mapping[DiscMonomial, ScalarLike] | None = None):
+class _Tagged(SparseElement):
+    """Elements over one quantum disc; the parameter tag is 'p' or 'q'."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: str, terms=None):
         if tag not in ("p", "q"):
             raise ValueError("disc parameter tag must be 'p' or 'q'")
-        self.tag = tag
-        clean = {}
-        if terms:
-            for t, c in terms.items():
-                c = scalar(c)
-                if c:
-                    clean[tuple(t)] = c
-        self.terms = clean
+        object.__setattr__(self, "tag", tag)
+        super().__init__(terms)
+
+
+class DiscElement(_Tagged):
+    """Element of one quantum disc; the parameter tag is 'p' or 'q'."""
+
+    __slots__ = ()
+    _key = staticmethod(_disc_key)
 
     @classmethod
     def one(cls, tag: str):
         return cls(tag, {(0, 0): ONE})
 
-    def _check(self, other: "DiscElement"):
-        if self.tag != other.tag:
-            raise ValueError(
-                f"mixed disc parameters {self.tag!r} and {other.tag!r}")
+    def _mono_mul(self, t1: DiscMonomial, t2: DiscMonomial):
+        return _disc_mono_mul(self.tag, t1, t2)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t)
-            s = c if s is None else s + c
-            if s:
-                out[t] = s
-            elif t in out:
-                del out[t]
-        return DiscElement(self.tag, out)
+    def _product(self, other):
+        return disc_mul(self, other)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return DiscElement(self.tag, {t: -c for t, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, DiscElement):
-            return disc_mul(self, other)
-        return DiscElement(self.tag,
-                           {t: c * other for t, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, DiscElement):
-            return NotImplemented
-        return self.tag == other.tag and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def text(self) -> str:
-        from .scalars import format_linear
+    def _key_text(self, t: DiscMonomial) -> str:
+        mu, m = t
         sym = "x" if self.tag == "p" else "y"
-        pairs = []
-        for (mu, m), c in sorted(self.terms.items()):
-            parts = []
-            if mu > 0:
-                parts.append(sym if mu == 1 else f"{sym}^{mu}")
-            elif mu < 0:
-                parts.append(f"{sym}^*" if mu == -1 else f"{sym}^*^{-mu}")
-            if m:
-                flag = f"(1 - {sym} {sym}^*)"
-                parts.append(flag if m == 1 else flag + f"^{m}")
-            pairs.append((" ".join(parts) if parts else "1", c))
-        return format_linear(pairs)
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"DiscElement({self.tag!r}, {self.text()!r})"
+        parts = []
+        if mu > 0:
+            parts.append(sym if mu == 1 else f"{sym}^{mu}")
+        elif mu < 0:
+            parts.append(f"{sym}^*" if mu == -1 else f"{sym}^*^{-mu}")
+        if m:
+            flag = f"(1 - {sym} {sym}^*)"
+            parts.append(flag if m == 1 else flag + f"^{m}")
+        return " ".join(parts) if parts else "1"
 
 
 def disc_generator(tag: str, starred: bool = False) -> DiscElement:
@@ -164,151 +109,49 @@ def disc_generator(tag: str, starred: bool = False) -> DiscElement:
 
 def disc_mul(x: DiscElement, y: DiscElement) -> DiscElement:
     """Product of two disc elements with the same parameter tag."""
-    x._check(y)
-    tag = x.tag
-    out: dict = {}
-    for t1, c1 in x.terms.items():
-        for (mu, m), c2 in y.terms.items():
-            c = c1 * c2
-            acc = {t1: ONE}
-            g = "x" if mu > 0 else "x*"
-            for _ in range(abs(mu)):
-                nxt: dict = {}
-                for t, k in acc.items():
-                    for t2, k2 in _disc_right_letter(tag, t, g):
-                        s = nxt.get(t2)
-                        s = k * k2 if s is None else s + k * k2
-                        if s:
-                            nxt[t2] = s
-                        elif t2 in nxt:
-                            del nxt[t2]
-                acc = nxt
-            if m:
-                # multiply by (1 - x x*)^m: just raise the flag exponent,
-                # since  x_s w^t * w = x_s w^(t+1)  is already canonical
-                acc = {(s, t + m): k for (s, t), k in acc.items()}
-            for t, k in acc.items():
-                s = out.get(t)
-                s = c * k if s is None else s + c * k
-                if s:
-                    out[t] = s
-                elif t in out:
-                    del out[t]
-    return DiscElement(tag, out)
+    if x.tag != y.tag:
+        raise ValueError(f"mixed parameter tags {x.tag!r} and {y.tag!r}")
+    return x._like(bilinear(x._d, y._d, x._mono_mul))
 
 
 def boundary(x: DiscElement) -> LaurentElement:
     """Restriction to the boundary circle: x -> u, so 1 - x x* -> 0."""
-    out: dict = {}
-    for (mu, m), c in x.terms.items():
-        if m:
-            continue
-        s = out.get(mu)
-        s = c if s is None else s + c
-        if s:
-            out[mu] = s
-        elif mu in out:
-            del out[mu]
-    return LaurentElement(out)
+    return LaurentElement._raw(extend(
+        x.terms, lambda t: () if t[1] else ((t[0], ONE),)))
 
 
 # ---------------------------------------------------------------------------
 # trivialized elements: disc (x) circle
 # ---------------------------------------------------------------------------
 
-class TrivializedElement:
+class TrivializedElement(_Tagged):
     """Element of (one quantum disc) (x) (circle algebra)."""
 
-    __slots__ = ("tag", "terms")
+    __slots__ = ()
 
-    def __init__(self, tag: str,
-                 terms: Mapping[tuple[DiscMonomial, int], ScalarLike]
-                 | None = None):
-        if tag not in ("p", "q"):
-            raise ValueError("disc parameter tag must be 'p' or 'q'")
-        self.tag = tag
-        clean = {}
-        if terms:
-            for (t, k), c in terms.items():
-                c = scalar(c)
-                if c:
-                    clean[(tuple(t), int(k))] = c
-        self.terms = clean
+    @staticmethod
+    def _key(key):
+        t, k = key
+        return _disc_key(t), _power(k)
 
     @classmethod
     def one(cls, tag: str):
         return cls(tag, {((0, 0), 0): ONE})
 
-    def __add__(self, other):
-        if self.tag != other.tag:
-            raise ValueError("mixed disc parameters")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return TrivializedElement(self.tag, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TrivializedElement(self.tag,
-                                  {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other: "TrivializedElement") -> "TrivializedElement":
-        if self.tag != other.tag:
-            raise ValueError("mixed disc parameters")
-        out: dict = {}
-        for (t1, k1), c1 in self.terms.items():
-            d1 = DiscElement(self.tag, {t1: c1})
-            for (t2, k2), c2 in other.terms.items():
-                prod = disc_mul(d1, DiscElement(self.tag, {t2: c2}))
-                k = k1 + k2
-                for t, c in prod.terms.items():
-                    key = (t, k)
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return TrivializedElement(self.tag, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TrivializedElement):
-            return NotImplemented
-        return self.tag == other.tag and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
+    def _mono_mul(self, x, y):
+        # multiply the disc legs, add the circle powers
+        (t1, k1), (t2, k2) = x, y
+        k = k1 + k2
+        return [((t, k), c) for t, c in _disc_mono_mul(self.tag, t1, t2)]
 
     def u_powers(self) -> set[int]:
-        return {k for (_, k) in self.terms}
+        return {k for (_, k) in self._d}
 
     def disc_by_power(self) -> dict[int, DiscElement]:
-        parts: dict[int, dict] = {}
-        for (t, k), c in self.terms.items():
-            parts.setdefault(k, {})[t] = c
-        return {k: DiscElement(self.tag, d) for k, d in sorted(parts.items())}
+        return self._parts(itemgetter(1, 0), DiscElement, self.tag)
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for k, el in self.disc_by_power().items():
-            u = "1" if k == 0 else ("u" if k == 1 else f"u^{k}")
-            bits.append(f"({el.text()}) (x) {u}")
-        return " + ".join(bits)
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"TrivializedElement({self.tag!r}, {self.text()!r})"
+        return _over_powers_text(self.disc_by_power())
 
 
 # chart images of the four sphere generators
@@ -351,11 +194,8 @@ def chi(x: AlgElement, leg: str) -> TrivializedElement:
     """Chart image of a sphere element, by substitution of generators."""
     if leg not in ("p", "q"):
         raise ValueError("chart leg must be 'p' or 'q'")
-    out = TrivializedElement(leg)
-    for t, c in x.terms.items():
-        out = out + TrivializedElement(
-            leg, {k: c * w for k, w in _chi_mono(t, leg).terms.items()})
-    return out
+    return TrivializedElement._raw(
+        extend(x.terms, lambda t: _chi_mono(t, leg).terms.items()), leg)
 
 
 # ---------------------------------------------------------------------------
@@ -367,32 +207,15 @@ LaurentTensor = dict  # {(j, k): coeff} for u^j (x) u^k
 
 def boundary_tensor(x: TrivializedElement) -> LaurentTensor:
     """Apply the boundary map to the disc leg of a trivialized element."""
-    out: LaurentTensor = {}
-    for ((mu, m), k), c in x.terms.items():
-        if m:
-            continue
-        key = (mu, k)
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
+    def image(key):
+        (mu, m), k = key
+        return () if m else (((mu, k), ONE),)
+    return extend(x.terms, image)
 
 
 def phi12(t: LaurentTensor) -> LaurentTensor:
     """Change of trivialization on the boundary: f (x) u^k -> f u^-k (x) u^k."""
-    out: LaurentTensor = {}
-    for (j, k), c in t.items():
-        key = (j - k, k)
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
+    return extend(t, lambda jk: (((jk[0] - jk[1], jk[1]), ONE),))
 
 
 def gluing_check(x: AlgElement) -> bool:
@@ -404,17 +227,10 @@ def gluing_check(x: AlgElement) -> bool:
 
 def trivialization_colinear(x: AlgElement, leg: str) -> bool:
     """The chart map intertwines the coaction with the circle coproduct."""
-    from .hopf import coaction
-    lhs: dict = {}
-    for (t, w), c in coaction(x).terms.items():
-        for (d, k), cc in _chi_mono(t, leg).terms.items():
-            key = (d, k, w)
-            s = lhs.get(key)
-            s = c * cc if s is None else s + c * cc
-            if s:
-                lhs[key] = s
-            elif key in lhs:
-                del lhs[key]
+    def image(key):
+        t, w = key
+        return [((d, k, w), c) for (d, k), c in _chi_mono(t, leg).terms.items()]
+    lhs = extend(coaction(x).terms, image)
     rhs = {(d, k, k): c for (d, k), c in chi(x, leg).terms.items()}
     return lhs == rhs
 

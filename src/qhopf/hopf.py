@@ -8,41 +8,50 @@ a basis monomial of winding w maps to itself tensored with u^w.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Union
+from operator import itemgetter
 
-from .scalars import ONE, ParamScalar, scalar
-from .s3core import AlgElement, BasisMonomial, _mono_mul, _raw
+from .scalars import ONE, ZERO, ParamScalar
+from .s3core import AlgElement, UNIT_MONO, _checked, _mono_mul
+from .sparse import SparseElement, extend
 
 __all__ = [
     "LaurentElement",
     "CotensorElement",
     "coproduct",
-    "counit",
-    "antipode",
-    "hopf_structure",
     "coaction",
     "coaction_is_coassociative",
     "coaction_is_multiplicative",
     "counit_law_holds",
 ]
 
-ScalarLike = Union[ParamScalar, int, Fraction]
+
+def _power(k) -> int:
+    # a key of the circle algebra: an exponent of u
+    if type(k) is not int:
+        raise ValueError(f"circle power must be an integer: {k!r}")
+    return k
 
 
-class LaurentElement:
+def _u_text(k: int) -> str:
+    """Rendering of the basis element u^k."""
+    return "1" if k == 0 else ("u" if k == 1 else f"u^{k}")
+
+
+def _over_powers_text(parts: dict) -> str:
+    """Rendering of {k: leg} as (leg) (x) u^k summands, 0 when empty."""
+    if not parts:
+        return "0"
+    return " + ".join(f"({el.text()}) (x) {_u_text(k)}"
+                      for k, el in parts.items())
+
+
+class LaurentElement(SparseElement):
     """Finite linear combination of powers of u."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, ScalarLike] | None = None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                c = scalar(c)
-                if c:
-                    clean[int(k)] = c
-        self.terms = clean
+    __slots__ = ()
+    _key = staticmethod(_power)
+    _mono_mul = staticmethod(lambda j, k: ((j + k, ONE),))
+    _key_text = staticmethod(_u_text)
 
     @classmethod
     def zero(cls):
@@ -56,83 +65,18 @@ class LaurentElement:
     def u_power(cls, k: int):
         return cls({k: ONE})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return LaurentElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentElement({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentElement):
-            out: dict = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = k1 + k2
-                    s = out.get(k)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-            return LaurentElement(out)
-        return LaurentElement({k: c * other for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def antipode(self) -> "LaurentElement":
-        return LaurentElement({-k: c for k, c in self.terms.items()})
+        return self._like({-k: c for k, c in self._d.items()})
 
     def star(self) -> "LaurentElement":
         # coefficients are real rational functions, so * is the antipode
         return self.antipode()
 
     def counit(self) -> ParamScalar:
-        out = scalar(0)
-        for c in self.terms.values():
-            out = out + c
-        return out
-
-    def text(self) -> str:
-        from .scalars import format_linear
-        pairs = []
-        for k, c in sorted(self.terms.items()):
-            mono = "1" if k == 0 else ("u" if k == 1 else f"u^{k}")
-            pairs.append((mono, c))
-        return format_linear(pairs)
+        return sum(self._d.values(), ZERO)
 
     def json_terms(self) -> list[dict]:
-        return [{"k": k, "coeff": str(c)} for k, c in sorted(self.terms.items())]
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"LaurentElement({self.text()!r})"
+        return [{"k": k, "coeff": str(c)} for k, c in self.sorted_terms()]
 
 
 def coproduct(x: LaurentElement) -> dict[tuple[int, int], ParamScalar]:
@@ -140,125 +84,51 @@ def coproduct(x: LaurentElement) -> dict[tuple[int, int], ParamScalar]:
     return {(k, k): c for k, c in x.terms.items()}
 
 
-def counit(x: LaurentElement) -> ParamScalar:
-    return x.counit()
-
-
-def antipode(x: LaurentElement) -> LaurentElement:
-    return x.antipode()
-
-
-def hopf_structure(x: LaurentElement, op: str):
-    """Dispatch for the three structure maps of the circle Hopf algebra."""
-    if op == "coproduct":
-        return coproduct(x)
-    if op == "counit":
-        return counit(x)
-    if op == "antipode":
-        return antipode(x)
-    raise ValueError(f"unknown Hopf operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # the coaction
 # ---------------------------------------------------------------------------
 
-class CotensorElement:
+def _cotensor_key(key):
+    t, k = key
+    return _checked(t), _power(k)
+
+
+def _cotensor_mono_mul(x, y):
+    # multiply the algebra legs, add the circle powers
+    (t1, k1), (t2, k2) = x, y
+    k = k1 + k2
+    return [((t, k), w) for t, w in _mono_mul(t1, t2)]
+
+
+class CotensorElement(SparseElement):
     """Element of (sphere algebra) (x) (circle algebra), sparse."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[BasisMonomial, int], ScalarLike]
-                 | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = scalar(c)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+    __slots__ = ()
+    _key = staticmethod(_cotensor_key)
+    _mono_mul = staticmethod(_cotensor_mono_mul)
 
     @classmethod
     def one(cls):
-        from .s3core import UNIT_MONO
         return cls({(UNIT_MONO, 0): ONE})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return CotensorElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CotensorElement({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        # multiply the algebra legs, add the circle powers
-        out: dict = {}
-        for (t1, k1), c1 in self.terms.items():
-            for (t2, k2), c2 in other.terms.items():
-                c = c1 * c2
-                k = k1 + k2
-                for t, w in _mono_mul(t1, t2):
-                    key = (t, k)
-                    s = out.get(key)
-                    s = c * w if s is None else s + c * w
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return CotensorElement(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, CotensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
 
     def left_leg_by_power(self) -> dict[int, AlgElement]:
         """Collect the algebra legs sitting over each power of u."""
-        parts: dict[int, dict] = {}
-        for (t, k), c in self.terms.items():
-            parts.setdefault(k, {})[t] = c
-        return {k: _raw(d) for k, d in sorted(parts.items())}
+        return self._parts(itemgetter(1, 0), AlgElement)
 
     def json_terms(self) -> list[dict]:
-        out = []
-        for (t, k), c in sorted(self.terms.items(),
-                                key=lambda kv: (kv[0][1], kv[0][0])):
-            out.append({"mu": t.mu, "m": t.m, "n": t.n, "nu": t.nu,
-                        "u_power": k, "coeff": str(c)})
-        return out
+        return [{"mu": t.mu, "m": t.m, "n": t.n, "nu": t.nu,
+                 "u_power": k, "coeff": str(c)}
+                for (t, k), c in sorted(self._d.items(),
+                                        key=lambda kv: (kv[0][1], kv[0][0]))]
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for k, el in self.left_leg_by_power().items():
-            u = "1" if k == 0 else ("u" if k == 1 else f"u^{k}")
-            bits.append(f"({el.text()}) (x) {u}")
-        return " + ".join(bits)
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"CotensorElement({self.text()!r})"
+        return _over_powers_text(self.left_leg_by_power())
 
 
 def coaction(x: AlgElement) -> CotensorElement:
     """Right coaction: a monomial of winding w goes to itself (x) u^w."""
-    return CotensorElement({(t, t.winding): c for t, c in x.terms.items()})
+    return CotensorElement._raw({(t, t.winding): c
+                                 for t, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +152,5 @@ def coaction_is_multiplicative(x: AlgElement, y: AlgElement) -> bool:
 
 def counit_law_holds(x: AlgElement) -> bool:
     """(id (x) counit) after the coaction is the identity."""
-    out: dict = {}
-    for (t, k), c in coaction(x).terms.items():
-        s = out.get(t)
-        s = c if s is None else s + c
-        if s:
-            out[t] = s
-        elif t in out:
-            del out[t]
-    return _raw(out) == x
+    return AlgElement._raw(extend(coaction(x).terms,
+                                  lambda key: ((key[0], ONE),))) == x

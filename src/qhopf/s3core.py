@@ -11,12 +11,13 @@ and a*^|mu| for mu < 0 (same for b_nu).  Elements are finite linear
 combinations of these monomials with :class:`~qhopf.scalars.ParamScalar`
 coefficients.
 
-Products are computed by expanding the right factor into its generator
-word (a-letters, then (1-aa*) powers, then (1-bb*) powers, then
-b-letters) and folding single-generator multiplications; the rewrite
-rules commute the flag factors past letters at the cost of powers of p
-or q and kill any monomial with both flags present.  Monomial-pair
-products are memoized.
+Products are computed by expanding the shorter factor into its
+generator word (a-letters, then (1-aa*) powers, then (1-bb*) powers,
+then b-letters) and folding single-generator multiplications onto the
+other factor, from the right or from the left; the rewrite rules
+commute the flag factors past letters at the cost of powers of p or q
+and kill any monomial with both flags present.  Monomial-pair products
+are memoized.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .scalars import ONE, ParamScalar, ppow, qpow, scalar
+from .sparse import SparseElement, accumulate, bilinear, extend
 
 __all__ = [
     "BasisMonomial",
@@ -35,13 +37,11 @@ __all__ = [
     "UNIT_MONO",
     "mul",
     "mul_by_generator",
-    "star",
+    "monomial",
     "normalize_word",
-    "winding_decompose",
     "iota_image",
     "iota_word",
     "iota",
-    "is_coinvariant",
 ]
 
 GENERATORS = ("a", "a*", "b", "b*")
@@ -101,7 +101,9 @@ _GEN_MONO = {
 
 
 def monomial(mu: int, m: int, n: int, nu: int) -> BasisMonomial:
-    """Validated constructor: m, n >= 0 and m*n == 0."""
+    """Validated constructor: integer indices, m, n >= 0 and m*n == 0."""
+    if not type(mu) is type(m) is type(n) is type(nu) is int:
+        raise ValueError("monomial indices must be integers")
     if m < 0 or n < 0:
         raise ValueError("flag exponents must be nonnegative")
     if m and n:
@@ -181,35 +183,22 @@ def _left_letter(t: BasisMonomial, g: str):
     return out
 
 
-def _fold(acc: dict, g: str, rules) -> dict:
-    out: dict = {}
-    for t, c in acc.items():
-        for t2, c2 in rules(t, g):
-            w = c if c2 is ONE else c * c2
-            s = out.get(t2)
-            s = w if s is None else s + w
-            if s:
-                out[t2] = s
-            elif t2 in out:
-                del out[t2]
-    return out
-
-
 def _fold_flag(acc: dict, g1: str, g2: str, rules) -> dict:
-    # acc * (1 - g1 g2): used for the (1-aa*) and (1-bb*) letters
-    prod = _fold(_fold(acc, g1, rules), g2, rules)
-    out = dict(acc)
-    for t, c in prod.items():
-        s = out.get(t)
-        s = -c if s is None else s - c
-        if s:
-            out[t] = s
-        elif t in out:
-            del out[t]
-    return out
+    # acc (1 - g1 g2) by the right rules, (1 - g2 g1) acc by the left ones:
+    # the (1-aa*) and (1-bb*) letters
+    prod = extend(extend(acc, rules, g1), rules, g2)
+    return accumulate(dict(acc), ((ONE, prod.items()),), True)
 
 
 _MONO_MUL_CACHE: dict = {}
+
+
+def _runs(t: BasisMonomial) -> tuple:
+    # the generator word of t, left to right, as (letter, repeat) runs;
+    # a letter (g1, g2) is the flag 1 - g1 g2
+    mu, m, n, nu = t
+    return (("a" if mu > 0 else "a*", abs(mu)), (("a", "a*"), m),
+            (("b", "b*"), n), ("b" if nu > 0 else "b*", abs(nu)))
 
 
 def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
@@ -218,18 +207,21 @@ def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
     hit = _MONO_MUL_CACHE.get(key)
     if hit is not None:
         return hit
-    acc = {t1: ONE}
-    mu, m, n, nu = t2
-    g = "a" if mu > 0 else "a*"
-    for _ in range(abs(mu)):
-        acc = _fold(acc, g, _right_letter)
-    for _ in range(m):
-        acc = _fold_flag(acc, "a", "a*", _right_letter)
-    for _ in range(n):
-        acc = _fold_flag(acc, "b", "b*", _right_letter)
-    g = "b" if nu > 0 else "b*"
-    for _ in range(abs(nu)):
-        acc = _fold(acc, g, _right_letter)
+    # a word has |mu| + m + n + |nu| letters; fold the shorter one
+    if sum(map(abs, t2)) <= sum(map(abs, t1)):
+        # the letters of t2 onto t1 from the right
+        acc = {t1: ONE}
+        for g, k in _runs(t2):
+            for _ in range(k):
+                acc = (_fold_flag(acc, *g, _right_letter) if type(g) is tuple
+                       else extend(acc, _right_letter, g))
+    else:
+        # the letters of t1 onto t2 from the left, innermost first
+        acc = {t2: ONE}
+        for g, k in reversed(_runs(t1)):
+            for _ in range(k):
+                acc = (_fold_flag(acc, g[1], g[0], _left_letter)
+                       if type(g) is tuple else extend(acc, _left_letter, g))
     out = tuple(acc.items())
     _MONO_MUL_CACHE[key] = out
     return out
@@ -242,21 +234,23 @@ def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
 ScalarLike = Union[ParamScalar, int, Fraction]
 
 
-class AlgElement:
-    """A finite linear combination of basis monomials, zero terms absent."""
+def _checked(t) -> BasisMonomial:
+    if not (isinstance(t, tuple) and len(t) == 4):
+        raise ValueError(f"not a basis monomial index: {t!r}")
+    return monomial(*t)
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[BasisMonomial, ScalarLike] | None = None):
-        clean: dict = {}
-        if terms:
-            for t, c in terms.items():
-                c = scalar(c)
-                if c:
-                    clean[t] = c
-        self.terms = clean
+class AlgElement(SparseElement):
+    """A finite linear combination of basis monomials, zero terms absent.
 
-    # -- constructors --------------------------------------------------------
+    The public constructor rejects invalid monomial indices (see
+    :func:`monomial`).
+    """
+
+    __slots__ = ()
+    _key = staticmethod(_checked)
+    _mono_mul = staticmethod(_mono_mul)
+    _key_text = staticmethod(BasisMonomial.text)
 
     @classmethod
     def zero(cls) -> "AlgElement":
@@ -264,132 +258,57 @@ class AlgElement:
 
     @classmethod
     def one(cls) -> "AlgElement":
-        return cls({UNIT_MONO: ONE})
+        return cls._raw({UNIT_MONO: ONE})
 
     @classmethod
     def generator(cls, name: str) -> "AlgElement":
         if name not in _GEN_MONO:
             raise ValueError(f"unknown generator {name!r}")
-        return cls({_GEN_MONO[name]: ONE})
+        return cls._raw({_GEN_MONO[name]: ONE})
 
     @classmethod
     def from_monomial(cls, t: BasisMonomial, coeff: ScalarLike = 1) -> "AlgElement":
         return cls({t: coeff})
 
-    # -- ring structure ------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t)
-            s = c if s is None else s + c
-            if s:
-                out[t] = s
-            elif t in out:
-                del out[t]
-        return _raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t)
-            s = -c if s is None else s - c
-            if s:
-                out[t] = s
-            elif t in out:
-                del out[t]
-        return _raw(out)
-
-    def __neg__(self):
-        return _raw({t: -c for t, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            return mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything, so right and left scaling agree
-        return self.scale(other)
-
-    def scale(self, c: ScalarLike) -> "AlgElement":
-        c = scalar(c)
-        if not c:
-            return AlgElement()
-        return _raw({t: k * c for t, k in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+    def _product(self, other):
+        # through the module binding: every sphere product enters mul
+        return mul(self, other)
 
     # -- structure maps ------------------------------------------------------
 
     def star(self) -> "AlgElement":
         """The *-involution: a -> a*, b -> b*, coefficients fixed."""
         out = {}
-        for t, c in self.terms.items():
+        for t, c in self._d.items():
             mu, m, n, nu = t
             factor = qpow(-mu * m) * ppow(nu * n)
             out[BasisMonomial(-mu, m, n, -nu)] = c * factor
         return _raw(out)
 
     def winding_components(self) -> dict[int, "AlgElement"]:
-        parts: dict[int, dict] = {}
-        for t, c in self.terms.items():
-            parts.setdefault(t.winding, {})[t] = c
-        return {w: _raw(d) for w, d in sorted(parts.items())}
+        """Split by the circle weight mu - nu; the parts sum back to self."""
+        return self._parts(lambda t: (t.winding, t), AlgElement)
 
     def is_coinvariant(self) -> bool:
-        return all(t.winding == 0 for t in self.terms)
+        """True iff every monomial has winding 0 (self lies over the base)."""
+        return all(t.winding == 0 for t in self._d)
 
     def coefficient(self, t: BasisMonomial) -> ParamScalar:
-        return self.terms.get(t, scalar(0))
+        return self._d.get(t, scalar(0))
 
     def shift_reach(self) -> int:
         """Largest |mu| + |nu| over the support; 0 for the zero element."""
-        return max((t.shift_reach() for t in self.terms), default=0)
+        return max((t.shift_reach() for t in self._d), default=0)
 
     def flag_degree(self) -> int:
-        return max((max(t.m, t.n) for t in self.terms), default=0)
-
-    # -- rendering ------------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def text(self) -> str:
-        from .scalars import format_linear
-        return format_linear([(t.text(), c) for t, c in self.sorted_terms()])
+        return max((max(t.m, t.n) for t in self._d), default=0)
 
     def json_terms(self) -> list[dict]:
         return [{"mu": t.mu, "m": t.m, "n": t.n, "nu": t.nu, "coeff": str(c)}
                 for t, c in self.sorted_terms()]
 
-    def __str__(self):
-        return self.text()
 
-    def __repr__(self):
-        return f"AlgElement({self.text()!r})"
-
-
-def _raw(terms: dict) -> AlgElement:
-    el = AlgElement.__new__(AlgElement)
-    el.terms = terms
-    return el
+_raw = AlgElement._raw
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +317,7 @@ def _raw(terms: dict) -> AlgElement:
 
 def mul(x: AlgElement, y: AlgElement) -> AlgElement:
     """Product in the algebra; bilinear extension of monomial products."""
-    out: dict = {}
-    for t1, c1 in x.terms.items():
-        for t2, c2 in y.terms.items():
-            c = c1 * c2
-            for t, k in _mono_mul(t1, t2):
-                w = c if k is ONE else c * k
-                s = out.get(t)
-                s = w if s is None else s + w
-                if s:
-                    out[t] = s
-                elif t in out:
-                    del out[t]
-    return _raw(out)
+    return _raw(bilinear(x._d, y._d, _mono_mul))
 
 
 def mul_by_generator(x: AlgElement, g: str, side: str = "right") -> AlgElement:
@@ -418,14 +325,10 @@ def mul_by_generator(x: AlgElement, g: str, side: str = "right") -> AlgElement:
     if g not in GENERATORS:
         raise ValueError(f"unknown generator {g!r}")
     if side == "right":
-        return _raw(_fold(x.terms, g, _right_letter))
+        return _raw(extend(x._d, _right_letter, g))
     if side == "left":
-        return _raw(_fold(x.terms, g, _left_letter))
+        return _raw(extend(x._d, _left_letter, g))
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def star(x: AlgElement) -> AlgElement:
-    return x.star()
 
 
 @dataclass(frozen=True)
@@ -447,22 +350,13 @@ def normalize_word(word: FreeWord | Iterable[str]) -> AlgElement:
         letters, pref = word.letters, word.prefactor
     else:
         letters, pref = tuple(word), ONE
-    acc = {UNIT_MONO: pref}
+    pref = scalar(pref)
+    acc = {UNIT_MONO: pref} if pref else {}
     for g in letters:
         if g not in GENERATORS:
             raise ValueError(f"unknown generator {g!r}")
-        acc = _fold(acc, g, _right_letter)
+        acc = extend(acc, _right_letter, g)
     return _raw(acc)
-
-
-def winding_decompose(x: AlgElement) -> dict[int, AlgElement]:
-    """Split by the circle weight mu - nu; the parts sum back to x."""
-    return x.winding_components()
-
-
-def is_coinvariant(x: AlgElement) -> bool:
-    """True iff every monomial has winding 0 (x lies over the base)."""
-    return x.is_coinvariant()
 
 
 # ---------------------------------------------------------------------------

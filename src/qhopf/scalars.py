@@ -40,8 +40,6 @@ __all__ = [
     "P",
     "Q",
     "scalar",
-    "scalar_arith",
-    "scalar_eval",
     "ppow",
     "qpow",
     "qbinomial",
@@ -801,25 +799,6 @@ def _divide(x, y):
     xn, xd = x._parts()
     yn, yd = y._parts()
     return _reduce(_pmul(xn, yd), _pmul(xd, yn))
-
-
-def scalar_arith(x: ParamScalar, y: ParamScalar, op: str) -> ParamScalar:
-    """Named dispatch over the four field operations."""
-    x, y = scalar(x), scalar(y)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def scalar_eval(x: ParamScalar, p_val, q_val):
-    """Evaluate at numeric parameters (function form of .evaluate)."""
-    return scalar(x).evaluate(p_val, q_val)
 
 
 def scalar(x) -> ParamScalar:

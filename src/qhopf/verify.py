@@ -15,6 +15,7 @@ with it numpy, when they run; the symbolic suites never load it.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import time
@@ -33,6 +34,7 @@ __all__ = [
     "suite_numeric",
     "suite_classical",
     "suite_all",
+    "run_suite",
     "SUITES",
 ]
 
@@ -343,7 +345,7 @@ def suite_chern(n_max: int = 5, p_val: float = 0.5, q_val: float = 0.3,
     worst = 0.0
     for mu in (-2, -1, 1, 2):
         sym = chern.pairing(mu).evaluate(p_val, q_val)
-        tr = chern.matrix_trace(chern.idempotent(mu))
+        tr = chern.idempotent(mu).trace()
         got = numrep.numeric_trace(tr, N, p_val, q_val, reps=reps)
         err = abs(got.value - sym)
         worst = max(worst, err)
@@ -466,17 +468,22 @@ def suite_classical(samples: int = 1000, seed: int = 7) -> dict:
     return _finish("classical", checks, t0, samples=samples, seed=seed)
 
 
+def run_suite(name: str, **params) -> dict:
+    """Run the suite ``SUITES[name]`` with those of ``params`` it accepts.
+
+    The command line passes p_val, q_val, N and seed to every suite; a
+    suite that does not take one of them runs at its own default.
+    """
+    suite = SUITES[name]
+    accepted = inspect.signature(suite).parameters
+    return suite(**{k: v for k, v in params.items() if k in accepted})
+
+
 def suite_all(p_val: float = 0.5, q_val: float = 1.0 / 3.0, N: int = 300,
               seed: int = 7) -> list[dict]:
     """Every suite with its acceptance-grade parameters."""
-    return [
-        suite_algebra(seed=seed),
-        suite_gluing(seed=seed),
-        suite_galois(),
-        suite_chern(p_val=p_val, q_val=q_val, N=N, seed=seed),
-        suite_numeric(p_val=p_val, q_val=q_val, N=N, seed=seed),
-        suite_classical(seed=seed),
-    ]
+    return [run_suite(name, p_val=p_val, q_val=q_val, N=N, seed=seed)
+            for name in SUITES]
 
 
 SUITES = {

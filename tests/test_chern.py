@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qhopf.scalars import ONE, P, Q, scalar
-from qhopf.chern import (CoinvariantMatrix, idempotent, matrix_trace, pairing,
+from qhopf.chern import (CoinvariantMatrix, idempotent, pairing,
                          trace_functional)
 from qhopf.s3core import AlgElement, BasisMonomial, mul
 from qhopf import numrep
@@ -53,14 +53,14 @@ def test_idempotent_winding_minus_two_corner_entries():
 def test_matrix_trace():
     e = idempotent(-1)
     want = mul(A, AS) + Q * mul(mul(BETA, BS), B)
-    assert matrix_trace(e) == want
+    assert e.trace() == want
     # published spelling of the same trace
     assert want == mul(A, AS) + Q * mul(BETA, mul(BS, B))
     ident = CoinvariantMatrix([[ONE_EL, AlgElement.zero()],
                                [AlgElement.zero(), ONE_EL]])
-    assert matrix_trace(ident) == scalar(2) * ONE_EL
+    assert ident.trace() == scalar(2) * ONE_EL
     with pytest.raises(ValueError):
-        matrix_trace(CoinvariantMatrix([[ONE_EL, ONE_EL]]))
+        CoinvariantMatrix([[ONE_EL, ONE_EL]]).trace()
 
 
 def test_trace_anchor_values():
@@ -137,7 +137,7 @@ def test_pairing_cross_checked_numerically():
             numrep.build_rep("rho2theta", (0.0,), N, p_val, q_val))
     for mu in (-3, -2, -1, 1, 2, 3):
         sym = pairing(mu).evaluate(p_val, q_val)
-        tr = matrix_trace(idempotent(mu))
+        tr = idempotent(mu).trace()
         got = numrep.numeric_trace(tr, N, p_val, q_val, reps=reps)
         assert abs(got.value - sym) <= got.tail_bound + 1e-9
 

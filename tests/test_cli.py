@@ -167,3 +167,23 @@ def test_verify_chern_near_the_classical_limit(capsys):
     assert check["worst_error"] > fixed_tail
     assert check["worst_error"] <= check["max_bound"]
     assert code == 0
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "a" + ")" * 2000,
+    "-" * 3000 + "a",
+    "a" + "^*" * 3000,
+], ids=["parentheses", "unary minus", "postfix"])
+def test_deep_expressions_exit_two(capsys, text):
+    # exit 1 is reserved for a failed identity; a nesting beyond the
+    # expression budget is a usage error
+    code, out, err = run_cli(capsys, "normalize", "--", text)
+    assert code == 2
+    assert out == ""
+    assert "nests deeper than" in json.loads(err)["error"]
+
+
+def test_long_flat_sum_normalizes(capsys):
+    code, out, _ = run_cli(capsys, "normalize", "+".join(["a"] * 3000))
+    assert code == 0
+    assert json.loads(out)["result"]["text"] == "3000*a"

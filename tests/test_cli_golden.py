@@ -61,6 +61,24 @@ TRACE = [
     "3/2*(1 - a*a^*)^3 - 2/q*(1 - a*a^*)",
     "a^*^2 * a^2 + p*(1 - b*b^*)^2",
 ]
+WINDING = [
+    "a + b*b^*",
+    "(a + b^*)^3",
+    "3/2*a*b^* - p/(1 - q)*a^*^2 + (1 - a*a^*)*b",
+    "f1 * f1^* + 2*f0",
+]
+COACTION = [
+    "a",
+    "a^* * b^2 - q*(1 - a*a^*)",
+    "1/(1 - q) * b^*^2 * a + p",
+    "f1^* * f0",
+]
+GLUING = [
+    "a*b + 1",
+    "(1 - a*a^*)^2 * b^*^3",
+    "(1 - b*b^*) * a^2 + p/q * a^* * b",
+    "f0 * f1^* - q",
+]
 
 
 def corpus():
@@ -72,6 +90,9 @@ def corpus():
               for mu in (1, 2, 3, 4, -1, -2, -3, -4)]
     cases += [["connection", "--k", str(k)] for k in (3, -3)]
     cases += [["idempotent", "--mu", str(mu)] for mu in (2, -2)]
+    cases += [["winding", e] for e in WINDING]
+    cases += [["coaction", e] for e in COACTION]
+    cases += [["gluing-check", e] for e in GLUING]
     return cases
 
 

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from qhopf.exprs import (Div, ExprError, Mul, Num, Pow, Star, Sub, Sym,
-                         evaluate, evaluate_algebra, evaluate_scalar, parse)
+from qhopf.exprs import (MAX_NESTING, Div, ExprError, Mul, Num, Pow, Star,
+                         Sub, Sym, evaluate, evaluate_algebra, evaluate_scalar,
+                         parse)
 from qhopf.scalars import ONE, P, Q, scalar
 from qhopf.hopf import LaurentElement
 from qhopf.s3core import AlgElement, BasisMonomial, mul
@@ -112,3 +113,47 @@ def test_round_trip_is_a_fixpoint():
         x = random_element(rng)
         text = x.text()
         assert evaluate_algebra(text).text() == text
+
+
+NESTED_SHAPES = {
+    "parentheses": lambda k: "(" * k + "a" + ")" * k,
+    "unary minus": lambda k: "-" * k + "a",
+    "postfix": lambda k: "a" + "^*" * k,
+    "mixed": lambda k: "(" * (k // 2) + "-" * (k // 4) + "a"
+    + "^*" * (k - k // 2 - k // 4) + ")" * (k // 2),
+    "postfix outside": lambda k: "(" * (k // 2) + "a" + ")" * (k // 2)
+    + "^1" * (k - k // 2),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES.values(),
+                         ids=NESTED_SHAPES.keys())
+def test_nesting_budget(shape):
+    # just inside the budget the expression evaluates; one level more is
+    # an ExprError raised by the parser, before any evaluation
+    assert not evaluate_algebra(shape(MAX_NESTING)).is_zero()
+    with pytest.raises(ExprError, match="nests deeper"):
+        parse(shape(MAX_NESTING + 1))
+    for k in (2000, 3000):
+        with pytest.raises(ExprError, match="nests deeper"):
+            parse(shape(k))
+
+
+def test_nesting_counts_every_enclosing_level():
+    # a sits inside two parentheses and two ^* here
+    depth = MAX_NESTING - 4
+    text = "(" * depth + "((a^*))^*" + ")" * depth
+    assert evaluate_algebra(text) == AlgElement.generator("a")
+    with pytest.raises(ExprError):
+        parse("(" + text + ")")
+
+
+def test_long_sums_and_products_cost_no_depth():
+    n = 3000
+    assert evaluate_algebra(" + ".join(["a"] * n)) == \
+        AlgElement.generator("a").scale(n)
+    assert evaluate_algebra(" - ".join(["b"] * n)) == \
+        AlgElement.generator("b").scale(2 - n)
+    assert evaluate_algebra(" ".join(["a"] * n)) == \
+        AlgElement.from_monomial(BasisMonomial(n, 0, 0, 0))
+    assert evaluate("*".join(["u"] * n)) == LaurentElement.u_power(n)

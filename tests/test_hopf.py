@@ -3,36 +3,36 @@
 import random
 
 from qhopf.scalars import ONE, Q, scalar
-from qhopf.hopf import (CotensorElement, LaurentElement, antipode, coaction,
+from qhopf.hopf import (CotensorElement, LaurentElement, coaction,
                         coaction_is_coassociative, coaction_is_multiplicative,
-                        coproduct, counit, counit_law_holds, hopf_structure)
+                        coproduct, counit_law_holds)
 from qhopf.s3core import AlgElement, BasisMonomial, mul
 from qhopf.verify import random_element
 
 
 def test_antipode_negates_powers():
     u3 = LaurentElement.u_power(3)
-    assert antipode(u3) == LaurentElement.u_power(-3)
-    assert hopf_structure(u3, "antipode") == LaurentElement.u_power(-3)
+    assert u3.antipode() == LaurentElement.u_power(-3)
+    assert u3.star() == LaurentElement.u_power(-3)
 
 
 def test_counit_is_one_on_group_likes():
     for k in range(-5, 6):
-        assert counit(LaurentElement.u_power(k)) == ONE
+        assert LaurentElement.u_power(k).counit() == ONE
     x = LaurentElement({2: Q, -1: scalar(3)})
-    assert counit(x) == Q + scalar(3)
+    assert x.counit() == Q + scalar(3)
 
 
 def test_antipode_is_an_involution():
     x = LaurentElement({3: ONE, -1: scalar(2), 0: Q})
-    assert antipode(antipode(x)) == x
-    assert x.star() == antipode(x)
+    assert x.antipode().antipode() == x
+    assert x.star() == x.antipode()
 
 
 def test_coproduct_is_diagonal():
     x = LaurentElement({2: Q, -3: ONE})
     assert coproduct(x) == {(2, 2): Q, (-3, -3): ONE}
-    assert hopf_structure(x, "coproduct") == coproduct(x)
+    assert coproduct(x) == {(k, k): c for k, c in x.terms.items()}
 
 
 def test_laurent_ring():

@@ -87,8 +87,8 @@ def test_numeric_trace_anchors():
 
 
 def test_numeric_trace_of_the_idempotent_trace():
-    from qhopf.chern import idempotent, matrix_trace
-    tr = matrix_trace(idempotent(-1))
+    from qhopf.chern import idempotent
+    tr = idempotent(-1).trace()
     res = numeric_trace(tr, 300, P_VAL, Q_VAL)
     assert res.value.real == pytest.approx(-1.0, abs=1e-9)
 

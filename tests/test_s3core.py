@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qhopf.scalars import ONE, P, Q, qpow, scalar
 from qhopf.s3core import (AlgElement, BasisMonomial, FreeWord, UNIT_MONO,
-                          iota_image, iota_word, iota, is_coinvariant,
-                          monomial, mul, mul_by_generator, normalize_word,
-                          star, winding_decompose)
+                          iota_image, iota_word, iota, monomial, mul,
+                          mul_by_generator, normalize_word)
 from qhopf import numrep
 
 A = AlgElement.generator("a")
@@ -107,24 +106,24 @@ def test_unit_laws():
 
 
 def test_star_examples():
-    assert star(A) == AlgElement({BasisMonomial(-1, 0, 0, 0): ONE})
-    assert star(BETA) == BETA
-    assert star(GAMMA) == GAMMA
+    assert A.star() == AlgElement({BasisMonomial(-1, 0, 0, 0): ONE})
+    assert BETA.star() == BETA
+    assert GAMMA.star() == GAMMA
     # a (1-aa*) reversed:  ((1-aa*) a)* needs the commutation power
     x = mul(A, BETA)
-    assert star(x) == qpow(-1) * mul(AS, BETA)
+    assert x.star() == qpow(-1) * mul(AS, BETA)
 
 
 @settings(max_examples=50, deadline=None)
 @given(elements_strategy())
 def test_star_has_order_two(x):
-    assert star(star(x)) == x
+    assert x.star().star() == x
 
 
 @settings(max_examples=50, deadline=None)
 @given(elements_strategy(), elements_strategy())
 def test_star_is_antimultiplicative(x, y):
-    assert star(mul(x, y)) == mul(star(y), star(x))
+    assert mul(x, y).star() == mul(y.star(), x.star())
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,10 +160,10 @@ def test_normalize_word_against_numeric_oracle():
 
 
 def test_winding_examples():
-    assert winding_decompose(A) == {1: A}
-    assert winding_decompose(B) == {-1: B}
+    assert A.winding_components() == {1: A}
+    assert B.winding_components() == {-1: B}
     ab = mul(A, B)
-    assert winding_decompose(ab) == {0: ab}
+    assert ab.winding_components() == {0: ab}
     assert A.terms and next(iter(A.terms)).winding == 1
     assert next(iter(B.terms)).degree_label == 1
 
@@ -173,15 +172,15 @@ def test_winding_examples():
 @given(elements_strategy(), elements_strategy())
 def test_winding_additivity_under_products(x, y):
     conv = {}
-    for i, xi in winding_decompose(x).items():
-        for j, yj in winding_decompose(y).items():
+    for i, xi in x.winding_components().items():
+        for j, yj in y.winding_components().items():
             w = i + j
             conv[w] = conv.get(w, AlgElement.zero()) + mul(xi, yj)
     conv = {w: e for w, e in conv.items() if e}
-    assert conv == winding_decompose(mul(x, y))
+    assert conv == mul(x, y).winding_components()
     # and the parts reassemble
     total = AlgElement.zero()
-    for part in winding_decompose(x).values():
+    for part in x.winding_components().values():
         total = total + part
     assert total == x
 
@@ -213,15 +212,15 @@ def test_iota_word_and_polynomial():
 
 
 def test_coinvariance():
-    assert is_coinvariant(iota_image("f0"))
-    assert not is_coinvariant(A)
-    assert is_coinvariant(mul(A, B) + mul(B, BS))
+    assert iota_image("f0").is_coinvariant()
+    assert not A.is_coinvariant()
+    assert (mul(A, B) + mul(B, BS)).is_coinvariant()
     # every iota image of a random word is coinvariant
     rng = random.Random(3)
     for _ in range(20):
         word = [rng.choice(["f0", "f1", "f1*"])
                 for _ in range(rng.randint(0, 4))]
-        assert is_coinvariant(iota_word(word))
+        assert iota_word(word).is_coinvariant()
 
 
 def test_matrix_oracle_for_products():
