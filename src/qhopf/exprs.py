@@ -22,6 +22,14 @@ operator (``^*`` or ``^n``) counts as one level; ``((a^*))^*`` nests
 ``a`` four deep.  Parsing and evaluation recurse once per level, so a
 deeper input raises :class:`ExprError` instead of exhausting the
 interpreter stack.  Long sums and products cost no depth.
+
+Degree budget: before evaluating, the letter degree of the expression
+is bounded from its AST (a generator counts 1, a number or parameter
+0; products and quotients add, sums take the maximum, ``^k`` multiplies
+by |k|, ``^*`` and unary minus keep it).  Evaluation folds about that
+many letters, so an expression whose bound exceeds ``MAX_DEGREE``
+raises :class:`ExprError` without being evaluated: ``a^1000000000`` or
+``a`` under thirty stacked ``^2`` would ask for about 10^9 folds.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .hopf import LaurentElement
 __all__ = [
     "ExprError",
     "MAX_NESTING",
+    "MAX_DEGREE",
     "parse",
     "evaluate",
     "evaluate_algebra",
@@ -106,6 +115,7 @@ class Star:
 _NAMES = {"a", "b", "u", "p", "q", "f0", "f1"}
 
 MAX_NESTING = 100
+MAX_DEGREE = 10000
 
 
 def _tokenize(text: str):
@@ -287,6 +297,24 @@ def _families(node, found: set):
     return found
 
 
+def _degree(node) -> int:
+    # the letter-degree bound described in the module docstring
+    if isinstance(node, _BINARY):
+        node, spine = _left_spine(node)
+        deg = _degree(node)
+        for op in spine:
+            rhs = _degree(op.right)
+            deg = max(deg, rhs) if isinstance(op, (Add, Sub)) else deg + rhs
+        return deg
+    if isinstance(node, Sym):
+        return 0 if node.name in ("p", "q") else 1
+    if isinstance(node, (Neg, Star)):
+        return _degree(node.arg)
+    if isinstance(node, Pow):
+        return abs(node.exponent) * _degree(node.base)
+    return 0
+
+
 def _lift(x, like):
     # a scalar operand of a sum becomes a multiple of the other's unit
     if isinstance(x, ParamScalar) and not isinstance(like, ParamScalar):
@@ -362,6 +390,10 @@ def evaluate(text_or_node):
         raise ExprError(
             "cannot mix generator families "
             f"({', '.join(sorted(fams))}) in one expression", 0)
+    deg = _degree(node)
+    if deg > MAX_DEGREE:
+        raise ExprError(f"expression degree {deg} exceeds the budget "
+                        f"{MAX_DEGREE}", 0)
     return _eval(node)
 
 

@@ -13,6 +13,10 @@ the boundary map sends the disc generator to u, and the change of
 trivialization twists by the antipode on the first leg.  An element of
 the sphere algebra is a matching pair of its two chart images; the
 gluing check verifies that matching condition.
+
+A chart image is a substitution (:func:`qhopf.s3core.substitute`): the
+images of the four generators and of the two flags 1 - g g* are built
+once per chart and multiplied along the word of each basis monomial.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from operator import itemgetter
 
 from .scalars import ONE
 from .hopf import LaurentElement, _over_powers_text, _power, coaction
-from .s3core import AlgElement, BasisMonomial, _mono_mul, monomial
+from .s3core import (FLAG_A, FLAG_B, GENERATORS, AlgElement, BasisMonomial,
+                     _mono_mul, _word, monomial, substitute)
 from .sparse import SparseElement, bilinear, extend
 
 __all__ = [
@@ -154,40 +159,28 @@ class TrivializedElement(_Tagged):
         return _over_powers_text(self.disc_by_power())
 
 
-# chart images of the four sphere generators
+def _chart_images(leg: str, keys: tuple) -> dict:
+    # the images of a, a*, b, b* (one (disc monomial, u power) key each)
+    # and of the flags 1 - g g* built from them
+    out = {g: TrivializedElement(leg, {k: ONE})
+           for g, k in zip(GENERATORS, keys)}
+    for f in (FLAG_A, FLAG_B):
+        out[f] = TrivializedElement.one(leg) - out[f[0]] * out[f[1]]
+    return out
+
+
+# chart p: a -> 1 (x) u, b -> x (x) u*;  chart q: a -> y (x) u, b -> 1 (x) u*
 _CHI_IMAGES = {
-    "p": {
-        "a": {((0, 0), 1): ONE},
-        "a*": {((0, 0), -1): ONE},
-        "b": {((1, 0), -1): ONE},
-        "b*": {((-1, 0), 1): ONE},
-    },
-    "q": {
-        "a": {((1, 0), 1): ONE},
-        "a*": {((-1, 0), -1): ONE},
-        "b": {((0, 0), -1): ONE},
-        "b*": {((0, 0), 1): ONE},
-    },
+    "p": _chart_images("p", (((0, 0), 1), ((0, 0), -1),
+                             ((1, 0), -1), ((-1, 0), 1))),
+    "q": _chart_images("q", (((1, 0), 1), ((-1, 0), -1),
+                             ((0, 0), -1), ((0, 0), 1))),
 }
+_CHI_ONE = {leg: TrivializedElement.one(leg) for leg in _CHI_IMAGES}
 
 
 def _chi_mono(t: BasisMonomial, leg: str) -> TrivializedElement:
-    images = {g: TrivializedElement(leg, d)
-              for g, d in _CHI_IMAGES[leg].items()}
-    one = TrivializedElement.one(leg)
-    acc = one
-    mu, m, n, nu = t
-    ga = "a" if mu > 0 else "a*"
-    for _ in range(abs(mu)):
-        acc = acc * images[ga]
-    for _ in range(m):
-        acc = acc - acc * images["a"] * images["a*"]
-    for _ in range(n):
-        acc = acc - acc * images["b"] * images["b*"]
-    gb = "b" if nu > 0 else "b*"
-    for _ in range(abs(nu)):
-        acc = acc * images[gb]
-    return acc
+    return substitute(_word(t), _CHI_IMAGES[leg], _CHI_ONE[leg])
 
 
 def chi(x: AlgElement, leg: str) -> TrivializedElement:

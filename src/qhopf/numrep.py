@@ -22,12 +22,19 @@ offset:
     (s1, v1)(s2, v2) = (s1 + s2, k -> v1[k+s2] v2[k]),
 
 zero wherever k+s2 leaves [0, N), which is exactly the truncation.  A
-monomial image therefore costs O(N) and is computed from the generator
-definitions alone, never from the symbolic trace formula.  Dense
-matrices are formed only where a check needs one: the operator norms
-of the defect checks, the flag spectra, and the public ``gen`` and
-``evaluate``.  numpy is imported with this module, which the rest of
-the package loads only inside the numeric verification suites.
+monomial image is the product of the generator and flag bands along
+its word (:func:`qhopf.s3core.substitute`), so it costs O(N) and is
+computed from the generator definitions alone, never from the symbolic
+trace formula.
+
+The defect checks read operator norms off the bands: the part of one
+band on the first ``cols`` basis vectors maps them to distinct basis
+vectors, so its norm is the largest |weight| there, and a sum of bands
+is bounded by the sum of these norms.  The flag spectra are read off
+the diagonal band.  Dense matrices are formed only in the public
+``gen`` and ``evaluate`` and in the polar, shift-tensor-projection and
+faithfulness checks.  numpy is imported with this module, which the
+rest of the package loads only inside the numeric verification suites.
 
 Also here: spectra of the flag operators, polar-isometry and
 shift-tensor-projection witnesses, the defect of the classical
@@ -40,10 +47,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .s3core import AlgElement, BasisMonomial
+from .s3core import FLAG_A, FLAG_B, AlgElement, _word, substitute
 
 __all__ = [
     "TruncatedRep",
@@ -129,12 +137,26 @@ def _band_dense(x: dict, dim: int) -> np.ndarray:
     return out
 
 
+def _band_norm(x: dict, cols: int) -> float:
+    """Bound on the operator norm of x on the first ``cols`` basis vectors.
+
+    The sum over bands of the largest |weight| on those columns: exact
+    for a single band, an upper bound by the triangle inequality
+    otherwise.
+    """
+    if cols <= 0:
+        raise ValueError("no safe block at this truncation")
+    return float(sum(np.abs(v[:cols]).max() for v in x.values()))
+
+
 @dataclass
 class TruncatedRep:
     """Banded generator images of one truncated irreducible representation.
 
-    ``bands`` maps each of "a", "a*", "b", "b*" to its band map, with
-    read-only vectors; ``gen`` returns a fresh dense matrix each call.
+    ``bands`` maps each of the six letters of a monomial word, "a",
+    "a*", "b", "b*" and the flags FLAG_A = ("a", "a*") for 1 - aa* and
+    FLAG_B = ("b", "b*") for 1 - bb*, to its band map, with read-only
+    vectors; ``gen`` returns a fresh dense matrix each call.
     """
 
     family: str
@@ -185,52 +207,27 @@ def build_rep(family: str, phases, N: int, p_val: float,
         else:
             a, b = _weighted_shift(N, q_val), phase
     bands = {"a": a, "a*": _band_adjoint(a), "b": b, "b*": _band_adjoint(b)}
+    one = _band_identity(len(next(iter(a.values()))))
+    for g, gst in (FLAG_A, FLAG_B):
+        bands[g, gst] = _band_comb((1.0, one),
+                                   (-1.0, _band_mul(bands[g], bands[gst])))
     for x in bands.values():
         for v in x.values():
             v.flags.writeable = False
     return TruncatedRep(family, phases, N, p_val, q_val, bands)
 
 
-def _flag(rep: TruncatedRep, g: str) -> dict:
-    # 1 - g g* for g = "a" or "b"
-    return _band_comb((1.0, _band_identity(rep.dim)),
-                      (-1.0, _band_mul(rep.bands[g], rep.bands[g + "*"])))
-
-
-def _mono_bands(t: BasisMonomial, rep: TruncatedRep) -> dict:
-    """Image of a^mu (1-aa*)^m (1-bb*)^n b^nu as a band map."""
-    factors = []
-    if t.mu:
-        factors += [rep.bands["a" if t.mu > 0 else "a*"]] * abs(t.mu)
-    if t.m:
-        factors += [_flag(rep, "a")] * t.m
-    if t.n:
-        factors += [_flag(rep, "b")] * t.n
-    if t.nu:
-        factors += [rep.bands["b" if t.nu > 0 else "b*"]] * abs(t.nu)
-    out = _band_identity(rep.dim)
-    for f in factors:
-        out = _band_mul(out, f)
-    return out
-
-
 def _image(x: AlgElement, rep: TruncatedRep) -> dict:
     """Band map of an element: substitute the banded generators."""
+    one = _band_identity(rep.dim)
     return _band_comb(*((complex(c.evaluate(rep.p, rep.q)),
-                         _mono_bands(t, rep)) for t, c in x.terms.items()))
+                         substitute(_word(t), rep.bands, one, _band_mul))
+                        for t, c in x.terms.items()))
 
 
 def evaluate(x: AlgElement, rep: TruncatedRep) -> np.ndarray:
     """Matrix image of an element: substitute the generator images."""
     return _band_dense(_image(x, rep), rep.dim)
-
-
-def _safe_norm(m: np.ndarray, cols: int) -> float:
-    # operator norm of the restriction to the span of the first `cols`
-    # basis vectors (the block the truncation boundary cannot corrupt)
-    if cols <= 0:
-        raise ValueError("no safe block at this truncation")
-    return float(np.linalg.norm(m[:, :cols], 2))
 
 
 def relation_defects(rep: TruncatedRep) -> dict[str, float]:
@@ -248,10 +245,9 @@ def relation_defects(rep: TruncatedRep) -> dict[str, float]:
             (-(1 - rep.p), one)),
         "ab - ba": _band_comb((1.0, _band_mul(a, b)),
                               (-1.0, _band_mul(b, a))),
-        "(1-aa*)(1-bb*)": _band_mul(_flag(rep, "a"), _flag(rep, "b")),
+        "(1-aa*)(1-bb*)": _band_mul(rep.bands[FLAG_A], rep.bands[FLAG_B]),
     }
-    return {name: _safe_norm(_band_dense(m, rep.dim), cols)
-            for name, m in rels.items()}
+    return {name: _band_norm(m, cols) for name, m in rels.items()}
 
 
 def homomorphism_defect(x: AlgElement, y: AlgElement,
@@ -259,32 +255,23 @@ def homomorphism_defect(x: AlgElement, y: AlgElement,
     """Compare the image of a product with the product of the images.
 
     Both sides agree exactly on basis vectors the shifts cannot push
-    across the truncation boundary; the defect is measured there.
+    across the truncation boundary; the defect is measured there.  The
+    difference may have several bands, so the value is the band-norm
+    upper bound on its operator norm (exact when one band remains).
     """
     from .s3core import mul
     d = x.shift_reach() + y.shift_reach()
     cols = rep.dim - d
     lhs = _image(mul(x, y), rep)
     rhs = _band_mul(_image(x, rep), _image(y, rep))
-    return _safe_norm(_band_dense(_band_comb((1.0, lhs), (-1.0, rhs)),
-                                  rep.dim), cols)
+    return _band_norm(_band_comb((1.0, lhs), (-1.0, rhs)), cols)
 
 
-class TraceResult(tuple):
+class TraceResult(NamedTuple):
     """Value and rigorous geometric tail bound of a truncated trace."""
 
-    __slots__ = ()
-
-    def __new__(cls, value, tail_bound):
-        return tuple.__new__(cls, (value, tail_bound))
-
-    @property
-    def value(self):
-        return self[0]
-
-    @property
-    def tail_bound(self):
-        return self[1]
+    value: complex
+    tail_bound: float
 
 
 def trace_tail_bound(x: AlgElement, N: int, p_val: float,
@@ -336,16 +323,19 @@ def spectrum_check(rep: TruncatedRep) -> dict:
     """Eigenvalues of the flag operator against the geometric sequence.
 
     In family 1 the operator 1 - bb* is diagonal with simple eigenvalues
-    p^k, k < N; family 2 mirrors this with 1 - aa* and q.
+    p^k, k < N; family 2 mirrors this with 1 - aa* and q.  The
+    eigenvalues are read off the diagonal band; by Weyl's inequality
+    they move by at most the norm of the other bands, which is added to
+    the error (it is 0 for these families).
     """
     if rep.family == "rho1theta":
-        flag, base = _flag(rep, "b"), rep.p
+        flag, base = rep.bands[FLAG_B], rep.p
     elif rep.family == "rho2theta":
-        flag, base = _flag(rep, "a"), rep.q
+        flag, base = rep.bands[FLAG_A], rep.q
     else:
         raise ValueError("spectrum check applies to the shift families")
-    flag = _band_dense(flag, rep.dim)
-    eig = np.sort(np.linalg.eigvalsh(flag))
+    eig = np.sort(flag[0].real)
+    off = _band_norm({s: v for s, v in flag.items() if s}, rep.dim)
     want = np.sort(np.array([base ** k for k in range(rep.dim)]))
     # multiplicity one is only resolvable where the geometric gaps beat
     # the floating tolerance; below that the values agree with 0 anyway
@@ -360,7 +350,7 @@ def spectrum_check(rep: TruncatedRep) -> dict:
         if hits != 1:
             simple = False
     return {
-        "max_error": float(np.max(np.abs(eig - want))),
+        "max_error": float(np.max(np.abs(eig - want))) + off,
         "simple": simple,
     }
 

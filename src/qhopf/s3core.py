@@ -11,23 +11,25 @@ and a*^|mu| for mu < 0 (same for b_nu).  Elements are finite linear
 combinations of these monomials with :class:`~qhopf.scalars.ParamScalar`
 coefficients.
 
-Products are computed by expanding the shorter factor into its
-generator word (a-letters, then (1-aa*) powers, then (1-bb*) powers,
-then b-letters) and folding single-generator multiplications onto the
-other factor, from the right or from the left; the rewrite rules
-commute the flag factors past letters at the cost of powers of p or q
-and kill any monomial with both flags present.  Monomial-pair products
-are memoized.
+A basis monomial is spelled as a word once, in ``_word``, with flag
+letters for 1 - aa* and 1 - bb*.  :func:`substitute` multiplies images
+along a word; the monomial product, :func:`normalize_word`,
+:func:`iota_word`, the chart maps and the operator images all use it.
+A product substitutes the word of the shorter factor into single-letter
+rewrite rules acting on the other, from the right or the left.
+Monomial-pair products are memoized.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .scalars import ONE, ParamScalar, ppow, qpow, scalar
-from .sparse import SparseElement, accumulate, bilinear, extend
+from .sparse import SparseElement, bilinear, extend
 
 __all__ = [
     "BasisMonomial",
@@ -39,6 +41,7 @@ __all__ = [
     "mul_by_generator",
     "monomial",
     "normalize_word",
+    "substitute",
     "iota_image",
     "iota_word",
     "iota",
@@ -64,9 +67,6 @@ class BasisMonomial(NamedTuple):
     def degree_label(self) -> int:
         """Grading label in the opposite sign convention (coaction by u^-mu)."""
         return -(self.mu - self.nu)
-
-    def is_unit(self) -> bool:
-        return self == UNIT_MONO
 
     def shift_reach(self) -> int:
         return abs(self.mu) + abs(self.nu)
@@ -112,20 +112,43 @@ def monomial(mu: int, m: int, n: int, nu: int) -> BasisMonomial:
 
 
 # ---------------------------------------------------------------------------
-# single-generator rewrite rules
+# words and single-letter rewrite rules
 #
-# Each rule returns the canonical expansion of t*g (or g*t) as a tuple of
-# (monomial, coefficient) pairs.  Flag commutations:
+# A word's letters are the four generators and the two flags FLAG_A for
+# 1 - a a* and FLAG_B for 1 - b b*.  Each rule returns the canonical
+# expansion of t*g (or g*t) as a tuple of (monomial, coefficient) pairs.
+# Flag commutations:
 #     (1-aa*) a  = q a (1-aa*),   (1-aa*) a* = q^-1 a* (1-aa*),
 #     (1-bb*) b  = p b (1-bb*),   (1-bb*) b* = p^-1 b* (1-bb*),
-# and (1-aa*)^m (1-bb*)^n = 0 whenever both exponents are positive.
+# the flags commute with the other pair's letters, and
+# (1-aa*)^m (1-bb*)^n = 0 whenever both exponents are positive.
 # ---------------------------------------------------------------------------
+
+FLAG_A = ("a", "a*")
+FLAG_B = ("b", "b*")
+
+
+def _word(t: BasisMonomial) -> tuple:
+    """The letters of t left to right: a_mu (1-aa*)^m (1-bb*)^n b_nu."""
+    mu, m, n, nu = t
+    return (("a" if mu > 0 else "a*",) * abs(mu) + (FLAG_A,) * m
+            + (FLAG_B,) * n + ("b" if nu > 0 else "b*",) * abs(nu))
+
+
+def substitute(word, images: Mapping, one, mul=operator.mul):
+    """Fold ``mul(out, images[g])`` over the letters g of ``word`` from
+    ``one``: the product of the images, ``one`` for an empty word."""
+    out = one
+    for g in word:
+        out = mul(out, images[g])
+    return out
+
 
 _RIGHT_CACHE: dict = {}
 _LEFT_CACHE: dict = {}
 
 
-def _right_letter(t: BasisMonomial, g: str):
+def _right_letter(g, t: BasisMonomial):
     key = (t, g)
     hit = _RIGHT_CACHE.get(key)
     if hit is not None:
@@ -147,6 +170,10 @@ def _right_letter(t: BasisMonomial, g: str):
         out = [(BasisMonomial(mu, m, n, nu - 1), ONE)]
         if nu > 0 and m == 0:
             out.append((BasisMonomial(mu, m, n + 1, nu - 1), -ppow(1 - nu)))
+    elif g == FLAG_A:
+        out = [] if n else [(BasisMonomial(mu, m + 1, 0, nu), ONE)]
+    elif g == FLAG_B:
+        out = [] if m else [(BasisMonomial(mu, 0, n + 1, nu), ppow(-nu))]
     else:
         raise ValueError(f"unknown generator {g!r}")
     out = tuple(out)
@@ -154,7 +181,7 @@ def _right_letter(t: BasisMonomial, g: str):
     return out
 
 
-def _left_letter(t: BasisMonomial, g: str):
+def _left_letter(g, t: BasisMonomial):
     key = (t, g)
     hit = _LEFT_CACHE.get(key)
     if hit is not None:
@@ -176,6 +203,10 @@ def _left_letter(t: BasisMonomial, g: str):
         out = [(BasisMonomial(mu, m, n, nu - 1), ppow(n))]
         if nu > 0 and m == 0:
             out.append((BasisMonomial(mu, m, n + 1, nu - 1), -ppow(n + 1)))
+    elif g == FLAG_A:
+        out = [] if n else [(BasisMonomial(mu, m + 1, 0, nu), qpow(mu))]
+    elif g == FLAG_B:
+        out = [] if m else [(BasisMonomial(mu, 0, n + 1, nu), ONE)]
     else:
         raise ValueError(f"unknown generator {g!r}")
     out = tuple(out)
@@ -183,22 +214,11 @@ def _left_letter(t: BasisMonomial, g: str):
     return out
 
 
-def _fold_flag(acc: dict, g1: str, g2: str, rules) -> dict:
-    # acc (1 - g1 g2) by the right rules, (1 - g2 g1) acc by the left ones:
-    # the (1-aa*) and (1-bb*) letters
-    prod = extend(extend(acc, rules, g1), rules, g2)
-    return accumulate(dict(acc), ((ONE, prod.items()),), True)
-
+# multiplication by one letter from the right (left), as a rule on monomials
+_RIGHT = {g: partial(_right_letter, g) for g in (*GENERATORS, FLAG_A, FLAG_B)}
+_LEFT = {g: partial(_left_letter, g) for g in _RIGHT}
 
 _MONO_MUL_CACHE: dict = {}
-
-
-def _runs(t: BasisMonomial) -> tuple:
-    # the generator word of t, left to right, as (letter, repeat) runs;
-    # a letter (g1, g2) is the flag 1 - g1 g2
-    mu, m, n, nu = t
-    return (("a" if mu > 0 else "a*", abs(mu)), (("a", "a*"), m),
-            (("b", "b*"), n), ("b" if nu > 0 else "b*", abs(nu)))
 
 
 def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
@@ -210,18 +230,10 @@ def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
     # a word has |mu| + m + n + |nu| letters; fold the shorter one
     if sum(map(abs, t2)) <= sum(map(abs, t1)):
         # the letters of t2 onto t1 from the right
-        acc = {t1: ONE}
-        for g, k in _runs(t2):
-            for _ in range(k):
-                acc = (_fold_flag(acc, *g, _right_letter) if type(g) is tuple
-                       else extend(acc, _right_letter, g))
+        acc = substitute(_word(t2), _RIGHT, {t1: ONE}, extend)
     else:
         # the letters of t1 onto t2 from the left, innermost first
-        acc = {t2: ONE}
-        for g, k in reversed(_runs(t1)):
-            for _ in range(k):
-                acc = (_fold_flag(acc, g[1], g[0], _left_letter)
-                       if type(g) is tuple else extend(acc, _left_letter, g))
+        acc = substitute(reversed(_word(t1)), _LEFT, {t2: ONE}, extend)
     out = tuple(acc.items())
     _MONO_MUL_CACHE[key] = out
     return out
@@ -300,9 +312,6 @@ class AlgElement(SparseElement):
         """Largest |mu| + |nu| over the support; 0 for the zero element."""
         return max((t.shift_reach() for t in self._d), default=0)
 
-    def flag_degree(self) -> int:
-        return max((max(t.m, t.n) for t in self._d), default=0)
-
     def json_terms(self) -> list[dict]:
         return [{"mu": t.mu, "m": t.m, "n": t.n, "nu": t.nu, "coeff": str(c)}
                 for t, c in self.sorted_terms()]
@@ -325,9 +334,9 @@ def mul_by_generator(x: AlgElement, g: str, side: str = "right") -> AlgElement:
     if g not in GENERATORS:
         raise ValueError(f"unknown generator {g!r}")
     if side == "right":
-        return _raw(extend(x._d, _right_letter, g))
+        return _raw(extend(x._d, _RIGHT[g]))
     if side == "left":
-        return _raw(extend(x._d, _left_letter, g))
+        return _raw(extend(x._d, _LEFT[g]))
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -350,13 +359,12 @@ def normalize_word(word: FreeWord | Iterable[str]) -> AlgElement:
         letters, pref = word.letters, word.prefactor
     else:
         letters, pref = tuple(word), ONE
-    pref = scalar(pref)
-    acc = {UNIT_MONO: pref} if pref else {}
     for g in letters:
         if g not in GENERATORS:
             raise ValueError(f"unknown generator {g!r}")
-        acc = extend(acc, _right_letter, g)
-    return _raw(acc)
+    pref = scalar(pref)
+    return _raw(substitute(letters, _RIGHT,
+                           {UNIT_MONO: pref} if pref else {}, extend))
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +392,10 @@ def iota_image(name: str) -> AlgElement:
 
 def iota_word(letters: Iterable[str]) -> AlgElement:
     """Image of a product of base generators (empty product is 1)."""
-    out = AlgElement.one()
+    letters = tuple(letters)
     for name in letters:
-        out = mul(out, iota_image(name))
-    return out
+        iota_image(name)   # rejects an unknown name
+    return substitute(letters, _IOTA, AlgElement.one(), mul)
 
 
 def iota(poly: Mapping[tuple, ScalarLike]) -> AlgElement:

@@ -155,13 +155,6 @@ def _utrim(a):
     return a
 
 
-def _uladd(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _F0) + (b[i] if i < len(b) else _F0)
-           for i in range(n)]
-    return _utrim(out)
-
-
 def _ulsub(a, b):
     n = max(len(a), len(b))
     out = [(a[i] if i < len(a) else _F0) - (b[i] if i < len(b) else _F0)
@@ -848,13 +841,18 @@ def qbinomial(n: int, k: int, param: str = "q") -> ParamScalar:
     Computed by the deformed Pascal recursion
     ``[n, k] = [n-1, k-1] + q^k [n-1, k]`` (polynomial arithmetic only),
     which matches reading off coefficients of ``(x + y)^n`` in the
-    algebra with ``yx = qxy``.
+    algebra with ``yx = qxy``.  Missing rows are built in a private
+    copy of the row table, which then replaces the shared one in a
+    single assignment, so concurrent callers never see a partial table.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"qbinomial({n}, {k}) is undefined")
     if param not in ("p", "q"):
         raise ValueError("param must be 'p' or 'q'")
-    rows = _QBIN_ROWS.setdefault(param, [[ONE]])
+    rows = _QBIN_ROWS.get(param, [[ONE]])
+    if len(rows) > n:
+        return rows[n][k]
+    rows = list(rows)
     sym = Q if param == "q" else P
     while len(rows) <= n:
         prev = rows[-1]
@@ -866,6 +864,7 @@ def qbinomial(n: int, k: int, param: str = "q") -> ParamScalar:
             row.append(prev[j - 1] + spow * prev[j])
         row.append(ONE)
         rows.append(row)
+    _QBIN_ROWS[param] = rows
     return rows[n][k]
 
 

@@ -22,7 +22,6 @@ through a returned reference.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -56,15 +55,14 @@ def accumulate(out: dict, blocks, subtract: bool = False) -> dict:
     return out
 
 
-def extend(terms, f, *args) -> dict:
+def extend(terms, f) -> dict:
     """Linear extension of a map on keys: the sum of c f(t) over the terms.
 
-    ``f(t, *args)`` returns the image of one key as ((key, coeff), ...).
+    ``f(t)`` returns the image of one key as ((key, coeff), ...).
     """
     # map and zip keep the per-key iteration in C: a monomial product
     # calls this once per letter of its shorter factor
-    images = map(f, terms, *map(repeat, args))
-    return accumulate({}, zip(terms.values(), images))
+    return accumulate({}, zip(terms.values(), map(f, terms)))
 
 
 def bilinear(x, y, f) -> dict:

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from qhopf.exprs import (MAX_NESTING, Div, ExprError, Mul, Num, Pow, Star,
-                         Sub, Sym, evaluate, evaluate_algebra, evaluate_scalar,
-                         parse)
+from qhopf import exprs
+from qhopf.exprs import (MAX_DEGREE, MAX_NESTING, Div, ExprError, Mul, Num,
+                         Pow, Star, Sub, Sym, evaluate, evaluate_algebra,
+                         evaluate_scalar, parse)
 from qhopf.scalars import ONE, P, Q, scalar
 from qhopf.hopf import LaurentElement
 from qhopf.s3core import AlgElement, BasisMonomial, mul
@@ -157,3 +158,32 @@ def test_long_sums_and_products_cost_no_depth():
     assert evaluate_algebra(" ".join(["a"] * n)) == \
         AlgElement.from_monomial(BasisMonomial(n, 0, 0, 0))
     assert evaluate("*".join(["u"] * n)) == LaurentElement.u_power(n)
+
+
+def test_degree_budget_rejects_before_evaluating(monkeypatch):
+    # the long products above fit the budget with room to spare
+    assert MAX_DEGREE >= 3000
+    assert exprs._degree(parse(" ".join(["a"] * 3000))) == 3000
+    assert exprs._degree(parse("(a + b^*)^3 * (1 - a a^*) / (1 - p)")) == 5
+    assert exprs._degree(parse("u^-4 + q^7")) == 4
+    assert exprs._degree(parse("a" + "^2" * 30)) == 2 ** 30
+
+    def never(node):
+        raise AssertionError("evaluated an expression beyond the budget")
+
+    monkeypatch.setattr(exprs, "_eval", never)
+    for text in ("a^1000000000", "a" + "^2" * 30,
+                 f"b^{MAX_DEGREE + 1}", f"(a b)^{MAX_DEGREE // 2 + 1}"):
+        with pytest.raises(ExprError, match="degree"):
+            evaluate_algebra(text)
+
+
+def test_degree_budget_exits_2_on_the_command_line(monkeypatch, capsys):
+    from qhopf import cli
+
+    def never(node):
+        raise AssertionError("evaluated an expression beyond the budget")
+
+    monkeypatch.setattr(exprs, "_eval", never)
+    assert cli.main(["normalize", "a^1000000000"]) == 2
+    assert "degree" in capsys.readouterr().err

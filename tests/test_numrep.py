@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qhopf.scalars import Q
-from qhopf.s3core import AlgElement, BasisMonomial, mul
+from qhopf.s3core import FLAG_A, FLAG_B, AlgElement, BasisMonomial, mul
+from qhopf import numrep
 from qhopf.numrep import (build_rep, classical_maps_check, evaluate,
                           faithfulness_probe, homomorphism_defect,
                           mvn_witness_check, numeric_trace,
@@ -299,3 +300,67 @@ def test_generator_matrices_are_values():
     for v in rep.bands["b"].values():
         with pytest.raises(ValueError):
             v[0] = 0
+    # the two flag bands are 1 - g g*, copied by gen() and read-only too
+    for r in (rep, *reps):
+        eye = np.eye(r.dim)
+        for f in (FLAG_A, FLAG_B):
+            m = r.gen(f)
+            assert np.abs(m - (eye - r.gen(f[0]) @ r.gen(f[1]))).max() \
+                <= 1e-15
+            m[0, 0] = 5
+            assert r.gen(f)[0, 0] != 5
+            for v in r.bands[f].values():
+                with pytest.raises(ValueError):
+                    v[0] = 0
+
+
+def _random_band(rng, N, s):
+    # a weighted diagonal at offset s, zero where k + s leaves [0, N)
+    v = rng.normal(size=N) + 1j * rng.normal(size=N)
+    v[max(0, N - s):] = 0
+    v[:max(0, -s)] = 0
+    return v
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 30])
+def test_band_norm_against_dense_operator_norm(N):
+    rng = np.random.default_rng(3000 + N)
+    for s in range(1 - N, N):
+        x = {s: _random_band(rng, N, s)}
+        dense = numrep._band_dense(x, N)
+        for cols in range(1, N + 1):
+            # one band: exactly the operator norm on the first cols vectors
+            assert numrep._band_norm(x, cols) == pytest.approx(
+                np.linalg.norm(dense[:, :cols], 2), abs=1e-13)
+    for _ in range(40):
+        offsets = rng.choice(np.arange(1 - N, N), size=min(N, 3) * 2 - 1)
+        x = {int(s): _random_band(rng, N, int(s)) for s in offsets}
+        dense = numrep._band_dense(x, N)
+        for cols in range(1, N + 1):
+            # several bands: an upper bound (up to the rounding of the SVD)
+            assert numrep._band_norm(x, cols) >= \
+                np.linalg.norm(dense[:, :cols], 2) - 1e-13
+    with pytest.raises(ValueError):
+        numrep._band_norm({0: np.ones(N)}, 0)
+
+
+def test_defect_and_spectrum_checks_form_no_dense_matrix(monkeypatch):
+    rng = random.Random(47)
+    reps = [build_rep("rho1theta", (0.3,), 60, P_VAL, Q_VAL),
+            build_rep("rho2theta", (1.7,), 60, P_VAL, Q_VAL)]
+    classical = build_rep("classical", (0.1, 0.7), 2, P_VAL, Q_VAL)
+    pairs = [(random_element(rng), random_element(rng)) for _ in range(10)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense matrix or a dense decomposition")
+
+    monkeypatch.setattr(numrep, "_band_dense", forbidden)
+    for name in ("norm", "svd", "eigvalsh", "eigh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    assert max(relation_defects(classical).values()) <= 1e-12
+    for rep in reps:
+        assert max(relation_defects(rep).values()) <= 1e-12
+        res = spectrum_check(rep)
+        assert res["max_error"] <= 1e-10 and res["simple"]
+        for x, y in pairs:
+            assert homomorphism_defect(x, y, rep) <= 1e-10

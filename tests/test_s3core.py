@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhopf.scalars import ONE, P, Q, qpow, scalar
-from qhopf.s3core import (AlgElement, BasisMonomial, FreeWord, UNIT_MONO,
-                          iota_image, iota_word, iota, monomial, mul,
-                          mul_by_generator, normalize_word)
-from qhopf import numrep
+from qhopf.s3core import (FLAG_A, FLAG_B, AlgElement, BasisMonomial,
+                          FreeWord, UNIT_MONO, _word, iota_image, iota_word,
+                          iota, monomial, mul, mul_by_generator,
+                          normalize_word, substitute)
+from qhopf import numrep, s3core
+from qhopf.sparse import extend
 
 A = AlgElement.generator("a")
 AS = AlgElement.generator("a*")
@@ -247,3 +249,41 @@ def test_rendering_and_json():
     ]
     assert AlgElement.zero().text() == "0"
     assert BasisMonomial(-2, 1, 0, 3).text() == "a^*^2 (1 - a a^*) b^3"
+
+
+def _monomials(degree):
+    # every basis monomial with |mu| + m + n + |nu| <= degree
+    for mu in range(-degree, degree + 1):
+        for nu in range(abs(mu) - degree, degree + 1 - abs(mu)):
+            rest = degree - abs(mu) - abs(nu)
+            yield BasisMonomial(mu, 0, 0, nu)
+            for k in range(1, rest + 1):
+                yield BasisMonomial(mu, k, 0, nu)
+                yield BasisMonomial(mu, 0, k, nu)
+
+
+def test_substituting_the_generators_into_a_word_gives_its_monomial():
+    images = {"a": A, "a*": AS, "b": B, "b*": BS, FLAG_A: BETA,
+              FLAG_B: GAMMA}
+    count = 0
+    for t in _monomials(4):
+        word = _word(t)
+        assert len(word) == abs(t.mu) + t.m + t.n + abs(t.nu)
+        assert substitute(word, images, ONE_EL) == AlgElement.from_monomial(t)
+        count += 1
+    assert count == 129
+    assert substitute((), images, ONE_EL) == ONE_EL
+
+
+def test_flag_letter_rules_match_their_generator_products():
+    # one flag letter acts as 1 - g g*, from either side
+    for t in _monomials(4):
+        x = AlgElement.from_monomial(t)
+        for flag, g, gst in ((FLAG_A, "a", "a*"), (FLAG_B, "b", "b*")):
+            right = x - mul_by_generator(mul_by_generator(x, g), gst)
+            left = x - mul_by_generator(mul_by_generator(x, gst, "left"), g,
+                                        "left")
+            assert AlgElement._raw(extend(x.terms, s3core._RIGHT[flag])) \
+                == right
+            assert AlgElement._raw(extend(x.terms, s3core._LEFT[flag])) \
+                == left
