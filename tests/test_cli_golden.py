@@ -87,7 +87,8 @@ def corpus():
     cases += [["star", e] for e in STAR]
     cases += [["trace", e] for e in TRACE]
     cases += [["pairing", "--mu", str(mu)]
-              for mu in (1, 2, 3, 4, -1, -2, -3, -4)]
+              for mu in (1, 2, 3, 4, -1, -2, -3, -4,
+                         6, 7, 8, 9, -6, -7, -8, -9)]
     cases += [["connection", "--k", str(k)] for k in (3, -3)]
     cases += [["idempotent", "--mu", str(mu)] for mu in (2, -2)]
     cases += [["winding", e] for e in WINDING]
