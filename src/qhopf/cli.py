@@ -2,12 +2,16 @@
 
 Every command emits a JSON report (``--text`` switches to aligned
 lines) carrying a top-level ``"schema": 1`` field.  Exit codes: 0 on
-success, 1 when a verification fails, 2 on usage errors.
+success, 1 when a verification fails, 2 on usage errors (including an
+input beyond its budget), 3 on an internal error.  Exit codes 2 and 3
+that arise after parsing come with one JSON line carrying ``"error"``
+on stderr; for exit 3 it also carries the ``"traceback"``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,17 +37,31 @@ def _fraction(text: str) -> Fraction:
 # monomial, so the ceiling bounds a run of the chern and numeric suites
 N_MIN, N_MAX = 2, 100_000
 
+# budgets of --k and --mu, each measured at its limit (whole commands,
+# one run per sign, on a shared 2-core Xeon): connection --k 64 takes
+# about 1.6 s and prints 0.85 MB; pairing --mu 30 takes 3.3-4.3 s;
+# idempotent prints (n+1)^2 entries, so it stops sooner: --mu 14 takes
+# about 0.8 s and prints 1.2 MB
+K_MAX = 64
+PAIRING_MU_MAX = 30
+IDEMPOTENT_MU_MAX = 14
 
-def _truncation(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") \
-            from exc
-    if not N_MIN <= n <= N_MAX:
-        raise argparse.ArgumentTypeError(
-            f"truncation dimension must lie in [{N_MIN}, {N_MAX}], got {n}")
-    return n
+
+def _bounded(lo: int, hi: int, what: str, nonzero: bool = False):
+    """An argparse type: an integer in [lo, hi], and nonzero if asked."""
+    def check(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") \
+                from exc
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(
+                f"{what} must lie in [{lo}, {hi}], got {n}")
+        if nonzero and n == 0:
+            raise argparse.ArgumentTypeError(f"{what} must be nonzero")
+        return n
+    return check
 
 
 def _default_seed() -> int:
@@ -56,7 +74,10 @@ def _default_seed() -> int:
     return 7
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: eleven subparsers cost about 1.5 ms, and
+    # parsing with them reads but never changes them
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", dest="as_json", action="store_true",
                         default=True, help="emit JSON (default)")
@@ -86,15 +107,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("connection", help="strong connection value on u^k",
                        parents=[output])
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True,
+                   type=_bounded(-K_MAX, K_MAX, "circle power"),
+                   help=f"circle power, |k| <= {K_MAX} (about 1.6 s "
+                        f"and 0.85 MB of JSON at the limit)")
 
     p = sub.add_parser("idempotent", help="line-module idempotent matrix",
                        parents=[output])
-    p.add_argument("--mu", type=int, required=True)
+    p.add_argument("--mu", required=True,
+                   type=_bounded(-IDEMPOTENT_MU_MAX, IDEMPOTENT_MU_MAX,
+                                 "winding label", nonzero=True),
+                   help=f"winding label, 1 <= |mu| <= {IDEMPOTENT_MU_MAX} "
+                        f"(about 0.8 s and 1.2 MB of JSON at the limit)")
 
     p = sub.add_parser("pairing", help="trace paired with an idempotent",
                        parents=[output])
-    p.add_argument("--mu", type=int, required=True)
+    p.add_argument("--mu", required=True,
+                   type=_bounded(-PAIRING_MU_MAX, PAIRING_MU_MAX,
+                                 "winding label", nonzero=True),
+                   help=f"winding label, 1 <= |mu| <= {PAIRING_MU_MAX} "
+                        f"(about 4 s at the limit)")
 
     p = sub.add_parser("verify", help="run a verification suite",
                        parents=[output])
@@ -103,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="value of p (rational or decimal; default 1/2)")
     p.add_argument("--q", type=_fraction, default=Fraction(1, 3),
                    help="value of q (default 1/3)")
-    p.add_argument("--N", type=_truncation, default=300,
+    p.add_argument("--N", default=300,
+                   type=_bounded(N_MIN, N_MAX, "truncation dimension"),
                    help=f"truncation dimension for numeric traces, "
                         f"{N_MIN} <= N <= {N_MAX} (default 300)")
     p.add_argument("--seed", type=int, default=None,
@@ -246,6 +279,16 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}),
               file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of the input: exit 1 stays
+        # reserved for an identity that failed.  traceback is imported
+        # here because no other start-up import loads it
+        import traceback
+        print(json.dumps({"schema": SCHEMA,
+                          "error": f"internal error: {exc!r}",
+                          "traceback": traceback.format_exc()}),
+              file=sys.stderr)
+        return 3
     _emit(report, args.as_json)
     return code
 

@@ -29,7 +29,12 @@ is bounded from its AST (a generator counts 1, a number or parameter
 by |k|, ``^*`` and unary minus keep it).  Evaluation folds about that
 many letters, so an expression whose bound exceeds ``MAX_DEGREE``
 raises :class:`ExprError` without being evaluated: ``a^1000000000`` or
-``a`` under thirty stacked ``^2`` would ask for about 10^9 folds.
+``a`` under thirty stacked ``^2`` would ask for about 10^9 folds.  The
+same rules bound a parameter degree, in which p and q count 1 and an
+integer literal counts its bit length, so scalar powers such as
+``p^100000`` or ``2^100000``, which letters do not see, are budgeted
+too: a bound beyond ``MAX_PARAM_DEGREE`` raises :class:`ExprError`.  At
+that budget ``(1 + p + q)^128`` evaluates in about 0.4 s.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "ExprError",
     "MAX_NESTING",
     "MAX_DEGREE",
+    "MAX_PARAM_DEGREE",
     "parse",
     "evaluate",
     "evaluate_algebra",
@@ -116,6 +122,7 @@ _NAMES = {"a", "b", "u", "p", "q", "f0", "f1"}
 
 MAX_NESTING = 100
 MAX_DEGREE = 10000
+MAX_PARAM_DEGREE = 128
 
 
 def _tokenize(text: str):
@@ -297,22 +304,31 @@ def _families(node, found: set):
     return found
 
 
-def _degree(node) -> int:
-    # the letter-degree bound described in the module docstring
+def _letters(leaf) -> int:
+    return 1 if isinstance(leaf, Sym) and leaf.name not in ("p", "q") else 0
+
+
+def _params(leaf) -> int:
+    if isinstance(leaf, Num):
+        return leaf.value.bit_length()
+    return 1 if isinstance(leaf, Sym) and leaf.name in ("p", "q") else 0
+
+
+def _degree(node, weight=_letters) -> int:
+    # the degree bound described in the module docstring; ``weight``
+    # gives a leaf's degree: letters by default, or parameters
     if isinstance(node, _BINARY):
         node, spine = _left_spine(node)
-        deg = _degree(node)
+        deg = _degree(node, weight)
         for op in spine:
-            rhs = _degree(op.right)
+            rhs = _degree(op.right, weight)
             deg = max(deg, rhs) if isinstance(op, (Add, Sub)) else deg + rhs
         return deg
-    if isinstance(node, Sym):
-        return 0 if node.name in ("p", "q") else 1
     if isinstance(node, (Neg, Star)):
-        return _degree(node.arg)
+        return _degree(node.arg, weight)
     if isinstance(node, Pow):
-        return abs(node.exponent) * _degree(node.base)
-    return 0
+        return abs(node.exponent) * _degree(node.base, weight)
+    return weight(node)
 
 
 def _lift(x, like):
@@ -394,6 +410,10 @@ def evaluate(text_or_node):
     if deg > MAX_DEGREE:
         raise ExprError(f"expression degree {deg} exceeds the budget "
                         f"{MAX_DEGREE}", 0)
+    deg = _degree(node, _params)
+    if deg > MAX_PARAM_DEGREE:
+        raise ExprError(f"parameter degree {deg} exceeds the budget "
+                        f"{MAX_PARAM_DEGREE}", 0)
     return _eval(node)
 
 

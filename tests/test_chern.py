@@ -115,9 +115,13 @@ def test_pairing_winding_minus_one_is_exactly_minus_one():
     assert val.as_fraction() == Fraction(-1)
 
 
+# the winding ladder: pairing(mu) == mu is pinned for 1 <= |mu| <= LADDER
+LADDER = 14
+
+
 def test_pairing_values_are_integers():
     values = {}
-    for mu in range(-5, 6):
+    for mu in range(-LADDER, LADDER + 1):
         if mu == 0:
             continue
         v = pairing(mu)
@@ -128,6 +132,15 @@ def test_pairing_values_are_integers():
     # mirrored windings pair to opposite integers in this computation
     for mu in range(1, 6):
         assert values[mu] == -values[-mu]
+    for mu, v in values.items():
+        assert v == mu, (mu, v)
+
+
+def test_pairing_is_the_trace_of_the_idempotent():
+    # the diagonal-only pairing against the whole matrix it skips
+    for n in range(1, 9):
+        for mu in (-n, n):
+            assert pairing(mu) == trace_functional(idempotent(mu).trace()), mu
 
 
 def test_pairing_cross_checked_numerically():

@@ -187,3 +187,73 @@ def test_long_flat_sum_normalizes(capsys):
     code, out, _ = run_cli(capsys, "normalize", "+".join(["a"] * 3000))
     assert code == 0
     assert json.loads(out)["result"]["text"] == "3000*a"
+
+
+def test_parser_is_built_once_per_process(capsys):
+    from qhopf import cli
+    cli._build_parser.cache_clear()
+    assert main(["pairing", "--mu"]) == 2
+    assert main(["verify", "--help"]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "pairing", "--mu", "-1")
+    assert code == 0
+    assert json.loads(out)["value"] == "-1"
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pairing", "--mu", "31"], ["pairing", "--mu", "-31"],
+    ["pairing", "--mu", "0"], ["pairing", "--mu", "1.5"],
+    ["pairing", "--mu", "x"],
+    ["idempotent", "--mu", "15"], ["idempotent", "--mu", "-15"],
+    ["idempotent", "--mu", "0"], ["idempotent", "--mu", "2.5"],
+    ["connection", "--k", "65"], ["connection", "--k", "-65"],
+    ["connection", "--k", "1e3"], ["connection", "--k", "x"],
+], ids=" ".join)
+def test_winding_and_power_budgets_reject_at_parse_time(capsys, monkeypatch,
+                                                        argv):
+    from qhopf import chern, galois
+
+    def never(*args, **kwargs):
+        raise AssertionError("a builder ran before its input was validated")
+
+    for owner, name in ((chern, "pairing"), (chern, "idempotent"),
+                        (galois, "strong_connection")):
+        monkeypatch.setattr(owner, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert argv[1] in err
+
+
+def test_winding_and_power_budgets_admit_their_limits(capsys):
+    from qhopf.cli import (IDEMPOTENT_MU_MAX, K_MAX, PAIRING_MU_MAX,
+                           _build_parser)
+    # the pinned winding ladder fits both winding budgets
+    assert min(IDEMPOTENT_MU_MAX, PAIRING_MU_MAX) >= 14
+    ap = _build_parser()
+    for cmd, limit in (("pairing", PAIRING_MU_MAX),
+                       ("idempotent", IDEMPOTENT_MU_MAX)):
+        for mu in (-limit, -1, 1, limit):
+            assert ap.parse_args([cmd, "--mu", str(mu)]).mu == mu
+    for k in (-K_MAX, 0, K_MAX):
+        assert ap.parse_args(["connection", "--k", str(k)]).k == k
+    assert main(["pairing", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"1 <= |mu| <= {PAIRING_MU_MAX}" in help_text
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    from qhopf import chern
+
+    def broken(mu):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(chern, "pairing", broken)
+    code, out, err = run_cli(capsys, "pairing", "--mu", "-1")
+    assert code == 3
+    assert out == ""
+    report = json.loads(err)
+    assert "simulated fault" in report["error"]
+    assert "RuntimeError" in report["traceback"]

@@ -1,13 +1,14 @@
 """Expression parser, evaluator, and print round-trips."""
 
+import json
 import random
 
 import pytest
 
 from qhopf import exprs
-from qhopf.exprs import (MAX_DEGREE, MAX_NESTING, Div, ExprError, Mul, Num,
-                         Pow, Star, Sub, Sym, evaluate, evaluate_algebra,
-                         evaluate_scalar, parse)
+from qhopf.exprs import (MAX_DEGREE, MAX_NESTING, MAX_PARAM_DEGREE, Div,
+                         ExprError, Mul, Num, Pow, Star, Sub, Sym, evaluate,
+                         evaluate_algebra, evaluate_scalar, parse)
 from qhopf.scalars import ONE, P, Q, scalar
 from qhopf.hopf import LaurentElement
 from qhopf.s3core import AlgElement, BasisMonomial, mul
@@ -176,6 +177,29 @@ def test_degree_budget_rejects_before_evaluating(monkeypatch):
                  f"b^{MAX_DEGREE + 1}", f"(a b)^{MAX_DEGREE // 2 + 1}"):
         with pytest.raises(ExprError, match="degree"):
             evaluate_algebra(text)
+
+
+def test_parameter_degree_budget_rejects_scalar_powers(monkeypatch, capsys):
+    # scalar powers have letter degree 0; the parameter degree sees them
+    from qhopf import cli
+    assert exprs._degree(parse("p^100000")) == 0
+    assert exprs._degree(parse("2^100000"), exprs._params) == 200000
+    assert exprs._degree(parse("(1 + p + q)^3 * a / (1 - 5*q)"),
+                         exprs._params) == 7
+    assert exprs._degree(parse(f"(1 + p + q)^{MAX_PARAM_DEGREE}"),
+                         exprs._params) == MAX_PARAM_DEGREE
+
+    def never(node):
+        raise AssertionError("evaluated an expression beyond the budget")
+
+    monkeypatch.setattr(exprs, "_eval", never)
+    for text in ("p^100000", "2^100000", "(1+p+q)^100000",
+                 f"q^{MAX_PARAM_DEGREE + 1}"):
+        with pytest.raises(ExprError, match="parameter degree"):
+            evaluate(text)
+        assert cli.main(["normalize", text]) == 2
+        assert "parameter degree" in json.loads(capsys.readouterr().err)[
+            "error"]
 
 
 def test_degree_budget_exits_2_on_the_command_line(monkeypatch, capsys):
