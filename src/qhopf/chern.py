@@ -18,7 +18,7 @@ winding-zero basis monomials it has the closed form
 (geometric series of the diagonal eigenvalues q^k resp. p^k).  Pairing
 the trace with the matrix trace of an idempotent yields an integer;
 for winding -1 it is exactly -1, independent of p and q, and the tests
-pin the value mu for every 1 <= |mu| <= 14.  The pairing needs only
+pin the value mu for every 1 <= |mu| <= 20.  The pairing needs only
 the diagonal entries r_j l_j, so it forms n+1 sphere products where
 the whole idempotent takes (n+1)^2; both read the legs from one place.
 """
@@ -174,20 +174,18 @@ def trace_functional(x: AlgElement) -> ParamScalar:
     """
     if not x.is_coinvariant():
         raise ValueError(f"trace of a non-coinvariant element: {x}")
-    # sum the coefficients per flag exponent, then divide once for each;
+    # sum the coefficients per flag, then every flag's c/(1 - q^m) or
+    # -c/(1 - p^n) over the product of the denominators, and reduce once;
     # the unit monomial contributes 0: the representation images cancel
-    by_m: dict = {}
-    by_n: dict = {}
+    flags: dict = {}
     for t, c in x.terms.items():
         if t.mu == 0 and (t.m or t.n):
-            flags, e = (by_m, t.m) if t.m else (by_n, t.n)
-            flags[e] = flags.get(e, ZERO) + c
-    total = ZERO
-    for m, c in by_m.items():
-        total = total + c / (ONE - qpow(m))
-    for n, c in by_n.items():
-        total = total - c / (ONE - ppow(n))
-    return total
+            flags[t.m, t.n] = flags.get((t.m, t.n), ZERO) + c
+    num, den = ZERO, ONE
+    for (m, n), c in flags.items():
+        d = ONE - qpow(m) if m else ONE - ppow(n)
+        num, den = num * d + (c if m else -c) * den, den * d
+    return num / den
 
 
 def pairing(mu: int) -> ParamScalar:

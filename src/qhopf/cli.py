@@ -4,8 +4,10 @@ Every command emits a JSON report (``--text`` switches to aligned
 lines) carrying a top-level ``"schema": 1`` field.  Exit codes: 0 on
 success, 1 when a verification fails, 2 on usage errors (including an
 input beyond its budget), 3 on an internal error.  Exit codes 2 and 3
-that arise after parsing come with one JSON line carrying ``"error"``
-on stderr; for exit 3 it also carries the ``"traceback"``.
+come with one JSON line carrying ``"error"`` on stderr; for a usage
+error caught by the parser it also carries the ``"usage"`` line, for
+exit 3 the ``"traceback"``.  A reader that closes the pipe early ends
+the command quietly, with the command's own exit code.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ N_MIN, N_MAX = 2, 100_000
 
 # budgets of --k and --mu, each measured at its limit (whole commands,
 # one run per sign, on a shared 2-core Xeon): connection --k 64 takes
-# about 1.6 s and prints 0.85 MB; pairing --mu 30 takes 3.3-4.3 s;
+# about 1.6 s and prints 0.85 MB; pairing --mu 30 takes 0.5-0.8 s;
 # idempotent prints (n+1)^2 entries, so it stops sooner: --mu 14 takes
 # about 0.8 s and prints 1.2 MB
 K_MAX = 64
@@ -74,16 +76,27 @@ def _default_seed() -> int:
     return 7
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors print the JSON error line, exit 2."""
+
+    def error(self, message):
+        print(json.dumps({"schema": SCHEMA, "error": message,
+                          "usage": " ".join(self.format_usage().split())}),
+              file=sys.stderr)
+        self.exit(2)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: eleven subparsers cost about 1.5 ms, and
-    # parsing with them reads but never changes them
+    # parsing with them reads but never changes them; subparsers take
+    # the class of their parent, so every usage error goes to _Parser
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", dest="as_json", action="store_true",
                         default=True, help="emit JSON (default)")
     output.add_argument("--text", dest="as_json", action="store_false",
                         help="emit aligned text instead of JSON")
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qhopf",
         parents=[output],
         description="Exact symbolic engine for the glued quantum 3-sphere "
@@ -126,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_bounded(-PAIRING_MU_MAX, PAIRING_MU_MAX,
                                  "winding label", nonzero=True),
                    help=f"winding label, 1 <= |mu| <= {PAIRING_MU_MAX} "
-                        f"(about 4 s at the limit)")
+                        f"(under 1 s at the limit)")
 
     p = sub.add_parser("verify", help="run a verification suite",
                        parents=[output])
@@ -289,7 +302,13 @@ def main(argv: list[str] | None = None) -> int:
                           "traceback": traceback.format_exc()}),
               file=sys.stderr)
         return 3
-    _emit(report, args.as_json)
+    try:
+        _emit(report, args.as_json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: end quietly, and point stdout at devnull
+        # so that the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -486,7 +486,8 @@ def faithfulness_probe(x: AlgElement, N: int | None = None,
     function and may vanish at isolated parameter values without the
     element being zero.  Returns True when x is zero (nothing to
     witness) or when some sampled evaluation has norm above the
-    threshold.
+    threshold.  No matrix entry exceeds the operator norm, so the largest
+    |weight| on the bands is a rigorous lower bound on it.
     """
     if x.is_zero():
         return True
@@ -499,6 +500,8 @@ def faithfulness_probe(x: AlgElement, N: int | None = None,
         q_val = 0.2 + 0.6 * rng.random()
         for family in ("rho1theta", "rho2theta"):
             rep = build_rep(family, (theta,), N, p_val, q_val)
-            if np.linalg.norm(evaluate(x, rep), 2) > threshold:
+            # band s holds the entries (k + s, k) for 0 <= k, k + s < N
+            if any(np.abs(v[max(0, -s):N - max(0, s)]).max(initial=0.0)
+                   > threshold for s, v in _image(x, rep).items()):
                 return True
     return False

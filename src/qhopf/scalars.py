@@ -13,23 +13,32 @@ The value's own reduced denominator picks one of two representations:
   products and negation of such values are plain dict arithmetic, with
   no gcd.  Everything the algebra layers build lies in Z[p^±1, q^±1].
 - Otherwise (``1/(1 - q)``, division in expressions, Gauss-binomial
-  quotients) the value is a fraction of two polynomials with Fraction
-  coefficients, reduced by their polynomial gcd and scaled so that the
-  lowest-order coefficient of the denominator equals 1.  An operation
-  with such an operand takes this field path, and its result returns to
-  the Laurent form when its reduced denominator is a monomial.
+  quotients) the value is a fraction of two integer polynomials, reduced
+  by their polynomial gcd and by the gcd of their integer contents, with
+  the lowest-order coefficient of the denominator positive.  An
+  operation with such an operand takes this field path, and its result
+  returns to the Laurent form when its reduced denominator is a
+  monomial.  The gcd, pseudo-remainders and exact division all run on
+  int coefficients (Gauss's lemma keeps quotients by primitive divisors
+  integral); rational coefficients are cleared once on entry.
+
+Products go through one entry point, ``_pmul``: a dict loop for small
+factors and, from ``KMUL_MIN_PAIRS`` term pairs on, one big-integer
+multiply by Kronecker substitution (``_kmul``).
 
 The read-only views ``num`` and ``den`` give the reduced fraction for
-either representation, with exponents >= 0 and Fraction coefficients;
-rendering reads the same fraction, so ``1/q`` and ``(1 - q^2)/(1 - p)``
-render literally.  The monomial order is graded lexicographic with
-``p < q``.
+either representation, with exponents >= 0, Fraction coefficients and
+the lowest-order denominator coefficient 1; rendering reads the same
+fraction, so ``1/q`` and ``(1 - q^2)/(1 - p)`` render literally.  The
+monomial order is graded lexicographic with ``p < q``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from itertools import product
 from types import MappingProxyType
 from typing import Union
 
@@ -47,14 +56,11 @@ __all__ = [
     "format_linear",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 ScalarLike = Union["ParamScalar", int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomial helpers (plain dicts {(i, j): Fraction}, zero == {})
+# bivariate polynomial helpers (plain dicts {(i, j): c}, zero == {})
 # ---------------------------------------------------------------------------
 
 def _gkey(mono):
@@ -97,14 +103,26 @@ def _psub(f, g):
     return out
 
 
-def _pscale(f, c):
-    if not c:
-        return {}
-    return {m: k * c for m, k in f.items()}
-
-
 def _pshift(f, di, dj):
     return {(i + di, j + dj): c for (i, j), c in f.items()}
+
+
+def _pprim(f):
+    # primitive part of a nonzero int polynomial (sign kept)
+    g = math.gcd(*f.values())
+    return f if g == 1 else {m: c // g for m, c in f.items()}
+
+
+# _pmul hands a product to _kmul from this many term pairs |f| |g| on;
+# below it the dict loop is faster (measured on the products of the
+# deep-exact workload and of pairing(30), see CHANGES.md)
+KMUL_MIN_PAIRS = 96
+# _kmul declines a product whose packed slots outnumber its term pairs by
+# more than this factor: unpacking would then cost more than the loop
+KMUL_MAX_SPARSITY = 4
+
+# struct formats of the slot widths that one pack or unpack call covers
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _pmul(f, g):
@@ -116,6 +134,10 @@ def _pmul(f, g):
     if len(g) == 1:
         (i, j), c = next(iter(g.items()))
         return {(fi + i, fj + j): fc * c for (fi, fj), fc in f.items()}
+    if len(f) * len(g) >= KMUL_MIN_PAIRS:
+        out = _kmul(f, g)
+        if out is not None:
+            return out
     out = {}
     for (fi, fj), fc in f.items():
         for (gi, gj), gc in g.items():
@@ -132,6 +154,77 @@ def _pmul(f, g):
     return out
 
 
+def _kpack(f, i0, j0, width, nbytes, nslots):
+    # f at the packing point: slot (i - i0) W + (j - j0), nbytes each,
+    # holds c + 2^(8 nbytes - 1); the slot biases are subtracted again
+    half = 1 << (8 * nbytes - 1)
+    fmt = _SLOT_FORMATS.get(nbytes)
+    if fmt:
+        digits = [half] * nslots
+        for (i, j), c in f.items():
+            digits[(i - i0) * width + j - j0] = c + half
+        raw = struct.pack(f"<{nslots}{fmt}", *digits)
+    else:
+        raw = bytearray(_kbias_bytes(nbytes) * nslots)
+        for (i, j), c in f.items():
+            k = ((i - i0) * width + j - j0) * nbytes
+            raw[k:k + nbytes] = (c + half).to_bytes(nbytes, "little")
+    return (int.from_bytes(raw, "little")
+            - int.from_bytes(_kbias_bytes(nbytes) * nslots, "little"))
+
+
+def _kbias_bytes(nbytes):
+    # one slot holding 2^(8 nbytes - 1), little-endian
+    return bytes(nbytes - 1) + b"\x80"
+
+
+def _kmul(f, g):
+    """f*g for Laurent int dicts by Kronecker substitution, or None.
+
+    Exponent (i, j) goes to slot (i - i0) W + (j - j0), with W one more
+    than the product's q-degree span, so the product's slots never
+    collide.  A product coefficient sums at most min(|f|, |g|) terms, so
+    it lies within B = min(|f|, |g|) max|f| max|g|; slots of s bits with
+    2^(s-1) > B hold it once a bias of 2^(s-1) is added.  Each factor
+    becomes one Python int, one big-int multiply does the work, and the
+    biased product unpacks through ``to_bytes``.  None when a coefficient
+    is not an int, or when the slots outnumber the term pairs by more
+    than KMUL_MAX_SPARSITY.
+    """
+    if not (all(c.__class__ is int for c in f.values())
+            and all(c.__class__ is int for c in g.values())):
+        return None
+    fis, fjs = zip(*f)
+    gis, gjs = zip(*g)
+    fi0, fj0, gi0, gj0 = min(fis), min(fjs), min(gis), min(gjs)
+    fdi, fdj = max(fis) - fi0, max(fjs) - fj0
+    gdi, gdj = max(gis) - gi0, max(gjs) - gj0
+    width = fdj + gdj + 1
+    rows = fdi + gdi + 1
+    if rows * width > KMUL_MAX_SPARSITY * len(f) * len(g):
+        return None
+    bound = (min(len(f), len(g)) * max(map(abs, f.values()))
+             * max(map(abs, g.values())))
+    nbytes = (bound.bit_length() + 8) // 8
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()
+    nslots = rows * width
+    prod = (_kpack(f, fi0, fj0, width, nbytes, fdi * width + fdj + 1)
+            * _kpack(g, gi0, gj0, width, nbytes, gdi * width + gdj + 1))
+    raw = (prod + int.from_bytes(_kbias_bytes(nbytes) * nslots, "little")
+           ).to_bytes(nslots * nbytes, "little")
+    fmt = _SLOT_FORMATS.get(nbytes)
+    if fmt:
+        digits = struct.unpack(f"<{nslots}{fmt}", raw)
+    else:
+        digits = [int.from_bytes(raw[k:k + nbytes], "little")
+                  for k in range(0, len(raw), nbytes)]
+    half = 1 << (8 * nbytes - 1)
+    keys = product(range(fi0 + gi0, fi0 + gi0 + rows),
+                   range(fj0 + gj0, fj0 + gj0 + width))
+    return {m: v - half for m, v in zip(keys, digits) if v != half}
+
+
 def _peval(f, pv, qv):
     total = None
     for (i, j), c in f.items():
@@ -142,190 +235,59 @@ def _peval(f, pv, qv):
     return total
 
 
-_POLY_ONE = {(0, 0): _F1}
+_POLY_ONE = {(0, 0): 1}
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers over Q: coefficient lists, index == exponent, trimmed
-# ---------------------------------------------------------------------------
-
-def _utrim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _ulsub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _F0) - (b[i] if i < len(b) else _F0)
-           for i in range(n)]
-    return _utrim(out)
-
-
-def _ulmul(a, b):
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        if not ac:
-            continue
-        for j, bc in enumerate(b):
-            out[i + j] += ac * bc
-    return _utrim(out)
-
-
-def _to_primitive_ints(a):
-    # clear Fraction denominators and divide by the integer content;
-    # only the poly up to a rational unit matters for gcd purposes
-    scale = 1
-    for c in a:
-        d = c.denominator
-        scale = scale * d // math.gcd(scale, d)
-    ints = [int(c.numerator * (scale // c.denominator)) for c in a]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _int_prem_primitive(a, b):
-    # primitive pseudo-remainder over Z: content reduction after each
-    # elimination keeps the classical Euclid coefficient swell in check
-    r = list(a)
-    lb = b[-1]
-    db = len(b) - 1
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        off = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[off + i] -= lr * bc
-        while r and not r[-1]:
-            r.pop()
-        g = 0
-        for v in r:
-            g = math.gcd(g, v)
-        if g > 1:
-            r = [v // g for v in r]
-    return r
-
-
-def _ulist_gcd(a, b):
-    if not a:
-        b = list(b)
-        if not b:
-            return []
-        lc = b[-1]
-        return [c / lc for c in b]
-    if not b:
-        a = list(a)
-        lc = a[-1]
-        return [c / lc for c in a]
-    x, y = _to_primitive_ints(a), _to_primitive_ints(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        x, y = y, _int_prem_primitive(x, y)
-    lead = x[-1]
-    return [Fraction(v, lead) for v in x]
-
-
-def _udiv_exact(a, b):
-    if not a:
-        return []
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        raise ArithmeticError("inexact polynomial division")
-    r = list(a)
-    out = [_F0] * (len(a) - len(b) + 1)
-    lb = b[-1]
-    while r and len(r) - 1 >= len(b) - 1:
-        c = r[-1] / lb
-        off = len(r) - 1 - (len(b) - 1)
-        out[off] = c
-        for i, bc in enumerate(b):
-            r[off + i] -= c * bc
-        _utrim(r)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return _utrim(out)
-
-
-# ---------------------------------------------------------------------------
-# gcd and exact division in Q[p, q]
+# exact division and gcd in Z[p, q] (exponents >= 0)
 #
-# A polynomial is viewed as a polynomial in q whose coefficients live in
-# Q[p] ("columns"); gcds use a primitive polynomial remainder sequence.
+# gcds run a primitive remainder sequence in q over Z[p] (a polynomial in
+# p alone is swapped into q first); by Gauss's lemma the gcd of primitive
+# polynomials is primitive, so every quotient by it stays integral.
 # ---------------------------------------------------------------------------
 
-def _cols(f):
-    tmp = {}
+def _pdiv_exact(f, g):
+    """Exact quotient f/g in Z[p, q]; raises if g does not divide f.
+
+    Both are packed by the substitution p -> x^W, q -> x, with W one more
+    than f's q-degree, and one long division of int lists gives the
+    packed quotient h.  The substitution is injective on polynomials of
+    q-degree < W, so deg_q(g) + deg_q(h) < W certifies g h = f.
+    """
+    if not f:
+        return {}
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(g) == 1:
+        (gi, gj), gc = next(iter(g.items()))
+        out = {}
+        for (i, j), c in f.items():
+            h, r = divmod(c, gc)
+            if r or i < gi or j < gj:
+                raise ArithmeticError("inexact polynomial division")
+            out[(i - gi, j - gj)] = h
+        return out
+    width = max(j for _, j in f) + 1
+    rem = [0] * ((max(i for i, _ in f) + 1) * width)
     for (i, j), c in f.items():
-        tmp.setdefault(j, {})[i] = c
+        rem[i * width + j] = c
+    packed = sorted((i * width + j, c) for (i, j), c in g.items())
+    top, lead = packed.pop()
     out = {}
-    for j, d in tmp.items():
-        pl = [_F0] * (max(d) + 1)
-        for i, c in d.items():
-            pl[i] = c
-        out[j] = pl
+    for k in range(len(rem) - 1, top - 1, -1):
+        c = rem[k]
+        if c:
+            h, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            s = k - top
+            out[divmod(s, width)] = h
+            for o, gc in packed:
+                rem[s + o] -= h * gc
+    if (any(rem[:top]) or max(j for _, j in out)
+            + max(j for _, j in g) >= width):
+        raise ArithmeticError("inexact polynomial division")
     return out
-
-
-def _from_cols(cols):
-    out = {}
-    for j, pl in cols.items():
-        for i, c in enumerate(pl):
-            if c:
-                out[(i, j)] = c
-    return out
-
-
-def _cols_content(cols):
-    g = []
-    for pl in cols.values():
-        g = _ulist_gcd(g, pl)
-        if len(g) == 1 and g[0] == _F1:
-            return g
-    return g
-
-
-def _cols_div(cols, g):
-    return {j: _udiv_exact(pl, g) for j, pl in cols.items()}
-
-
-def _cols_prem(A, B):
-    n = max(B)
-    lb = B[n]
-    r = {j: list(pl) for j, pl in A.items()}
-    while r:
-        d = max(r)
-        if d < n:
-            break
-        lr = r[d]
-        new = {j: _ulmul(pl, lb) for j, pl in r.items()}
-        for j, pl in B.items():
-            jj = j + d - n
-            new[jj] = _ulsub(new.get(jj, []), _ulmul(pl, lr))
-        r = {j: pl for j, pl in new.items() if pl}
-    return r
-
-
-def _ulist_of(f, axis):
-    # coefficient list of a poly supported on one axis (0: powers of p)
-    deg = max(m[axis] for m in f)
-    out = [_F0] * (deg + 1)
-    for m, c in f.items():
-        out[m[axis]] = c
-    return out
-
-
-def _from_ulist(pl, axis):
-    if axis == 0:
-        return {(i, 0): c for i, c in enumerate(pl) if c}
-    return {(0, j): c for j, c in enumerate(pl) if c}
 
 
 def _pure_axis(f):
@@ -339,31 +301,69 @@ def _pure_axis(f):
     return None
 
 
+def _swap(f):
+    return {(j, i): c for (i, j), c in f.items()}
+
+
 def _axis_content(f, axis):
-    # gcd of the univariate-in-`axis` slices of f (grouped by the other
-    # exponent); this is the largest pure-axis divisor of f
+    # gcd of the slices of f in the variable `axis` alone (grouped by the
+    # other exponent): the largest divisor of f in that variable
     slices: dict = {}
     for (i, j), c in f.items():
-        other = j if axis == 0 else i
-        key = i if axis == 0 else j
-        slices.setdefault(other, {})[key] = c
-    g: list = []
-    for d in slices.values():
-        pl = [_F0] * (max(d) + 1)
-        for k, c in d.items():
-            pl[k] = c
-        g = _ulist_gcd(g, pl)
-        if len(g) == 1:
+        other, mono = (j, (i, 0)) if axis == 0 else (i, (0, j))
+        slices.setdefault(other, {})[mono] = c
+    g: dict = {}
+    for s in sorted(slices.values(), key=len):
+        g = _pgcd(g, s)
+        if len(g) == 1 and (0, 0) in g:
             break
     return g
 
 
+def _qdeg(f):
+    return max(j for _, j in f)
+
+
+def _prem(a, b):
+    # primitive pseudo-remainder of a by b as polynomials in q over Z[p];
+    # dividing out the integer content after each elimination keeps the
+    # classical Euclid coefficient swell in check
+    n = _qdeg(b)
+    lb = {(i, 0): c for (i, j), c in b.items() if j == n}
+    while a:
+        d = _qdeg(a)
+        if d < n:
+            break
+        # the leading coefficient of a, times q^(d - n)
+        la = {(i, d - n): c for (i, j), c in a.items() if j == d}
+        a = _psub(_pmul(a, lb), _pmul(b, la))
+        if a:
+            a = _pprim(a)
+    return a
+
+
+def _prs(x, y):
+    # gcd of two polynomials without content in Z[p] of positive degree:
+    # the last member of their primitive remainder sequence in q
+    x, y = _pprim(x), _pprim(y)
+    if _qdeg(x) < _qdeg(y):
+        x, y = y, x
+    while y:
+        r = _prem(x, y)
+        if any(i for i, _ in r):
+            cont = _axis_content(r, 0)
+            if cont != _POLY_ONE:
+                r = _pdiv_exact(r, cont)
+        x, y = y, r
+    return x
+
+
 def _pgcd(f, g):
-    """gcd in Q[p, q]; scale is arbitrary but deterministic."""
+    """Primitive gcd in Z[p, q]; the sign is arbitrary but deterministic."""
     if not f:
-        return dict(g)
+        return _pprim(g)
     if not g:
-        return dict(f)
+        return _pprim(f)
     # strip monomial content from each argument
     fi = min(i for i, _ in f)
     fj = min(j for _, j in f)
@@ -385,71 +385,25 @@ def _pgcd_core(f0, g0):
     ax_f, ax_g = _pure_axis(f0), _pure_axis(g0)
     if ax_f is not None and ax_g is not None:
         if ax_f != ax_g:
-            return dict(_POLY_ONE)  # univariate in different variables
-        return _from_ulist(
-            _ulist_gcd(_ulist_of(f0, ax_f), _ulist_of(g0, ax_f)), ax_f)
+            return _POLY_ONE  # univariate in different variables
+        if ax_f == 0:
+            return _swap(_prs(_swap(f0), _swap(g0)))
+        return _prs(f0, g0)
     if ax_g is not None:
         # any common divisor of a pure-axis poly is pure-axis itself
-        return _from_ulist(
-            _ulist_gcd(_axis_content(f0, ax_g), _ulist_of(g0, ax_g)), ax_g)
+        return _pgcd(_axis_content(f0, ax_g), g0)
     if ax_f is not None:
-        return _from_ulist(
-            _ulist_gcd(_axis_content(g0, ax_f), _ulist_of(f0, ax_f)), ax_f)
+        return _pgcd(_axis_content(g0, ax_f), f0)
     # peel one-variable content: the full axis content of a polynomial is
     # coprime to its cofactor, so the gcd splits multiplicatively
     for one, other in ((g0, f0), (f0, g0)):
         for axis in (1, 0):
-            cont = _axis_content(one, axis)
-            if len(cont) > 1:
-                d = _from_ulist(cont, axis)
+            d = _axis_content(one, axis)
+            if len(d) > 1:
                 rest = _pdiv_exact(one, d)
                 return _pmul(_pgcd(other, d), _pgcd(other, rest))
     # both arguments are content-free and genuinely bivariate
-    A, B = _cols(f0), _cols(g0)
-    X, Y = A, B
-    if max(X) < max(Y):
-        X, Y = Y, X
-    while Y:
-        R = _cols_prem(X, Y)
-        if R:
-            c = _cols_content(R)
-            R = _cols_div(R, c)
-        X, Y = Y, R
-    return _from_cols(X)
-
-
-def _pdiv_exact(f, g):
-    """Exact division in Q[p, q]; raises if g does not divide f."""
-    if not f:
-        return {}
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(g) == 1:
-        (gi, gj), gc = next(iter(g.items()))
-        out = {}
-        for (i, j), c in f.items():
-            if i < gi or j < gj:
-                raise ArithmeticError("inexact polynomial division")
-            out[(i - gi, j - gj)] = c / gc
-        return out
-    A, B = _cols(f), _cols(g)
-    n = max(B)
-    lb = B[n]
-    out = {}
-    while A:
-        d = max(A)
-        if d < n:
-            raise ArithmeticError("inexact polynomial division")
-        c = _udiv_exact(A[d], lb)
-        out[d - n] = c
-        for j, pl in B.items():
-            jj = j + d - n
-            s = _ulsub(A.get(jj, []), _ulmul(pl, c))
-            if s:
-                A[jj] = s
-            elif jj in A:
-                del A[jj]
-    return _from_cols(out)
+    return _prs(f0, g0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,25 +512,35 @@ def _laurent(terms):
 
 
 def _reduce(num, den):
-    """(terms, tag) of the canonical form of num/den (den nonzero)."""
-    num = {m: Fraction(c) for m, c in num.items() if c}
-    den = {m: Fraction(c) for m, c in den.items() if c}
+    """(terms, tag) of the canonical form of num/den (den nonzero).
+
+    Rational coefficients are cleared by one common multiple, the
+    polynomial gcd and then the common integer content are divided out,
+    and the sign makes the lowest-order denominator coefficient positive.
+    """
     if not num:
         return {}, None
+    if any(c.__class__ is not int for c in (*num.values(), *den.values())):
+        s = math.lcm(*[c.denominator for c in (*num.values(), *den.values())])
+        num = {m: c.numerator * (s // c.denominator) for m, c in num.items()}
+        den = {m: c.numerator * (s // c.denominator) for m, c in den.items()}
     if len(den) > 1:
         g = _pgcd(num, den)
         if len(g) != 1 or next(iter(g)) != (0, 0):
             num = _pdiv_exact(num, g)
             den = _pdiv_exact(den, g)
-        c = den[min(den, key=_gkey)]
-        if c != 1:
-            num = _pscale(num, 1 / c)
-            den = _pscale(den, 1 / c)
+        k = math.gcd(math.gcd(*num.values()), *den.values())
+        if den[min(den, key=_gkey)] < 0:
+            k = -k
+        if k != 1:
+            num = {m: c // k for m, c in num.items()}
+            den = {m: c // k for m, c in den.items()}
         if len(den) > 1:
             return num, den
     # a monomial denominator: the value is a Laurent polynomial
     (di, dj), dc = next(iter(den.items()))
-    return _laurent({(i - di, j - dj): c / dc for (i, j), c in num.items()})
+    return _laurent({(i - di, j - dj): c if dc == 1 else Fraction(c, dc)
+                     for (i, j), c in num.items()})
 
 
 class ParamScalar:
@@ -588,7 +552,7 @@ class ParamScalar:
 
     # _d is None or _RATIONAL: _n is a Laurent dict, with int or with
     # some Fraction coefficients; otherwise _n/_d is a reduced fraction
-    # whose denominator _d is not a monomial
+    # of int polynomials whose denominator _d is not a monomial
     __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=None):
@@ -614,15 +578,27 @@ class ParamScalar:
             return n, _POLY_ONE
         return _pshift(n, -si, -sj), {(-si, -sj): 1}
 
+    def _fraction(self):
+        # _parts scaled so that the lowest-order denominator coefficient
+        # is 1: the form that views, rendering and evaluation read
+        n, d = self._parts()
+        if self._d.__class__ is not dict:
+            return n, d
+        lc = d[min(d, key=_gkey)]
+        if lc == 1:
+            return n, d
+        return ({m: Fraction(c, lc) for m, c in n.items()},
+                {m: Fraction(c, lc) for m, c in d.items()})
+
     @property
     def num(self):
         return MappingProxyType(
-            {m: Fraction(c) for m, c in self._parts()[0].items()})
+            {m: Fraction(c) for m, c in self._fraction()[0].items()})
 
     @property
     def den(self):
         return MappingProxyType(
-            {m: Fraction(c) for m, c in self._parts()[1].items()})
+            {m: Fraction(c) for m, c in self._fraction()[1].items()})
 
     # -- predicates ---------------------------------------------------------
 
@@ -733,7 +709,7 @@ class ParamScalar:
 
     def evaluate(self, p_val, q_val):
         """Evaluate at numeric parameter values; exact on Fractions."""
-        num, den = self._parts()
+        num, den = self._fraction()
         dv = _peval(den, p_val, q_val)
         if dv == 0:
             raise ZeroDivisionError(
@@ -745,13 +721,12 @@ class ParamScalar:
     def subs_swap(self):
         """The image under exchanging p and q."""
         n, d = self._n, self._d
-        swapped = {(j, i): c for (i, j), c in n.items()}
         if d.__class__ is not dict:
-            return _new(swapped, d)
-        return ParamScalar(swapped, {(j, i): c for (i, j), c in d.items()})
+            return _new(_swap(n), d)
+        return ParamScalar(_swap(n), _swap(d))
 
     def __str__(self):
-        num, den = self._parts()
+        num, den = self._fraction()
         if den is _POLY_ONE:
             return _poly_str(num)
         return f"{_wrap(_poly_str(num))}/{_wrap(_poly_str(den))}"

@@ -108,6 +108,35 @@ def test_trace_is_tracial():
         assert trace_functional(mul(x, y)) == trace_functional(mul(y, x))
 
 
+def reference_trace(x):
+    # the closed form summed term by term, one division per monomial
+    total = scalar(0)
+    for t, c in x.terms.items():
+        if t.mu == 0 and t.m:
+            total = total + c / (ONE - Q ** t.m)
+        elif t.mu == 0 and t.n:
+            total = total - c / (ONE - P ** t.n)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_matches_the_per_term_sum(seed):
+    # seeded coinvariant elements with both flag kinds, repeated flag
+    # exponents and field coefficients, against the per-term reference
+    rng = random.Random(700 + seed)
+    field = (ONE / (ONE - P * Q), (ONE + Q) / (ONE - P),
+             scalar(Fraction(2, 3)))
+    for _ in range(8):
+        x = random_coinvariant(rng, max_flag=3, max_terms=5)
+        x = x + random_coinvariant(rng, max_flag=3, max_terms=5) * \
+            rng.choice(field)
+        x = x + AlgElement({BasisMonomial(0, rng.randint(1, 3), 0, 0):
+                            rng.choice(field),
+                            BasisMonomial(0, 0, rng.randint(1, 3), 0):
+                            rng.choice(field)})
+        assert trace_functional(x) == reference_trace(x), x.text()
+
+
 def test_pairing_winding_minus_one_is_exactly_minus_one():
     val = pairing(-1)
     assert val == -ONE
@@ -116,7 +145,7 @@ def test_pairing_winding_minus_one_is_exactly_minus_one():
 
 
 # the winding ladder: pairing(mu) == mu is pinned for 1 <= |mu| <= LADDER
-LADDER = 14
+LADDER = 20
 
 
 def test_pairing_values_are_integers():

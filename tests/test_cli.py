@@ -257,3 +257,33 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     report = json.loads(err)
     assert "simulated fault" in report["error"]
     assert "RuntimeError" in report["traceback"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["unknown-command"], ["pairing"], ["pairing", "--mu", "0"],
+    ["verify", "numeric", "--N", "1"], ["connection", "--k", "x"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_usage_errors_print_one_json_error_line(capsys, argv):
+    # the parser's own usage errors carry the same JSON error line on
+    # stderr as the errors found after parsing
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    report = json.loads(err)
+    assert report["schema"] == 1 and report["error"]
+    assert report["usage"].startswith("usage: qhopf")
+
+
+def test_closed_pipe_ends_quietly_with_the_command_code():
+    # the report is far larger than a pipe buffer, so the writer meets
+    # the closed pipe; exit 1 stays reserved for a failed identity
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qhopf.cli", "idempotent", "--mu", "-10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

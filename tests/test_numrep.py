@@ -364,3 +364,7 @@ def test_defect_and_spectrum_checks_form_no_dense_matrix(monkeypatch):
         assert res["max_error"] <= 1e-10 and res["simple"]
         for x, y in pairs:
             assert homomorphism_defect(x, y, rep) <= 1e-10
+    # the faithfulness witness reads its norm off the bands too
+    assert any(not x.is_zero() for x, _ in pairs)
+    for i, (x, _) in enumerate(pairs):
+        assert faithfulness_probe(x, seed=i)

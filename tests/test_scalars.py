@@ -260,3 +260,130 @@ def test_laurent_scalars_differential(seed):
             # back as q/p, so only single-power denominators round-trip
             assert evaluate_scalar(str(x)) == x
         assert str(x.subs_swap().subs_swap()) == str(x)
+
+
+# ---------------------------------------------------------------------------
+# differential guards for the integer kernels
+# ---------------------------------------------------------------------------
+
+def reference_product(f, g):
+    # the schoolbook double loop, kept here as the kernels' reference
+    out = {}
+    for (fi, fj), fc in f.items():
+        for (gi, gj), gc in g.items():
+            m = (fi + gi, fj + gj)
+            out[m] = out.get(m, 0) + fc * gc
+    return {m: c for m, c in out.items() if c}
+
+
+def random_int_poly(rng, terms, bivariate, huge):
+    # exponents in a window about twice as large as the support
+    span = int((terms if bivariate else terms * terms) ** 0.5)
+    lo = rng.randint(-6, 6)
+    out = {}
+    while len(out) < terms:
+        c = rng.randint(-9, 9) or 1
+        if huge and rng.random() < 0.5:
+            c *= rng.randint(2**64, 2**70)
+        i = rng.randint(lo, lo + span) if bivariate else 0
+        out[(i, rng.randint(lo - span, lo + span))] = c
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pmul_and_kmul_match_the_reference_loop(seed):
+    from qhopf.scalars import KMUL_MIN_PAIRS, _kmul, _pmul
+    rng = random.Random(seed)
+    sizes = [1, 2, 3, 5, 8, 12, 20, 40]
+    crossed = set()
+    for _ in range(40):
+        nf, ng = rng.choice(sizes), rng.choice(sizes)
+        bivariate = rng.random() < 0.5
+        huge = rng.random() < 0.3
+        f = random_int_poly(rng, nf, bivariate, huge)
+        g = random_int_poly(rng, ng, bivariate, huge)
+        want = reference_product(f, g)
+        assert _pmul(f, g) == want
+        assert _pmul(g, f) == want
+        assert _kmul(f, g) == want
+        crossed.add(nf * ng >= KMUL_MIN_PAIRS)
+    assert crossed == {False, True}
+    # a product far sparser than its term pairs stays on the dict loop
+    f = {(0, 0): 3, (0, 1): -1, (500, 0): 2**65, (0, 900): 7}
+    g = {(0, 0): -5, (1, 1): 2, (-400, 3): 1, (3, -700): 4}
+    assert _kmul(f, g) is None
+    assert _pmul(f, g) == reference_product(f, g)
+    # a non-integer coefficient is not the kernel's to pack
+    assert _kmul({(0, 0): Fraction(1, 2), (1, 0): 1}, {(0, 0): 1}) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_division_inverts_the_product(seed):
+    from qhopf.scalars import _pdiv_exact
+    rng = random.Random(500 + seed)
+    for _ in range(20):
+        g, h = (random_int_poly(rng, rng.choice([1, 2, 4, 9]),
+                                rng.random() < 0.6, rng.random() < 0.3)
+                for _ in range(2))
+        # exponents >= 0, as on the field path
+        g = {(i + 20, j + 20): c for (i, j), c in g.items()}
+        h = {(i + 20, j + 20): c for (i, j), c in h.items()}
+        f = reference_product(g, h)
+        assert _pdiv_exact(f, g) == h
+        with pytest.raises(ArithmeticError):
+            _pdiv_exact(reference_product(f, {(0, 0): 1, (1, 0): 1})
+                        | {(0, 0): 1}, g)
+    # p -> x, q -> x packs 1 - p and 1 - q alike: the q-degree
+    # certificate must reject the false quotient 1
+    with pytest.raises(ArithmeticError):
+        _pdiv_exact({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): -1})
+
+
+def random_poly_scalar(rng, max_deg=2):
+    x = ZERO
+    for _ in range(rng.randint(1, 4)):
+        c = rng.randint(-6, 6)
+        if rng.random() < 0.15:
+            c = Fraction(c, rng.randint(1, 5))
+        x = x + scalar(c) * ppow(rng.randint(0, max_deg)) \
+            * qpow(rng.randint(0, max_deg))
+    return x
+
+
+FIELD_POINTS = [(Fraction(3, 7), Fraction(5, 11)),
+                (Fraction(-2, 13), Fraction(9, 17)),
+                (Fraction(11, 3), Fraction(-4, 5))]
+
+
+def value_at(x, pv, qv):
+    try:
+        return x.evaluate(pv, qv)
+    except ZeroDivisionError:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_field_path_against_exact_evaluation(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(12):
+        a, b, c = (random_poly_scalar(rng) for _ in range(3))
+        if b.is_zero() or c.is_zero():
+            continue
+        # a common factor cancels to the same canonical value and string
+        x = (a * c) / (b * c)
+        assert x == a / b and str(x) == str(a / b)
+        y = ONE / (ONE - P * Q) + random_laurent(rng)
+        for pv, qv in FIELD_POINTS:
+            xv, yv = value_at(x, pv, qv), value_at(y, pv, qv)
+            if xv is None or yv is None:
+                continue
+            assert (x + y).evaluate(pv, qv) == xv + yv
+            assert (x - y).evaluate(pv, qv) == xv - yv
+            assert (x * y).evaluate(pv, qv) == xv * yv
+            if yv:
+                assert (x / y).evaluate(pv, qv) == xv / yv
+            if xv:
+                assert (y / x).evaluate(pv, qv) == yv / xv
+        # multiplying and dividing by a field value cancel exactly
+        assert (x * y) / y == x
+        assert (x * (ONE - P)) / (ONE - P) == x
