@@ -23,18 +23,22 @@ operator (``^*`` or ``^n``) counts as one level; ``((a^*))^*`` nests
 deeper input raises :class:`ExprError` instead of exhausting the
 interpreter stack.  Long sums and products cost no depth.
 
-Degree budget: before evaluating, the letter degree of the expression
-is bounded from its AST (a generator counts 1, a number or parameter
-0; products and quotients add, sums take the maximum, ``^k`` multiplies
-by |k|, ``^*`` and unary minus keep it).  Evaluation folds about that
-many letters, so an expression whose bound exceeds ``MAX_DEGREE``
-raises :class:`ExprError` without being evaluated: ``a^1000000000`` or
-``a`` under thirty stacked ``^2`` would ask for about 10^9 folds.  The
-same rules bound a parameter degree, in which p and q count 1 and an
-integer literal counts its bit length, so scalar powers such as
-``p^100000`` or ``2^100000``, which letters do not see, are budgeted
-too: a bound beyond ``MAX_PARAM_DEGREE`` raises :class:`ExprError`.  At
-that budget ``(1 + p + q)^128`` evaluates in about 0.4 s.
+Budgets: before evaluating, one walk of the AST collects the generator
+families and bounds two degrees.  In the letter degree a generator
+counts 1 and a number or parameter 0; in the parameter degree p and q
+count 1 and a literal its bit length.  Products and quotients add, sums
+take the maximum, ``^k`` multiplies by |k|, ``^*`` and unary minus keep
+it.  Evaluation folds about that many letters (or scalar factors), so a
+bound beyond ``MAX_DEGREE`` (``a^1000000000``, ``a`` under thirty
+stacked ``^2``) or ``MAX_PARAM_DEGREE`` (``p^100000``, ``2^100000``)
+raises :class:`ExprError` without evaluating; ``(1 + p + q)^128`` takes
+about 0.4 s.
+
+Evaluation: a product chain folds each factor that is one letter of a
+basis monomial's word (a, b, a^*, b^*, the flags (1 - a a^*) and
+(1 - b b^*), or a power ^k >= 0 of one) onto the terms so far by
+s3core's right rule for that letter, so the text of a basis monomial
+costs no generic element product.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import ONE, P, Q, ParamScalar, scalar
-from .s3core import AlgElement, iota_image
+from .s3core import (FLAG_A, FLAG_B, LETTERS, AlgElement, iota_image,
+                     mul_by_generator)
 from .hopf import LaurentElement
 
 __all__ = [
@@ -118,7 +123,10 @@ class Star:
     arg: object
 
 
-_NAMES = {"a", "b", "u", "p", "q", "f0", "f1"}
+# the value of each name (all are immutable)
+_SYMBOLS = {"a": AlgElement.generator("a"), "b": AlgElement.generator("b"),
+            "u": LaurentElement.u_power(1), "p": P, "q": Q,
+            "f0": iota_image("f0"), "f1": iota_image("f1")}
 
 MAX_NESTING = 100
 MAX_DEGREE = 10000
@@ -253,7 +261,7 @@ class _Parser:
         if tok[0] == "INT":
             return Num(tok[1])
         if tok[0] == "NAME":
-            if tok[1] not in _NAMES:
+            if tok[1] not in _SYMBOLS:
                 raise ExprError(f"unknown symbol {tok[1]!r}", tok[2])
             return Sym(tok[1])
         if tok[0] == "(":
@@ -285,50 +293,61 @@ def _left_spine(node):
     return node, spine[::-1]
 
 
-def _families(node, found: set):
+_FAMILY = {"a": "ab", "b": "ab", "f0": "f", "f1": "f", "u": "u"}
+_FLAGS = {"a": FLAG_A, "b": FLAG_B}
+_ONE_NODE = Num(1)
+
+
+def _budget(node, fams):
+    # (fams, letter degree, parameter degree) of an AST in one walk, by the
+    # rules of the module docstring; the node's families are added to fams
     if isinstance(node, _BINARY):
         node, spine = _left_spine(node)
+        _, deg, pdeg = _budget(node, fams)
         for op in spine:
-            _families(op.right, found)
-    if isinstance(node, Sym):
-        if node.name in ("a", "b"):
-            found.add("ab")
-        elif node.name in ("f0", "f1"):
-            found.add("f")
-        elif node.name == "u":
-            found.add("u")
-    elif isinstance(node, (Neg, Star)):
-        _families(node.arg, found)
-    elif isinstance(node, Pow):
-        _families(node.base, found)
-    return found
-
-
-def _letters(leaf) -> int:
-    return 1 if isinstance(leaf, Sym) and leaf.name not in ("p", "q") else 0
-
-
-def _params(leaf) -> int:
-    if isinstance(leaf, Num):
-        return leaf.value.bit_length()
-    return 1 if isinstance(leaf, Sym) and leaf.name in ("p", "q") else 0
-
-
-def _degree(node, weight=_letters) -> int:
-    # the degree bound described in the module docstring; ``weight``
-    # gives a leaf's degree: letters by default, or parameters
-    if isinstance(node, _BINARY):
-        node, spine = _left_spine(node)
-        deg = _degree(node, weight)
-        for op in spine:
-            rhs = _degree(op.right, weight)
-            deg = max(deg, rhs) if isinstance(op, (Add, Sub)) else deg + rhs
-        return deg
+            _, d, pd = _budget(op.right, fams)
+            if isinstance(op, (Add, Sub)):
+                deg, pdeg = max(deg, d), max(pdeg, pd)
+            else:
+                deg, pdeg = deg + d, pdeg + pd
+        return fams, deg, pdeg
     if isinstance(node, (Neg, Star)):
-        return _degree(node.arg, weight)
+        return _budget(node.arg, fams)
     if isinstance(node, Pow):
-        return abs(node.exponent) * _degree(node.base, weight)
-    return weight(node)
+        _, deg, pdeg = _budget(node.base, fams)
+        return fams, abs(node.exponent) * deg, abs(node.exponent) * pdeg
+    if isinstance(node, Num):
+        return fams, 0, node.value.bit_length()
+    if isinstance(node, Sym) and node.name in _FAMILY:
+        fams.add(_FAMILY[node.name])
+        return fams, 1, 0
+    return fams, 0, int(isinstance(node, Sym))   # p or q
+
+
+def _letter(node):
+    # (g, k) when node is g^k with k >= 0 and g one letter of s3core's
+    # right rules: a, b, a^*, b^*, (1 - a a^*) or (1 - b b^*); else None
+    k = 1
+    while node.__class__ is Pow and node.exponent >= 0:
+        k, node = k * node.exponent, node.base
+    g = node.name if node.__class__ is Sym else None
+    if node.__class__ is Star and node.arg.__class__ is Sym:
+        g = node.arg.name + "*"
+    elif (node.__class__ is Sub and node.left == _ONE_NODE
+          and node.right.__class__ is Mul
+          and node.right.left.__class__ is Sym
+          and node.right.right == Star(node.right.left)):
+        g = _FLAGS.get(node.right.left.name)
+    return (g, k) if g in LETTERS else None
+
+
+def _fold(val, g, k):
+    # val g^k, folded letter by letter through the right rule of g
+    if val.__class__ is ParamScalar:
+        val = AlgElement.one().scale(val)
+    for _ in range(k):
+        val = mul_by_generator(val, g)
+    return val
 
 
 def _lift(x, like):
@@ -357,62 +376,53 @@ def _eval(node):
         node, spine = _left_spine(node)
         val = _eval(node)
         for op in spine:
-            val = _binary(op, val, _eval(op.right))
+            letter = _letter(op.right) if op.__class__ is Mul else None
+            if letter is None:
+                val = _binary(op, val, _eval(op.right))
+            else:
+                val = _fold(val, *letter)
         return val
     if isinstance(node, Num):
         return scalar(node.value)
     if isinstance(node, Sym):
-        if node.name == "p":
-            return P
-        if node.name == "q":
-            return Q
-        if node.name == "u":
-            return LaurentElement.u_power(1)
-        if node.name in ("a", "b"):
-            return AlgElement.generator(node.name)
-        return iota_image(node.name)
+        return _SYMBOLS.get(node.name) or iota_image(node.name)
     if isinstance(node, Neg):
         return -_eval(node.arg)
     if isinstance(node, Pow):
+        letter = _letter(node)
+        if letter is not None:
+            return _fold(ONE, *letter)
         base = _eval(node.base)
-        k = node.exponent
-        if k < 0:
+        if node.exponent < 0:
             # only single u-monomials are invertible in the circle algebra
-            if isinstance(base, LaurentElement) and len(base.terms) == 1:
-                (j, c), = base.terms.items()
-                inv = LaurentElement({-j: ONE / c})
-                out = LaurentElement.one()
-                for _ in range(-k):
-                    out = out * inv
-                return out
-            raise ExprError("negative powers exist only for powers of u", 0)
+            if not (isinstance(base, LaurentElement) and len(base.terms) == 1):
+                raise ExprError("negative powers exist only for powers of u",
+                                0)
+            (j, c), = base.terms.items()
+            base = LaurentElement({-j: ONE / c})
         out = ONE if isinstance(base, ParamScalar) else base.one()
-        for _ in range(k):
+        for _ in range(abs(node.exponent)):
             out = out * base
         return out
     if isinstance(node, Star):
-        val = _eval(node.arg)
-        if isinstance(val, ParamScalar):
-            return val  # the parameters are real
-        return val.star()
+        val = _eval(node.arg)   # the parameters are real
+        return val if isinstance(val, ParamScalar) else val.star()
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def evaluate(text_or_node):
     """Evaluate an expression to a ParamScalar, AlgElement, or LaurentElement."""
     node = parse(text_or_node) if isinstance(text_or_node, str) else text_or_node
-    fams = _families(node, set())
+    fams, deg, pdeg = _budget(node, set())
     if len(fams) > 1:
         raise ExprError(
             "cannot mix generator families "
             f"({', '.join(sorted(fams))}) in one expression", 0)
-    deg = _degree(node)
     if deg > MAX_DEGREE:
         raise ExprError(f"expression degree {deg} exceeds the budget "
                         f"{MAX_DEGREE}", 0)
-    deg = _degree(node, _params)
-    if deg > MAX_PARAM_DEGREE:
-        raise ExprError(f"parameter degree {deg} exceeds the budget "
+    if pdeg > MAX_PARAM_DEGREE:
+        raise ExprError(f"parameter degree {pdeg} exceeds the budget "
                         f"{MAX_PARAM_DEGREE}", 0)
     return _eval(node)
 

@@ -36,6 +36,7 @@ __all__ = [
     "AlgElement",
     "FreeWord",
     "GENERATORS",
+    "LETTERS",
     "UNIT_MONO",
     "mul",
     "mul_by_generator",
@@ -215,7 +216,8 @@ def _left_letter(g, t: BasisMonomial):
 
 
 # multiplication by one letter from the right (left), as a rule on monomials
-_RIGHT = {g: partial(_right_letter, g) for g in (*GENERATORS, FLAG_A, FLAG_B)}
+LETTERS = (*GENERATORS, FLAG_A, FLAG_B)   # the letters of a word
+_RIGHT = {g: partial(_right_letter, g) for g in LETTERS}
 _LEFT = {g: partial(_left_letter, g) for g in _RIGHT}
 
 _MONO_MUL_CACHE: dict = {}
@@ -329,9 +331,9 @@ def mul(x: AlgElement, y: AlgElement) -> AlgElement:
     return _raw(bilinear(x._d, y._d, _mono_mul))
 
 
-def mul_by_generator(x: AlgElement, g: str, side: str = "right") -> AlgElement:
-    """Multiply by a single generator on the chosen side."""
-    if g not in GENERATORS:
+def mul_by_generator(x: AlgElement, g, side: str = "right") -> AlgElement:
+    """Multiply by a single generator, or flag letter, on the chosen side."""
+    if g not in LETTERS:
         raise ValueError(f"unknown generator {g!r}")
     if side == "right":
         return _raw(extend(x._d, _RIGHT[g]))

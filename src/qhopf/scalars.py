@@ -29,8 +29,8 @@ multiply by Kronecker substitution (``_kmul``).
 The read-only views ``num`` and ``den`` give the reduced fraction for
 either representation, with exponents >= 0, Fraction coefficients and
 the lowest-order denominator coefficient 1; rendering reads the same
-fraction, so ``1/q`` and ``(1 - q^2)/(1 - p)`` render literally.  The
-monomial order is graded lexicographic with ``p < q``.
+fraction, so ``1/q``, ``1/(p*q)`` and ``(1 - q^2)/(1 - p)`` render
+literally and read back.  The monomial order is graded lex, ``p < q``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from types import MappingProxyType
 from typing import Union
 
@@ -52,7 +52,6 @@ __all__ = [
     "ppow",
     "qpow",
     "qbinomial",
-    "qbinomial_quotient",
     "format_linear",
 ]
 
@@ -653,6 +652,10 @@ class ParamScalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ParamScalar(other)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         a, b = self._d, other._d
         if a is None and b is None:
             return _new(_pmul(self._n, other._n), None)
@@ -729,7 +732,10 @@ class ParamScalar:
         num, den = self._fraction()
         if den is _POLY_ONE:
             return _poly_str(num)
-        return f"{_wrap(_poly_str(num))}/{_wrap(_poly_str(den))}"
+        den = _poly_str(den)
+        # a product monomial is bracketed too: 1/p*q would read as q/p
+        return (f"{_wrap(_poly_str(num))}/"
+                f"{f'({den})' if '*' in den else _wrap(den)}")
 
     def __repr__(self):
         return f"ParamScalar({str(self)!r})"
@@ -810,55 +816,37 @@ def qpow(k: int) -> ParamScalar:
 _QBIN_ROWS: dict = {}
 
 
+def _qbin_lists(n: int) -> list:
+    # coefficient lists (index = exponent) of [n, k] for 0 <= k <= n/2,
+    # by [n, k] = [n, k-1] (1 - s^(n-k+1)) / (1 - s^k) on ints
+    out = [[1]]
+    for k in range(1, n // 2 + 1):
+        c, m = out[-1], n - k + 1
+        f = [x - y for x, y in zip(c + [0] * m, [0] * m + c)]
+        # f / (1 - s^k): running sums per residue mod k, the last k vanish
+        for r in range(k):
+            f[r::k] = accumulate(f[r::k])
+        out.append(f[:-k])
+    return out
+
+
 def qbinomial(n: int, k: int, param: str = "q") -> ParamScalar:
     """The Gauss binomial coefficient as a polynomial in the parameter.
 
-    Computed by the deformed Pascal recursion
-    ``[n, k] = [n-1, k-1] + q^k [n-1, k]`` (polynomial arithmetic only),
-    which matches reading off coefficients of ``(x + y)^n`` in the
-    algebra with ``yx = qxy``.  Missing rows are built in a private
-    copy of the row table, which then replaces the shared one in a
-    single assignment, so concurrent callers never see a partial table.
+    The coefficient of x^k y^(n-k) in (x + y)^n when yx = sxy.  Row n is
+    built on int lists by ``[n, k] = [n, k-1] (1 - s^(n-k+1)) / (1 - s^k)``
+    for k <= n/2 and mirrored; each entry is wrapped once, and the row
+    is stored only when complete, so no caller sees a partial row.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"qbinomial({n}, {k}) is undefined")
     if param not in ("p", "q"):
         raise ValueError("param must be 'p' or 'q'")
-    rows = _QBIN_ROWS.get(param, [[ONE]])
-    if len(rows) > n:
-        return rows[n][k]
-    rows = list(rows)
-    sym = Q if param == "q" else P
-    while len(rows) <= n:
-        prev = rows[-1]
-        i = len(rows)
-        row = [ONE]
-        spow = ONE
-        for j in range(1, i):
-            spow = spow * sym
-            row.append(prev[j - 1] + spow * prev[j])
-        row.append(ONE)
-        rows.append(row)
-    _QBIN_ROWS[param] = rows
-    return rows[n][k]
-
-
-def qbinomial_quotient(n: int, k: int, param: str = "q") -> ParamScalar:
-    """The Gauss binomial via the quotient-of-products formula.
-
-    Kept as an independent cross-check of :func:`qbinomial`; the
-    intermediate values are genuine rational functions.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"qbinomial({n}, {k}) is undefined")
-    sym = Q if param == "q" else P
-
-    def rising(j):
-        out = ONE
-        power = ONE
-        for i in range(1, j + 1):
-            power = power * sym
-            out = out * (power - ONE)
-        return out
-
-    return rising(n) / (rising(k) * rising(n - k))
+    row = _QBIN_ROWS.get((param, n))
+    if row is None:
+        half = [ONE] + [_new({(0, e) if param == "q" else (e, 0): c
+                              for e, c in enumerate(coeffs)}, None)
+                        for coeffs in _qbin_lists(n)[1:]]
+        row = _QBIN_ROWS[param, n] = tuple(half[min(j, n - j)]
+                                           for j in range(n + 1))
+    return row[k]

@@ -9,9 +9,9 @@ from qhopf import exprs
 from qhopf.exprs import (MAX_DEGREE, MAX_NESTING, MAX_PARAM_DEGREE, Div,
                          ExprError, Mul, Num, Pow, Star, Sub, Sym, evaluate,
                          evaluate_algebra, evaluate_scalar, parse)
-from qhopf.scalars import ONE, P, Q, scalar
+from qhopf.scalars import ONE, P, Q, ParamScalar, scalar
 from qhopf.hopf import LaurentElement
-from qhopf.s3core import AlgElement, BasisMonomial, mul
+from qhopf.s3core import AlgElement, BasisMonomial, iota_image, mul
 from qhopf.verify import random_element
 
 
@@ -161,13 +161,21 @@ def test_long_sums_and_products_cost_no_depth():
     assert evaluate("*".join(["u"] * n)) == LaurentElement.u_power(n)
 
 
+def _letter_degree(text):
+    return exprs._budget(parse(text), set())[1]
+
+
+def _param_degree(text):
+    return exprs._budget(parse(text), set())[2]
+
+
 def test_degree_budget_rejects_before_evaluating(monkeypatch):
     # the long products above fit the budget with room to spare
     assert MAX_DEGREE >= 3000
-    assert exprs._degree(parse(" ".join(["a"] * 3000))) == 3000
-    assert exprs._degree(parse("(a + b^*)^3 * (1 - a a^*) / (1 - p)")) == 5
-    assert exprs._degree(parse("u^-4 + q^7")) == 4
-    assert exprs._degree(parse("a" + "^2" * 30)) == 2 ** 30
+    assert _letter_degree(" ".join(["a"] * 3000)) == 3000
+    assert _letter_degree("(a + b^*)^3 * (1 - a a^*) / (1 - p)") == 5
+    assert _letter_degree("u^-4 + q^7") == 4
+    assert _letter_degree("a" + "^2" * 30) == 2 ** 30
 
     def never(node):
         raise AssertionError("evaluated an expression beyond the budget")
@@ -182,12 +190,11 @@ def test_degree_budget_rejects_before_evaluating(monkeypatch):
 def test_parameter_degree_budget_rejects_scalar_powers(monkeypatch, capsys):
     # scalar powers have letter degree 0; the parameter degree sees them
     from qhopf import cli
-    assert exprs._degree(parse("p^100000")) == 0
-    assert exprs._degree(parse("2^100000"), exprs._params) == 200000
-    assert exprs._degree(parse("(1 + p + q)^3 * a / (1 - 5*q)"),
-                         exprs._params) == 7
-    assert exprs._degree(parse(f"(1 + p + q)^{MAX_PARAM_DEGREE}"),
-                         exprs._params) == MAX_PARAM_DEGREE
+    assert _letter_degree("p^100000") == 0
+    assert _param_degree("2^100000") == 200000
+    assert _param_degree("(1 + p + q)^3 * a / (1 - 5*q)") == 7
+    assert _param_degree(f"(1 + p + q)^{MAX_PARAM_DEGREE}") == \
+        MAX_PARAM_DEGREE
 
     def never(node):
         raise AssertionError("evaluated an expression beyond the budget")
@@ -211,3 +218,191 @@ def test_degree_budget_exits_2_on_the_command_line(monkeypatch, capsys):
     monkeypatch.setattr(exprs, "_eval", never)
     assert cli.main(["normalize", "a^1000000000"]) == 2
     assert "degree" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the evaluator against a reference fold with generic element products
+# ---------------------------------------------------------------------------
+
+def reference_eval(node):
+    # every node through the generic operations: products are element
+    # products, powers repeated products, sums lift scalars onto the unit
+    kind = type(node).__name__
+    if kind == "Num":
+        return scalar(node.value)
+    if kind == "Sym":
+        fixed = {"p": P, "q": Q, "u": LaurentElement.u_power(1)}
+        if node.name in fixed:
+            return fixed[node.name]
+        if node.name in ("a", "b"):
+            return AlgElement.generator(node.name)
+        return iota_image(node.name)
+    if kind == "Neg":
+        return -reference_eval(node.arg)
+    if kind == "Star":
+        val = reference_eval(node.arg)
+        return val if isinstance(val, ParamScalar) else val.star()
+    if kind == "Pow":
+        base = reference_eval(node.base)
+        if node.exponent < 0:
+            (j, c), = base.terms.items()
+            base = LaurentElement({-j: ONE / c})
+        out = ONE if isinstance(base, ParamScalar) else base.one()
+        for _ in range(abs(node.exponent)):
+            out = out * base
+        return out
+    x, y = reference_eval(node.left), reference_eval(node.right)
+    if kind in ("Add", "Sub"):
+        if isinstance(x, ParamScalar) and not isinstance(y, ParamScalar):
+            x = y.one().scale(x)
+        if isinstance(y, ParamScalar) and not isinstance(x, ParamScalar):
+            y = x.one().scale(y)
+        return x + y if kind == "Add" else x - y
+    return x * y if kind == "Mul" else x * (ONE / y)
+
+
+def random_coeff_text(rng):
+    bits = []
+    for _ in range(rng.randint(1, 3)):
+        c, i, j = rng.randint(-4, 5), rng.randint(0, 2), rng.randint(0, 2)
+        mono = "*".join(s for s in ("p" if i == 1 else f"p^{i}" if i else "",
+                                    "q" if j == 1 else f"q^{j}" if j else "")
+                        if s)
+        bits.append(f"{c}*{mono}" if mono else str(c))
+    return "(" + " + ".join(bits) + ")"
+
+
+def random_monomial(rng, reach=3, flag=3):
+    m = rng.randint(0, flag)
+    n = 0 if m else rng.randint(0, flag)
+    return BasisMonomial(rng.randint(-reach, reach), m, n,
+                         rng.randint(-reach, reach))
+
+
+def workload_monomial_text(t):
+    # the '*'-separated spelling of a benchmark item: a^2*(1 - a*a^*)*b^*
+    def power(base, k):
+        return base if k == 1 else f"{base}^{k}"
+    parts = []
+    if t.mu:
+        parts.append(power("a" if t.mu > 0 else "a^*", abs(t.mu)))
+    if t.m:
+        parts.append(power("(1 - a*a^*)", t.m))
+    if t.n:
+        parts.append(power("(1 - b*b^*)", t.n))
+    if t.nu:
+        parts.append(power("b" if t.nu > 0 else "b^*", abs(t.nu)))
+    return "*".join(parts) or "1"
+
+
+def random_expression(rng):
+    mono = random_monomial(rng)
+    shapes = [
+        lambda: mono.text(),
+        lambda: " + ".join(f"{random_coeff_text(rng)}*"
+                           f"{workload_monomial_text(random_monomial(rng))}"
+                           for _ in range(rng.randint(1, 3))),
+        lambda: f"({mono.text()})^*",
+        lambda: f"(a^*^2 (1 - b b^*) + {random_coeff_text(rng)} b^2)^*",
+        lambda: rng.choice(["a", "a^*", "b", "b^*", "(1 - a a^*)",
+                            "(1 - b*b^*)"]) + "^2" * rng.randint(0, 2)
+        + "^0" * (rng.random() < 0.2) + f" {mono.text()}",
+        lambda: rng.choice(["(1 - a b^*)", "(1 - b*a^*)", "(2 - a a^*)",
+                            "(1 - a^* a)", "(1 + b b^*)", "(1 - b b)"])
+        + f"^{rng.randint(0, 2)} {mono.text()}",
+        lambda: f"(1 - a*a^*)^{rng.randint(0, 3)} * {random_coeff_text(rng)}"
+                f" * (1 - b b^*) + {random_coeff_text(rng)} (1 - b*b^*)^2"
+                f" / {rng.randint(1, 5)}",
+        lambda: f"{random_coeff_text(rng)} (1 - a a^*) a^2 (a + b^*)"
+                f" a^* {mono.text()} - b^3 (1 - 1) a",
+        lambda: f"-a^*^{rng.randint(0, 3)} b (p - q)^2 * 0 + a b^* a^*",
+        lambda: f"u^{rng.randint(-3, 3)} * {random_coeff_text(rng)}"
+                f" * u^* + (2*u)^-{rng.randint(1, 3)} - u^2^2",
+        lambda: f"f1^* * f1 - q * f1 f1^* + {random_coeff_text(rng)}"
+                f" * f0^{rng.randint(0, 3)} - (f0 + 2) f1^2",
+        lambda: f"{random_coeff_text(rng)}^2 / (1 - p*q) + q^*",
+    ]
+    return rng.choice(shapes)()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_the_generic_reference_fold(seed):
+    rng = random.Random(900 + seed)
+    for _ in range(60):
+        text = random_expression(rng)
+        got, want = evaluate(text), reference_eval(parse(text))
+        assert type(got) is type(want) and got == want, text
+    for _ in range(30):
+        t = random_monomial(rng, reach=5)
+        assert evaluate_algebra(t.text()) == AlgElement.from_monomial(t)
+        assert evaluate_algebra(workload_monomial_text(t)) == \
+            AlgElement.from_monomial(t)
+
+
+ERROR_MESSAGES = {
+    "a $ b": "unexpected character '$' (at position 2)",
+    "zz + 1": "unknown symbol 'zz' (at position 0)",
+    "a + é": "unknown symbol 'é' (at position 4)",
+    "2a_ + 1": "unknown symbol 'a_' (at position 1)",
+    "a½": "unknown symbol 'a½' (at position 0)",
+    "f0 + a": "cannot mix generator families (ab, f) in one expression "
+              "(at position 0)",
+    "u * a * f1": "cannot mix generator families (ab, f, u) in one "
+                  "expression (at position 0)",
+    "f1 * u": "cannot mix generator families (f, u) in one expression "
+              "(at position 0)",
+    "(" * 101 + "a" + ")" * 101:
+        "expression nests deeper than 100 levels (at position 100)",
+    "a" + "^*" * 101:
+        "expression nests deeper than 100 levels (at position 201)",
+    "a^10001": "expression degree 10001 exceeds the budget 10000 "
+               "(at position 0)",
+    "(a b)^5001": "expression degree 10002 exceeds the budget 10000 "
+                  "(at position 0)",
+    "p^129": "parameter degree 129 exceeds the budget 128 (at position 0)",
+    "2^65": "parameter degree 130 exceeds the budget 128 (at position 0)",
+    "f0 + a^20000": "cannot mix generator families (ab, f) in one "
+                    "expression (at position 0)",
+    "a^20000 * p^200": "expression degree 20000 exceeds the budget 10000 "
+                       "(at position 0)",
+    "a^-1": "negative powers exist only for powers of u (at position 0)",
+    "1 / a": "division only by scalar expressions (at position 0)",
+    "a ^ q": "expected '*' or an integer after '^' (at position 4)",
+    "u^*^-2 + (1 + a": "expected ')', found None (at position 15)",
+    "a )": "trailing input ')' (at position 2)",
+    "": "unexpected token None (at position 0)",
+}
+
+
+@pytest.mark.parametrize("text", ERROR_MESSAGES)
+def test_error_messages_and_positions(text):
+    with pytest.raises(ExprError) as err:
+        evaluate(text)
+    assert str(err.value) == ERROR_MESSAGES[text]
+
+
+def test_canonical_monomials_make_no_generic_product(monkeypatch):
+    # a grammar change must not send monomial text back to the generic
+    # element product: count every call of s3core.mul and sparse.bilinear
+    from qhopf import s3core, sparse
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(s3core, "mul", counted("mul", s3core.mul))
+    monkeypatch.setattr(sparse, "bilinear",
+                        counted("bilinear", sparse.bilinear))
+    monomials = [BasisMonomial(mu, m, n, nu)
+                 for mu in range(-3, 4) for nu in range(-3, 4)
+                 for m in range(4) for n in range(4 - m) if not (m and n)]
+    assert len(monomials) == 49 * 7
+    for t in monomials:
+        assert evaluate_algebra(t.text()) == AlgElement.from_monomial(t)
+    assert calls == []
+    # the counters see a product that is not a letter fold
+    evaluate("(a + b) (a + b^*)")
+    assert calls == ["mul"]

@@ -87,8 +87,9 @@ def test_left_and_right_generator_multiplication_agree_with_mul():
             terms[BasisMonomial(mu, m, n, nu)] = scalar(rng.randint(-3, 3)) \
                 + Q * rng.randint(-1, 1)
         x = AlgElement(terms)
-        for g in ("a", "a*", "b", "b*"):
-            gel = AlgElement.generator(g)
+        # the flag letters multiply like the flag elements
+        for g, gel in (("a", A), ("a*", AS), ("b", B), ("b*", BS),
+                       (FLAG_A, BETA), (FLAG_B, GAMMA)):
             assert mul_by_generator(x, g, "right") == mul(x, gel)
             assert mul_by_generator(x, g, "left") == mul(gel, x)
     with pytest.raises(ValueError):
