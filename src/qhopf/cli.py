@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import chern, galois, gluing, hopf, verify
+from . import chern, galois, gluing, hopf
 from .exprs import ExprError, evaluate, evaluate_algebra, parse
 from .scalars import ParamScalar
 from .s3core import AlgElement, mul
@@ -47,6 +47,11 @@ N_MIN, N_MAX = 2, 100_000
 K_MAX = 64
 PAIRING_MU_MAX = 30
 IDEMPOTENT_MU_MAX = 14
+
+# the verify command's choices: qhopf.verify's suites, sorted, then "all";
+# named here so that building the parser does not import verify
+SUITE_CHOICES = ("algebra", "chern", "classical", "galois", "gluing",
+                 "numeric", "all")
 
 
 def _bounded(lo: int, hi: int, what: str, nonzero: bool = False):
@@ -143,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite",
                        parents=[output])
-    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("suite", choices=SUITE_CHOICES)
     p.add_argument("--p", type=_fraction, default=Fraction(1, 2),
                    help="value of p (rational or decimal; default 1/2)")
     p.add_argument("--q", type=_fraction, default=Fraction(1, 3),
@@ -259,6 +264,7 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
         return report, 0
 
     if cmd == "verify":
+        from . import verify   # only this command loads the suites
         seed = args.seed if args.seed is not None else _default_seed()
         names = list(verify.SUITES) if args.suite == "all" else [args.suite]
         reports = [verify.run_suite(name, p_val=float(args.p),

@@ -43,7 +43,7 @@ costs no generic element product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .scalars import ONE, P, Q, ParamScalar, scalar
 from .s3core import (FLAG_A, FLAG_B, LETTERS, AlgElement, iota_image,
@@ -73,54 +73,63 @@ class ExprError(ValueError):
 
 # -- AST ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class _Node(tuple):
+    """An AST node: the tuple of its class and its fields.
+
+    The class in front makes equality and hashing tell node kinds apart
+    (``Mul(x, y) != Div(x, y)``) at the speed of tuple comparison, and a
+    tuple cannot be changed.  Each field is a read-only property.
+    """
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__match_args__, self[1:]))
+        return f"{self.__class__.__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+def _node(name: str, new) -> type:
+    # a node class built by new(cls, *fields), whose parameters after cls
+    # name the fields
+    fields = new.__code__.co_varnames[1:new.__code__.co_argcount]
+    attrs = {f: property(itemgetter(i)) for i, f in enumerate(fields, 1)}
+    return type(name, (_Node,), {
+        "__slots__": (), "__match_args__": fields, "__module__": __name__,
+        "__new__": new, **attrs})
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+def _value(cls, value):
+    return _tuple_new(cls, (cls, value))
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+def _name(cls, name):
+    return _tuple_new(cls, (cls, name))
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+def _arg(cls, arg):
+    return _tuple_new(cls, (cls, arg))
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+def _operands(cls, left, right):
+    return _tuple_new(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+def _power(cls, base, exponent):
+    return _tuple_new(cls, (cls, base, exponent))
 
 
-@dataclass(frozen=True)
-class Star:
-    arg: object
+Num, Sym = _node("Num", _value), _node("Sym", _name)
+Neg, Star = _node("Neg", _arg), _node("Star", _arg)
+Add, Sub, Mul, Div = (_node(op, _operands)
+                      for op in ("Add", "Sub", "Mul", "Div"))
+Pow = _node("Pow", _power)
 
 
 # the value of each name (all are immutable)

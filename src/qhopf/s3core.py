@@ -23,7 +23,6 @@ Monomial-pair products are memoized.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -342,17 +341,21 @@ def mul_by_generator(x: AlgElement, g, side: str = "right") -> AlgElement:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class _Word(NamedTuple):
+    letters: tuple[str, ...]
+    prefactor: ParamScalar = ONE
+
+
+class FreeWord(_Word):
     """A word in the generators with an optional scalar prefactor."""
 
-    letters: tuple[str, ...]
-    prefactor: ParamScalar = field(default=ONE)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in self.letters:
+    def __new__(cls, letters: tuple[str, ...], prefactor: ParamScalar = ONE):
+        for g in letters:
             if g not in GENERATORS:
                 raise ValueError(f"unknown generator {g!r}")
+        return super().__new__(cls, letters, prefactor)
 
 
 def normalize_word(word: FreeWord | Iterable[str]) -> AlgElement:

@@ -776,11 +776,11 @@ def _divide(x, y):
 
 
 def scalar(x) -> ParamScalar:
-    """Promote an int or Fraction to a ParamScalar."""
+    """Promote an int or Fraction to a ParamScalar (ONE and ZERO for 1, 0)."""
     if isinstance(x, ParamScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return ParamScalar(x)
+        return ONE if x == 1 else ZERO if x == 0 else ParamScalar(x)
     raise TypeError(f"cannot promote {type(x).__name__} to ParamScalar")
 
 

@@ -15,7 +15,6 @@ with it numpy, when they run; the symbolic suites never load it.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
 import time
@@ -475,7 +474,8 @@ def run_suite(name: str, **params) -> dict:
     suite that does not take one of them runs at its own default.
     """
     suite = SUITES[name]
-    accepted = inspect.signature(suite).parameters
+    code = suite.__code__
+    accepted = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     return suite(**{k: v for k, v in params.items() if k in accepted})
 
 

@@ -115,14 +115,61 @@ def test_cli_subprocess_entry():
 
 def test_package_import_does_not_load_numpy():
     # numpy is needed only by the operator models, which the numeric
-    # suites import when they run
-    code = ("import sys, qhopf, qhopf.cli\n"
-            "assert qhopf.cli.main(['pairing', '--mu', '-1']) == 0\n"
-            "print('numpy' in sys.modules)\n")
+    # suites import when they run; verify and numrep load only for the
+    # verify command, and no command needs dataclasses or inspect (which
+    # pull in ast, dis and tokenize): each would cost start-up time
+    unneeded = ["numpy", "dataclasses", "inspect", "qhopf.verify",
+                "qhopf.numrep"]
+    code = ("import json, sys, qhopf, qhopf.cli\n"
+            "from qhopf.cli import main\n"
+            "assert main(['pairing', '--mu', '-1']) == 0\n"
+            "assert main(['normalize', 'a^* * a']) == 0\n"
+            f"unneeded = {unneeded!r}\n"
+            "loaded = [[m for m in unneeded if m in sys.modules]]\n"
+            "assert main(['verify', 'algebra']) == 0\n"
+            "loaded.append([m for m in unneeded if m in sys.modules])\n"
+            "print(json.dumps(loaded))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    commands, verify = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert commands == []
+    assert verify == ["qhopf.verify"]   # the guard sees a loaded module
+
+
+def test_verify_choices_are_the_suites(capsys):
+    from qhopf import cli, verify
+    assert list(cli.SUITE_CHOICES) == sorted(verify.SUITES) + ["all"]
+    code, out, err = run_cli(capsys, "verify", "nosuch")
+    assert code == 2 and out == ""
+    choices = ",".join(sorted(verify.SUITES) + ["all"])
+    assert f"{{{choices}}}" in json.loads(err)["usage"]
+
+
+def test_run_suite_passes_each_suite_the_parameters_it_declares(
+        monkeypatch):
+    from qhopf import verify
+
+    def none():
+        return {}
+
+    def some(N=0, seed=0):
+        p_val = "a local, not a parameter"   # noqa: F841
+        return {"N": N, "seed": seed}
+
+    def every(p_val=0, q_val=0, N=0, seed=0):
+        return {"p_val": p_val, "q_val": q_val, "N": N, "seed": seed}
+
+    def keyword_only(*, seed=0, depth=3):
+        return {"seed": seed, "depth": depth}
+
+    monkeypatch.setattr(verify, "SUITES", {
+        "none": none, "some": some, "every": every, "kw": keyword_only})
+    params = {"p_val": 0.5, "q_val": 0.25, "N": 40, "seed": 3}
+    assert verify.run_suite("none", **params) == {}
+    assert verify.run_suite("some", **params) == {"N": 40, "seed": 3}
+    assert verify.run_suite("every", **params) == params
+    assert verify.run_suite("kw", **params) == {"seed": 3, "depth": 3}
 
 
 @pytest.mark.parametrize("suite", ["numeric", "all"])

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from qhopf import exprs
-from qhopf.exprs import (MAX_DEGREE, MAX_NESTING, MAX_PARAM_DEGREE, Div,
-                         ExprError, Mul, Num, Pow, Star, Sub, Sym, evaluate,
-                         evaluate_algebra, evaluate_scalar, parse)
+from qhopf.exprs import (MAX_DEGREE, MAX_NESTING, MAX_PARAM_DEGREE, Add, Div,
+                         ExprError, Mul, Neg, Num, Pow, Star, Sub, Sym,
+                         evaluate, evaluate_algebra, evaluate_scalar, parse)
 from qhopf.scalars import ONE, P, Q, ParamScalar, scalar
 from qhopf.hopf import LaurentElement
 from qhopf.s3core import AlgElement, BasisMonomial, iota_image, mul
@@ -22,6 +22,41 @@ def test_parse_shapes():
     assert parse("1/2") == Div(Num(1), Num(2))
     assert parse("u^-3") == Pow(Sym("u"), -3)
     assert parse("a^*^2") == Pow(Star(Sym("a")), 2)
+
+
+def test_nodes_are_values():
+    x, y = Sym("x"), Sym("y")
+    assert Mul(x, y) == Mul(Sym("x"), Sym("y"))
+    # nodes of different classes with equal fields differ
+    assert Mul(x, y) != Div(x, y) and not Mul(x, y) == Div(x, y)
+    assert Add(x, y) != Sub(x, y) and Neg(x) != Star(x)
+    assert Num(1) != Sym(1) and Num(1) != 1
+    texts = ["a^* * a", "(1 - a*a^*)^2", "1/2", "2/1", "u^-3", "-a", "a^*",
+             "a - b", "a + b", "p q"]
+    nodes, again = [parse(t) for t in texts], [parse(t) for t in texts]
+    for n, m in zip(nodes, again):
+        assert n == m and hash(n) == hash(m) and n is not m
+    assert len(set(nodes)) == len(set(nodes + again)) == len(texts)
+    table = {n: t for t, n in zip(texts, nodes)}
+    assert [table[m] for m in again] == texts
+    node = parse("a - 2")
+    for name in ("left", "right"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, Num(3))
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert node == Sub(Sym("a"), Num(2)) and node.right.value == 2
+    assert Pow(base=Sym("a"), exponent=2) == parse("a^2")
+    assert Sub(Sym("a"), right=Num(value=2)) == node
+    with pytest.raises(TypeError):
+        Add(Sym("a"))
+    assert repr(parse("(1 - a*a^*)^2 / p + -b^* - u^-3")) == (
+        "Sub(left=Add(left=Div(left=Pow(base=Sub(left=Num(value=1), "
+        "right=Mul(left=Sym(name='a'), right=Star(arg=Sym(name='a')))), "
+        "exponent=2), right=Sym(name='p')), right=Neg(arg=Star(arg=Sym("
+        "name='b')))), right=Pow(base=Sym(name='u'), exponent=-3))")
 
 
 def test_parse_errors_carry_positions():

@@ -153,6 +153,20 @@ def test_normalize_word_examples():
         normalize_word(["a", "z"])
 
 
+def test_free_word_is_a_checked_value():
+    with pytest.raises(ValueError, match="unknown generator 'x'"):
+        FreeWord(("a", "x"))
+    w, same = FreeWord(("a", "b*"), prefactor=Q), FreeWord(("a", "b*"), Q)
+    assert w == same and hash(w) == hash(same) and w is not same
+    assert w != FreeWord(("a", "b*")) and FreeWord(("a",)).prefactor is ONE
+    assert len({w, FreeWord(("a", "b*"), Q), FreeWord(("b*", "a"), Q)}) == 2
+    with pytest.raises(AttributeError):
+        w.letters = ("b",)
+    assert w.letters == ("a", "b*")
+    assert repr(w) == \
+        "FreeWord(letters=('a', 'b*'), prefactor=ParamScalar('q'))"
+
+
 def test_normalize_word_against_numeric_oracle():
     # the derived value above must match the operator picture
     got = normalize_word(["b", "b*", "a", "a*"])

@@ -210,6 +210,18 @@ def test_canonical_strings():
     assert str(scalar(Fraction(3, 2)) * P) == "3/2*p"
 
 
+def test_scalar_shares_the_unit_and_zero():
+    # ParamScalar.__mul__ skips a product with the ONE object
+    assert scalar(1) is ONE and scalar(Fraction(2, 2)) is ONE
+    assert scalar(0) is ZERO and scalar(Fraction(0, 3)) is ZERO
+    assert evaluate_scalar("1") is ONE
+    for v in (1, 0, -1, 2, Fraction(1, 2)):
+        assert scalar(v) == ParamScalar(v)
+        assert str(scalar(v)) == str(ParamScalar(v))
+    assert [str(scalar(v)) for v in (1, 0)] == ["1", "0"]
+    assert str(scalar(1) * P) == "p" and str(scalar(0) + Q) == "q"
+
+
 def test_signed_powers():
     assert qpow(-2) * qpow(2) == ONE
     assert ppow(3) == P * P * P
