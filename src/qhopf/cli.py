@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import chern, galois, gluing, hopf
-from .exprs import ExprError, evaluate, evaluate_algebra, parse
+from .exprs import ExprError, evaluate, evaluate_algebra
 from .scalars import ParamScalar
 from .s3core import AlgElement, mul
 

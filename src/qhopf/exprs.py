@@ -23,31 +23,34 @@ operator (``^*`` or ``^n``) counts as one level; ``((a^*))^*`` nests
 deeper input raises :class:`ExprError` instead of exhausting the
 interpreter stack.  Long sums and products cost no depth.
 
-Budgets: before evaluating, one walk of the AST collects the generator
-families and bounds two degrees.  In the letter degree a generator
-counts 1 and a number or parameter 0; in the parameter degree p and q
-count 1 and a literal its bit length.  Products and quotients add, sums
-take the maximum, ``^k`` multiplies by |k|, ``^*`` and unary minus keep
-it.  Evaluation folds about that many letters (or scalar factors), so a
-bound beyond ``MAX_DEGREE`` (``a^1000000000``, ``a`` under thirty
-stacked ``^2``) or ``MAX_PARAM_DEGREE`` (``p^100000``, ``2^100000``)
-raises :class:`ExprError` without evaluating; ``(1 + p + q)^128`` takes
-about 0.4 s.
+Budgets: the parser collects the generator families and counts two
+degrees as it builds each node; the evaluators take text and check them
+first.  In the letter degree a generator counts 1 and a number or
+parameter 0; in the parameter degree p and q count 1 and a literal its
+bit length.  Products and quotients add, sums take the maximum, ``^k``
+multiplies by |k|, ``^*`` and unary minus keep it.  Evaluation folds
+about that many letters (or scalar factors), so a bound beyond
+``MAX_DEGREE`` (``a^1000000000``, ``a`` under thirty stacked ``^2``) or
+``MAX_PARAM_DEGREE`` (``p^100000``, ``2^100000``) raises
+:class:`ExprError` without evaluating; ``(1 + p + q)^128`` takes about 0.4 s.
 
 Evaluation: a product chain folds each factor that is one letter of a
 basis monomial's word (a, b, a^*, b^*, the flags (1 - a a^*) and
 (1 - b b^*), or a power ^k >= 0 of one) onto the terms so far by
 s3core's right rule for that letter, so the text of a basis monomial
-costs no generic element product.
+costs no generic element product.  A run of letters steps the term dict
+and builds one element.
 """
 
 from __future__ import annotations
 
+import re
 from operator import itemgetter
 
 from .scalars import ONE, P, Q, ParamScalar, scalar
-from .s3core import (FLAG_A, FLAG_B, LETTERS, AlgElement, iota_image,
-                     mul_by_generator)
+from .s3core import (_RIGHT, FLAG_A, FLAG_B, LETTERS, UNIT_MONO, AlgElement,
+                     iota_image)
+from .sparse import extend
 from .hopf import LaurentElement
 
 __all__ = [
@@ -141,196 +144,165 @@ MAX_NESTING = 100
 MAX_DEGREE = 10000
 MAX_PARAM_DEGREE = 128
 
-
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", None, n))
-    return tokens
+# a token is a run of decimal digits, a word, or one other non-space
+# character; a word is a name only when it starts with a letter
+_TOKEN = re.compile(r"\d+|\w+|\S")
+_SUMS = {"+": Add, "-": Sub}
+_PRODUCTS = {"*": Mul, "/": Div}
+_ENDS_TERM = frozenset(("+", "-", ")", None))
+_FAMILY = {"a": "ab", "b": "ab", "f0": "f", "f1": "f", "u": "u"}
+# name -> (node, family or None, letter degree, parameter degree)
+_ATOMS = {name: (Sym(name), _FAMILY.get(name), int(name in _FAMILY),
+                 int(name not in _FAMILY)) for name in _SYMBOLS}
 
 
 class _Parser:
+    """Recursive descent over the token strings of one text.
+
+    Each rule returns (node, letter degree, parameter degree) by the
+    budget rules of the module docstring and adds the generator families
+    it meets to ``fams``.  None stands for the end of the text.  Token
+    positions are worked out only for an error.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.toks = _TOKEN.findall(text)
+        self.toks.append(None)
+        self.i = 0       # index of the next token
         self.depth = 0   # levels enclosing the token being parsed
         self.peak = 0    # deepest level reached inside the current atom
+        self.fams = set()
 
-    def nest(self, levels: int, pos: int) -> int:
+    def fail(self, message: str, i: int):
+        # tokenizer errors come first, in text order: a character that
+        # starts no token, or a literal beyond int()'s digit limit
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        for tok, pos in zip(self.toks, starts):
+            if tok.isdecimal():
+                int(tok)
+            elif not (tok in "+-*/^()" or tok[0].isalpha()):
+                raise ExprError(f"unexpected character {tok[0]!r}", pos)
+        starts.append(len(self.text))
+        raise ExprError(message, starts[i])
+
+    def nest(self, levels: int, i: int) -> int:
         depth = self.depth + levels
         if depth > MAX_NESTING:
-            raise ExprError(
-                f"expression nests deeper than {MAX_NESTING} levels", pos)
-        self.peak = max(self.peak, depth)
+            self.fail(f"expression nests deeper than {MAX_NESTING} levels", i)
+        if depth > self.peak:
+            self.peak = depth
         return depth
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "END":
-            raise ExprError(f"trailing input {tok[1]!r}", tok[2])
-        return node
-
     def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+        node, deg, pdeg = self.term()
+        toks = self.toks
+        while True:
+            cls = _SUMS.get(toks[self.i])
+            if cls is None:
+                return node, deg, pdeg
+            self.i += 1
+            rhs, d, pd = self.term()
+            node = _tuple_new(cls, (cls, node, rhs))
+            deg, pdeg = max(deg, d), max(pdeg, pd)
 
     def term(self):
-        node = self.factor()
+        node, deg, pdeg = self.factor()
+        toks = self.toks
         while True:
-            kind = self.peek()[0]
-            if kind in ("*", "/"):
-                op = self.advance()[0]
-                rhs = self.factor()
-                node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-            elif kind in ("NAME", "INT", "("):
+            tok = toks[self.i]
+            cls = _PRODUCTS.get(tok)
+            if cls is not None:
+                self.i += 1
+            elif tok in _ENDS_TERM:
+                return node, deg, pdeg
+            else:
                 # juxtaposition: canonical monomials separate factors
                 # with spaces, e.g. "a (1 - a a^*) b"
-                node = Mul(node, self.factor())
-            else:
-                return node
+                cls = Mul
+            rhs, d, pd = self.factor()
+            node = _tuple_new(cls, (cls, node, rhs))
+            deg, pdeg = deg + d, pdeg + pd
 
     def factor(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            outer, self.depth = self.depth, self.nest(1, tok[2])
-            node = Neg(self.factor())
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        self.i = i + 1
+        if tok == "-":
+            outer, self.depth = self.depth, self.nest(1, i)
+            node, deg, pdeg = self.factor()
             self.depth = outer
-            return node
-        outer_peak, self.peak = self.peak, self.depth
-        node = self.atom()
-        inner = self.peak - self.depth
-        while self.peek()[0] == "^":
+            return _tuple_new(Neg, (Neg, node)), deg, pdeg
+        # the atom, then its postfix operators; inner counts the levels
+        # of the atom's deepest symbol below self.depth
+        inner = 0
+        hit = _ATOMS.get(tok)
+        if hit is not None:
+            node, fam, deg, pdeg = hit
+            if fam is not None:
+                self.fams.add(fam)
+        elif tok == "(":
+            outer, outer_peak, self.peak = self.depth, self.peak, self.depth
+            self.depth = self.nest(1, i)
+            node, deg, pdeg = self.expr()
+            if toks[self.i] != ")":
+                self.fail(f"expected ')', found {toks[self.i]!r}", self.i)
+            self.i += 1
+            self.depth = outer
+            inner, self.peak = self.peak - outer, max(outer_peak, self.peak)
+        elif tok is not None and tok.isdecimal():
+            node = Num(int(tok))
+            deg, pdeg = 0, node.value.bit_length()
+        elif tok is not None and tok[0].isalpha():
+            self.fail(f"unknown symbol {tok!r}", i)
+        else:
+            self.fail(f"unexpected token {tok!r}", i)
+        while toks[self.i] == "^":
             # each postfix operator encloses the whole atom once more
+            i = self.i
             inner += 1
-            self.nest(inner, self.advance()[2])
-            tok = self.peek()
-            if tok[0] == "*":
-                self.advance()
-                node = Star(node)
-            elif tok[0] == "-":
-                self.advance()
-                exp = self.expect("INT")
-                node = Pow(node, -exp[1])
-            elif tok[0] == "INT":
-                self.advance()
-                node = Pow(node, tok[1])
+            self.nest(inner, i)
+            tok = toks[i + 1]
+            if tok == "*":
+                self.i = i + 2
+                node = _tuple_new(Star, (Star, node))
+                continue
+            if tok == "-":
+                i += 1
+                tok = toks[i + 1]
+                if tok is None or not tok.isdecimal():
+                    self.fail(f"expected 'INT', found {tok!r}", i + 1)
+                k = -int(tok)
+            elif tok is not None and tok.isdecimal():
+                k = int(tok)
             else:
-                raise ExprError("expected '*' or an integer after '^'",
-                                tok[2])
-        self.peak = max(outer_peak, self.peak)
-        return node
+                self.fail("expected '*' or an integer after '^'", i + 1)
+            self.i = i + 2
+            node = _tuple_new(Pow, (Pow, node, k))
+            deg, pdeg = abs(k) * deg, abs(k) * pdeg
+        return node, deg, pdeg
 
-    def atom(self):
-        tok = self.advance()
-        if tok[0] == "INT":
-            return Num(tok[1])
-        if tok[0] == "NAME":
-            if tok[1] not in _SYMBOLS:
-                raise ExprError(f"unknown symbol {tok[1]!r}", tok[2])
-            return Sym(tok[1])
-        if tok[0] == "(":
-            outer, self.depth = self.depth, self.nest(1, tok[2])
-            node = self.expr()
-            self.expect(")")
-            self.depth = outer
-            return node
-        raise ExprError(f"unexpected token {tok[1]!r}", tok[2])
+
+def _parse(text: str):
+    # (AST, generator families, letter degree, parameter degree)
+    parser = _Parser(text)
+    node, deg, pdeg = parser.expr()
+    tok = parser.toks[parser.i]
+    if tok is not None:
+        parser.fail(f"trailing input {tok!r}", parser.i)
+    return node, parser.fams, deg, pdeg
 
 
 def parse(text: str):
     """Parse an expression into its AST."""
-    return _Parser(text).parse()
+    return _parse(text)[0]
 
 
 # -- evaluation ---------------------------------------------------------------
 
 _BINARY = (Add, Sub, Mul, Div)
-
-
-def _left_spine(node):
-    # a long sum or product is a left-deep chain of binary nodes; walk it
-    # with a loop so that its length costs no stack depth
-    spine = []
-    while isinstance(node, _BINARY):
-        spine.append(node)
-        node = node.left
-    return node, spine[::-1]
-
-
-_FAMILY = {"a": "ab", "b": "ab", "f0": "f", "f1": "f", "u": "u"}
 _FLAGS = {"a": FLAG_A, "b": FLAG_B}
 _ONE_NODE = Num(1)
-
-
-def _budget(node, fams):
-    # (fams, letter degree, parameter degree) of an AST in one walk, by the
-    # rules of the module docstring; the node's families are added to fams
-    if isinstance(node, _BINARY):
-        node, spine = _left_spine(node)
-        _, deg, pdeg = _budget(node, fams)
-        for op in spine:
-            _, d, pd = _budget(op.right, fams)
-            if isinstance(op, (Add, Sub)):
-                deg, pdeg = max(deg, d), max(pdeg, pd)
-            else:
-                deg, pdeg = deg + d, pdeg + pd
-        return fams, deg, pdeg
-    if isinstance(node, (Neg, Star)):
-        return _budget(node.arg, fams)
-    if isinstance(node, Pow):
-        _, deg, pdeg = _budget(node.base, fams)
-        return fams, abs(node.exponent) * deg, abs(node.exponent) * pdeg
-    if isinstance(node, Num):
-        return fams, 0, node.value.bit_length()
-    if isinstance(node, Sym) and node.name in _FAMILY:
-        fams.add(_FAMILY[node.name])
-        return fams, 1, 0
-    return fams, 0, int(isinstance(node, Sym))   # p or q
 
 
 def _letter(node):
@@ -350,13 +322,25 @@ def _letter(node):
     return (g, k) if g in LETTERS else None
 
 
-def _fold(val, g, k):
-    # val g^k, folded letter by letter through the right rule of g
+def _terms(val) -> dict:
+    # the term dict of a sphere element, or of a scalar times 1; it is
+    # read, never changed
     if val.__class__ is ParamScalar:
-        val = AlgElement.one().scale(val)
+        return {UNIT_MONO: val} if val else {}
+    return val._d
+
+
+def _fold(d: dict, g, k: int) -> dict:
+    # the terms d times g^k, letter by letter through the right rule of g;
+    # a one-term value steps its (monomial, coefficient) pair directly
+    rule = _RIGHT[g]
     for _ in range(k):
-        val = mul_by_generator(val, g)
-    return val
+        if len(d) == 1:
+            (t, c), = d.items()
+            d = {s: c if f is ONE else c * f for s, f in rule(t)}
+        else:
+            d = extend(d, rule)
+    return d
 
 
 def _lift(x, like):
@@ -366,13 +350,13 @@ def _lift(x, like):
     return x
 
 
-def _binary(node, x, y):
-    if isinstance(node, Add):
-        return _lift(x, y) + _lift(y, x)
-    if isinstance(node, Sub):
-        return _lift(x, y) - _lift(y, x)
-    if isinstance(node, Mul):
+def _binary(cls, x, y):
+    if cls is Mul:
         return x * y
+    if cls is Add:
+        return _lift(x, y) + _lift(y, x)
+    if cls is Sub:
+        return _lift(x, y) - _lift(y, x)
     if not isinstance(y, ParamScalar):
         raise ExprError("division only by scalar expressions", 0)
     if y.is_zero():
@@ -381,48 +365,56 @@ def _binary(node, x, y):
 
 
 def _eval(node):
-    if isinstance(node, _BINARY):
-        node, spine = _left_spine(node)
-        val = _eval(node)
-        for op in spine:
-            letter = _letter(op.right) if op.__class__ is Mul else None
-            if letter is None:
-                val = _binary(op, val, _eval(op.right))
-            else:
-                val = _fold(val, *letter)
-        return val
-    if isinstance(node, Num):
-        return scalar(node.value)
-    if isinstance(node, Sym):
-        return _SYMBOLS.get(node.name) or iota_image(node.name)
-    if isinstance(node, Neg):
-        return -_eval(node.arg)
-    if isinstance(node, Pow):
+    cls = node.__class__
+    if cls in _BINARY:
+        # a long sum or product is a left-deep chain of binary nodes; walk
+        # it with a loop so that its length costs no stack depth
+        spine = []
+        while node.__class__ in _BINARY:
+            spine.append(node)
+            node = node.left
+        # d holds the terms of a run of letter folds, val everything else
         letter = _letter(node)
-        if letter is not None:
-            return _fold(ONE, *letter)
-        base = _eval(node.base)
-        if node.exponent < 0:
-            # only single u-monomials are invertible in the circle algebra
-            if not (isinstance(base, LaurentElement) and len(base.terms) == 1):
-                raise ExprError("negative powers exist only for powers of u",
-                                0)
-            (j, c), = base.terms.items()
-            base = LaurentElement({-j: ONE / c})
-        out = ONE if isinstance(base, ParamScalar) else base.one()
-        for _ in range(abs(node.exponent)):
-            out = out * base
-        return out
-    if isinstance(node, Star):
+        val, d = (None, _fold(_terms(ONE), *letter)) if letter \
+            else (_eval(node), None)
+        for op in reversed(spine):
+            cls = op.__class__
+            letter = _letter(op.right) if cls is Mul else None
+            if letter is not None:
+                d = _fold(_terms(val) if d is None else d, *letter)
+                continue
+            if d is not None:
+                val, d = AlgElement._raw(d), None
+            val = _binary(cls, val, _eval(op.right))
+        return val if d is None else AlgElement._raw(d)
+    if cls is Num:
+        return scalar(node.value)
+    if cls is Sym:
+        return _SYMBOLS[node.name]
+    if cls is Neg:
+        return -_eval(node.arg)
+    if cls is Star:
         val = _eval(node.arg)   # the parameters are real
-        return val if isinstance(val, ParamScalar) else val.star()
-    raise TypeError(f"not an expression node: {node!r}")
+        return val if val.__class__ is ParamScalar else val.star()
+    letter = _letter(node)   # node is a power
+    if letter is not None:
+        return AlgElement._raw(_fold(_terms(ONE), *letter))
+    base = _eval(node.base)
+    if node.exponent < 0:
+        # only single u-monomials are invertible in the circle algebra
+        if not (isinstance(base, LaurentElement) and len(base.terms) == 1):
+            raise ExprError("negative powers exist only for powers of u", 0)
+        (j, c), = base.terms.items()
+        base = LaurentElement({-j: ONE / c})
+    out = ONE if isinstance(base, ParamScalar) else base.one()
+    for _ in range(abs(node.exponent)):
+        out = out * base
+    return out
 
 
-def evaluate(text_or_node):
+def evaluate(text: str):
     """Evaluate an expression to a ParamScalar, AlgElement, or LaurentElement."""
-    node = parse(text_or_node) if isinstance(text_or_node, str) else text_or_node
-    fams, deg, pdeg = _budget(node, set())
+    node, fams, deg, pdeg = _parse(text)
     if len(fams) > 1:
         raise ExprError(
             "cannot mix generator families "
@@ -436,9 +428,9 @@ def evaluate(text_or_node):
     return _eval(node)
 
 
-def evaluate_algebra(text_or_node) -> AlgElement:
+def evaluate_algebra(text: str) -> AlgElement:
     """Evaluate and land in the sphere algebra (scalars become multiples of 1)."""
-    val = evaluate(text_or_node)
+    val = evaluate(text)
     if isinstance(val, ParamScalar):
         return AlgElement.one().scale(val)
     if isinstance(val, AlgElement):
@@ -446,9 +438,9 @@ def evaluate_algebra(text_or_node) -> AlgElement:
     raise ExprError("expected a sphere-algebra expression, got one in u", 0)
 
 
-def evaluate_scalar(text_or_node) -> ParamScalar:
+def evaluate_scalar(text: str) -> ParamScalar:
     """Evaluate an expression that must be scalar-valued."""
-    val = evaluate(text_or_node)
+    val = evaluate(text)
     if not isinstance(val, ParamScalar):
         raise ExprError("expected a scalar expression", 0)
     return val

@@ -566,6 +566,10 @@ class ParamScalar:
     def __setattr__(self, *args):
         raise AttributeError("ParamScalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the canonical data, never setattr
+        return _new, (self._n, self._d)
+
     def _parts(self):
         # numerator and denominator polynomials, exponents >= 0
         n, d = self._n, self._d

@@ -121,6 +121,10 @@ class SparseElement:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the canonical data, never setattr
+        return self._raw, (dict(self._d), self.tag)
+
     # -- vector space -------------------------------------------------------
 
     def _same_space(self, other) -> bool:

@@ -197,11 +197,11 @@ def test_long_sums_and_products_cost_no_depth():
 
 
 def _letter_degree(text):
-    return exprs._budget(parse(text), set())[1]
+    return exprs._parse(text)[2]
 
 
 def _param_degree(text):
-    return exprs._budget(parse(text), set())[2]
+    return exprs._parse(text)[3]
 
 
 def test_degree_budget_rejects_before_evaluating(monkeypatch):
@@ -374,12 +374,86 @@ def test_evaluate_matches_the_generic_reference_fold(seed):
             AlgElement.from_monomial(t)
 
 
+FOLD_EDGES = {
+    "0*a": True,
+    "(0*q)*a^*^3*(1 - a*a^*)^3": True,
+    "(1 - a*a^*)*(1 - b*b^*)": True,
+    "a^* a^2": False,
+    "b b^*": False,
+    "(a + b)*a^*^2": False,
+}
+
+
+@pytest.mark.parametrize("text", FOLD_EDGES)
+def test_letter_folds_at_the_edges(text):
+    # zero scalars, a vanishing flag product, two-term rules and a
+    # many-term value against the generic reference fold
+    got, want = evaluate(text), reference_eval(parse(text))
+    assert type(got) is type(want) is AlgElement and got == want
+    assert got.is_zero() is FOLD_EDGES[text]
+    assert all(got.terms.values())
+
+
+def reference_budget(node, fams):
+    # (fams, letter degree, parameter degree) of an AST in one walk, by the
+    # rules of the exprs docstring; the node's families are added to fams
+    binary = (Add, Sub, Mul, Div)
+    if isinstance(node, binary):
+        spine = []
+        while isinstance(node, binary):
+            spine.append(node)
+            node = node.left
+        _, deg, pdeg = reference_budget(node, fams)
+        for op in reversed(spine):
+            _, d, pd = reference_budget(op.right, fams)
+            if isinstance(op, (Add, Sub)):
+                deg, pdeg = max(deg, d), max(pdeg, pd)
+            else:
+                deg, pdeg = deg + d, pdeg + pd
+        return fams, deg, pdeg
+    if isinstance(node, (Neg, Star)):
+        return reference_budget(node.arg, fams)
+    if isinstance(node, Pow):
+        _, deg, pdeg = reference_budget(node.base, fams)
+        return fams, abs(node.exponent) * deg, abs(node.exponent) * pdeg
+    if isinstance(node, Num):
+        return fams, 0, node.value.bit_length()
+    family = {"a": "ab", "b": "ab", "f0": "f", "f1": "f", "u": "u"}
+    if node.name in family:
+        fams.add(family[node.name])
+        return fams, 1, 0
+    return fams, 0, 1   # p or q
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parser_budget_matches_the_reference_walk(seed):
+    rng = random.Random(700 + seed)
+    texts = [random_expression(rng) for _ in range(80)]
+    texts += [random_element(rng).text() for _ in range(20)]
+    texts += [" + ".join(f"{random_coeff_text(rng)}*"
+                         f"{workload_monomial_text(random_monomial(rng, 4))}"
+                         for _ in range(rng.randint(1, 4)))
+              for _ in range(20)]
+    texts += ["(" * 3 + "a^*^2 - p^3" + ")" * 3 + "^2^*^3", "-(-u)^-2 * q",
+              "2^65 a^0 + f0", "((a)^2 b)^3 / 5 - (p q)^4"]
+    for text in texts:
+        node, fams, deg, pdeg = exprs._parse(text)
+        assert node == parse(text)
+        assert (fams, deg, pdeg) == reference_budget(node, set()), text
+
+
 ERROR_MESSAGES = {
     "a $ b": "unexpected character '$' (at position 2)",
     "zz + 1": "unknown symbol 'zz' (at position 0)",
     "a + é": "unknown symbol 'é' (at position 4)",
     "2a_ + 1": "unknown symbol 'a_' (at position 1)",
     "a½": "unknown symbol 'a½' (at position 0)",
+    "²": "unexpected character '²' (at position 0)",
+    "1²": "unexpected character '²' (at position 1)",
+    "a^²": "unexpected character '²' (at position 2)",
+    # a character that starts no token is reported before a parse error
+    "a + * b $": "unexpected character '$' (at position 8)",
+    "(a ^ q _x": "unexpected character '_' (at position 7)",
     "f0 + a": "cannot mix generator families (ab, f) in one expression "
               "(at position 0)",
     "u * a * f1": "cannot mix generator families (ab, f, u) in one "

@@ -1,12 +1,16 @@
 """The shared linear-combination core: values stay values, keys are checked."""
 
+import copy
+import pickle
+
 import pytest
 
 from qhopf import galois
 from qhopf.galois import TensorElement, connection_seed, strong_connection
 from qhopf.gluing import DiscElement, TrivializedElement
 from qhopf.hopf import CotensorElement, LaurentElement
-from qhopf.s3core import UNIT_MONO, AlgElement, BasisMonomial, iota_image
+from qhopf.s3core import (UNIT_MONO, AlgElement, BasisMonomial, FreeWord,
+                          iota_image)
 from qhopf.scalars import ONE, P, Q
 from qhopf.sparse import SparseElement, accumulate, bilinear, extend
 
@@ -51,6 +55,27 @@ def test_shared_arithmetic(x):
     assert repr(x).startswith(f"{type(x).__name__}(")
     with pytest.raises(TypeError):
         x + 1
+
+
+VALUES = {
+    "laurent scalar": P * Q - 3 / P,
+    "field scalar": (ONE + P) / (ONE - Q) + Q,
+    "AlgElement": AlgElement({A1: ONE / (ONE - P), UNIT_MONO: Q}),
+    "TensorElement": strong_connection(2),
+    "FreeWord": FreeWord(("a", "b*", "a"), ONE / (ONE - Q)),
+    "DiscElement": DiscElement("q", {(1, 0): P}),
+}
+
+
+@pytest.mark.parametrize("x", VALUES.values(), ids=VALUES.keys())
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                 lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_values_copy_and_pickle(x, how):
+    y = how(x)
+    assert type(y) is type(x) and y == x and hash(y) == hash(x)
+    assert getattr(y, "tag", None) == getattr(x, "tag", None)
+    assert str(y) == str(x)
 
 
 def test_cached_values_cannot_be_changed_through_a_reference():
