@@ -32,11 +32,11 @@ multiplies by |k|, ``^*`` and unary minus keep it.  Evaluation folds
 about that many letters (or scalar factors), so a bound beyond
 ``MAX_DEGREE`` (``a^1000000000``, ``a`` under thirty stacked ``^2``) or
 ``MAX_PARAM_DEGREE`` (``p^100000``, ``2^100000``) raises
-:class:`ExprError` without evaluating; ``(1 + p + q)^128`` takes about 0.4 s.
+:class:`ExprError` without evaluating; ``(1 + p + q)^128`` takes about 0.2 s.
 
 Evaluation: a product chain folds each factor that is one letter of a
 basis monomial's word (a, b, a^*, b^*, the flags (1 - a a^*) and
-(1 - b b^*), or a power ^k >= 0 of one) onto the terms so far by
+(1 - b b^*), or a power ^k >= 1 of one) onto the terms so far by
 s3core's right rule for that letter, so the text of a basis monomial
 costs no generic element product.  A run of letters steps the term dict
 and builds one element.
@@ -49,7 +49,7 @@ from operator import itemgetter
 
 from .scalars import ONE, P, Q, ParamScalar, scalar
 from .s3core import (_RIGHT, FLAG_A, FLAG_B, LETTERS, UNIT_MONO, AlgElement,
-                     iota_image)
+                     iota_image, substitute)
 from .sparse import extend
 from .hopf import LaurentElement
 
@@ -306,7 +306,7 @@ _ONE_NODE = Num(1)
 
 
 def _letter(node):
-    # (g, k) when node is g^k with k >= 0 and g one letter of s3core's
+    # (g, k) when node is g^k with k >= 1 and g one letter of s3core's
     # right rules: a, b, a^*, b^*, (1 - a a^*) or (1 - b b^*); else None
     k = 1
     while node.__class__ is Pow and node.exponent >= 0:
@@ -319,7 +319,7 @@ def _letter(node):
           and node.right.left.__class__ is Sym
           and node.right.right == Star(node.right.left)):
         g = _FLAGS.get(node.right.left.name)
-    return (g, k) if g in LETTERS else None
+    return (g, k) if k and g in LETTERS else None
 
 
 def _terms(val) -> dict:
@@ -331,16 +331,8 @@ def _terms(val) -> dict:
 
 
 def _fold(d: dict, g, k: int) -> dict:
-    # the terms d times g^k, letter by letter through the right rule of g;
-    # a one-term value steps its (monomial, coefficient) pair directly
-    rule = _RIGHT[g]
-    for _ in range(k):
-        if len(d) == 1:
-            (t, c), = d.items()
-            d = {s: c if f is ONE else c * f for s, f in rule(t)}
-        else:
-            d = extend(d, rule)
-    return d
+    # the terms d times g^k (k >= 1), letter by letter by g's right rule
+    return substitute((g,) * k, _RIGHT, d, extend)
 
 
 def _lift(x, like):
@@ -406,7 +398,9 @@ def _eval(node):
             raise ExprError("negative powers exist only for powers of u", 0)
         (j, c), = base.terms.items()
         base = LaurentElement({-j: ONE / c})
-    out = ONE if isinstance(base, ParamScalar) else base.one()
+    if base.__class__ is ParamScalar:
+        return base ** node.exponent   # square and multiply
+    out = base.one()
     for _ in range(abs(node.exponent)):
         out = out * base
     return out

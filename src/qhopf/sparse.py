@@ -58,8 +58,13 @@ def accumulate(out: dict, blocks, subtract: bool = False) -> dict:
 def extend(terms, f) -> dict:
     """Linear extension of a map on keys: the sum of c f(t) over the terms.
 
-    ``f(t)`` returns the image of one key as ((key, coeff), ...).
+    ``f(t)`` returns the image of one key as ((key, coeff), ...).  The
+    image of a lone term is only scaled, so it must list distinct keys
+    with nonzero coefficients (as every letter rule and element does).
     """
+    if len(terms) == 1:
+        (t, c), = terms.items()
+        return {s: c if e is ONE else c * e for s, e in f(t)}
     # map and zip keep the per-key iteration in C: a monomial product
     # calls this once per letter of its shorter factor
     return accumulate({}, zip(terms.values(), map(f, terms)))

@@ -394,6 +394,24 @@ def test_letter_folds_at_the_edges(text):
     assert all(got.terms.values())
 
 
+@pytest.mark.parametrize("text", ["(a + b)*a^0", "(a + b)^0*b^0", "a^0 b",
+                                  "(a + b)*(a^0)^3*b", "a^* a (b^*)^0"])
+def test_every_built_element_owns_its_terms(text, monkeypatch):
+    # a zero power after a value must not hand that value's term dict to
+    # a second element
+    seen = []
+    raw = AlgElement._raw.__func__
+
+    def owning_raw(cls, d, tag=None):
+        assert all(d is not s for s in seen)
+        seen.append(d)
+        return raw(cls, d, tag)
+
+    monkeypatch.setattr(AlgElement, "_raw", classmethod(owning_raw))
+    assert evaluate(text) == reference_eval(parse(text))
+    assert seen
+
+
 def reference_budget(node, fams):
     # (fams, letter degree, parameter degree) of an AST in one walk, by the
     # rules of the exprs docstring; the node's families are added to fams

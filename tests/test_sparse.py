@@ -1,11 +1,13 @@
 """The shared linear-combination core: values stay values, keys are checked."""
 
 import copy
+import itertools
 import pickle
+from types import MappingProxyType
 
 import pytest
 
-from qhopf import galois
+from qhopf import galois, s3core
 from qhopf.galois import TensorElement, connection_seed, strong_connection
 from qhopf.gluing import DiscElement, TrivializedElement
 from qhopf.hopf import CotensorElement, LaurentElement
@@ -159,6 +161,22 @@ def test_accumulate_extend_bilinear():
     assert doubled == {1: Q + Q, 0: P, 2: P}
     prod = bilinear({1: Q}, {2: P, -1: ONE}, lambda j, k: ((j + k, ONE),))
     assert prod == {3: Q * P, 0: Q}
+
+
+@pytest.mark.parametrize("c", [ONE, P, -Q / 2])
+def test_extend_of_one_term_is_its_scaled_image(c):
+    # one term has nothing to sum: the result is what accumulate gives,
+    # in the same key order, for every letter rule on both sides
+    monos = [BasisMonomial(*k) for k in itertools.product(
+        (-2, -1, 0, 1, 2), (0, 1), (0, 1), (-2, -1, 0, 1, 2))]
+    for rules in (s3core._RIGHT, s3core._LEFT):
+        for rule in rules.values():
+            for t in monos:
+                got, want = extend({t: c}, rule), accumulate({}, [(c, rule(t))])
+                assert got == want and list(got) == list(want)
+    assert extend({1: c}, lambda k: ()) == {}
+    image = extend(MappingProxyType({1: c}), lambda k: ((k, ONE), (-k, Q)))
+    assert image == {1: c, -1: c * Q}
 
 
 @pytest.mark.parametrize("bad", [(0, -1), (0.5, 0), (1, 0, 0)])
