@@ -41,9 +41,9 @@ N_MIN, N_MAX = 2, 100_000
 
 # budgets of --k and --mu, each measured at its limit (whole commands,
 # one run per sign, on a shared 2-core Xeon): connection --k 64 takes
-# about 1.6 s and prints 0.85 MB; pairing --mu 30 takes 0.5-0.8 s;
+# about 1.0 s and prints 0.85 MB; pairing --mu 30 takes 0.3-0.4 s;
 # idempotent prints (n+1)^2 entries, so it stops sooner: --mu 14 takes
-# about 0.8 s and prints 1.2 MB
+# about 0.45 s and prints 1.2 MB
 K_MAX = 64
 PAIRING_MU_MAX = 30
 IDEMPOTENT_MU_MAX = 14

@@ -28,18 +28,18 @@ degrees as it builds each node; the evaluators take text and check them
 first.  In the letter degree a generator counts 1 and a number or
 parameter 0; in the parameter degree p and q count 1 and a literal its
 bit length.  Products and quotients add, sums take the maximum, ``^k``
-multiplies by |k|, ``^*`` and unary minus keep it.  Evaluation folds
-about that many letters (or scalar factors), so a bound beyond
-``MAX_DEGREE`` (``a^1000000000``, ``a`` under thirty stacked ``^2``) or
-``MAX_PARAM_DEGREE`` (``p^100000``, ``2^100000``) raises
-:class:`ExprError` without evaluating; ``(1 + p + q)^128`` takes about 0.2 s.
+multiplies by |k|, ``^*`` and unary minus keep it.  Result sizes and
+product counts grow with them, so a bound beyond ``MAX_DEGREE``
+(``a^1000000000``, ``a`` under thirty stacked ``^2``) or
+``MAX_PARAM_DEGREE`` (``p^100000``, ``2^100000``, a literal of 40
+digits) raises :class:`ExprError` without evaluating, and a number is
+checked before it is converted; ``(1 + p + q)^128`` takes about 0.2 s.
 
-Evaluation: a product chain folds each factor that is one letter of a
-basis monomial's word (a, b, a^*, b^*, the flags (1 - a a^*) and
-(1 - b b^*), or a power ^k >= 1 of one) onto the terms so far by
-s3core's right rule for that letter, so the text of a basis monomial
-costs no generic element product.  A run of letters steps the term dict
-and builds one element.
+Evaluation: a product chain multiplies each factor g^k (k >= 1), g one
+letter of a basis monomial's word (a, b, a^*, b^*, the flags
+(1 - a a^*) and (1 - b b^*)), onto the terms so far by the monomial of
+g^k, so the text of a basis monomial costs no generic element product.
+A run of letters steps the term dict and builds one element.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import re
 from operator import itemgetter
 
 from .scalars import ONE, P, Q, ParamScalar, scalar
-from .s3core import (_RIGHT, FLAG_A, FLAG_B, LETTERS, UNIT_MONO, AlgElement,
-                     iota_image, substitute)
+from .s3core import (_LETTER_MONO, FLAG_A, FLAG_B, UNIT_MONO, AlgElement,
+                     BasisMonomial, _mono_mul, iota_image)
 from .sparse import extend
 from .hopf import LaurentElement
 
@@ -143,6 +143,10 @@ _SYMBOLS = {"a": AlgElement.generator("a"), "b": AlgElement.generator("b"),
 MAX_NESTING = 100
 MAX_DEGREE = 10000
 MAX_PARAM_DEGREE = 128
+_BUDGET_DIGITS = len(str(2 ** MAX_PARAM_DEGREE))
+_LONG_LITERAL = ("parameter degree of a {}-digit literal exceeds the budget "
+                 f"{MAX_PARAM_DEGREE}")
+_LONG_EXPONENT = "a {}-digit exponent exceeds the degree budgets"
 
 # a token is a run of decimal digits, a word, or one other non-space
 # character; a word is a name only when it starts with a letter
@@ -176,15 +180,22 @@ class _Parser:
 
     def fail(self, message: str, i: int):
         # tokenizer errors come first, in text order: a character that
-        # starts no token, or a literal beyond int()'s digit limit
+        # starts no token
         starts = [m.start() for m in _TOKEN.finditer(self.text)]
         for tok, pos in zip(self.toks, starts):
-            if tok.isdecimal():
-                int(tok)
-            elif not (tok in "+-*/^()" or tok[0].isalpha()):
+            if not (tok in "+-*/^()" or tok.isdecimal() or tok[0].isalpha()):
                 raise ExprError(f"unexpected character {tok[0]!r}", pos)
         starts.append(len(self.text))
         raise ExprError(message, starts[i])
+
+    def number(self, i: int, message: str) -> int:
+        # the decimal token i as an int, unless it has more significant
+        # digits than 2^MAX_PARAM_DEGREE: then it fails with message
+        # before int() (which has a digit limit) sees it
+        n = len(self.toks[i].lstrip("0"))
+        if n > _BUDGET_DIGITS:
+            self.fail(message.format(n), i)
+        return int(self.toks[i])
 
     def nest(self, levels: int, i: int) -> int:
         depth = self.depth + levels
@@ -251,7 +262,7 @@ class _Parser:
             self.depth = outer
             inner, self.peak = self.peak - outer, max(outer_peak, self.peak)
         elif tok is not None and tok.isdecimal():
-            node = Num(int(tok))
+            node = Num(self.number(i, _LONG_LITERAL))
             deg, pdeg = 0, node.value.bit_length()
         elif tok is not None and tok[0].isalpha():
             self.fail(f"unknown symbol {tok!r}", i)
@@ -272,9 +283,9 @@ class _Parser:
                 tok = toks[i + 1]
                 if tok is None or not tok.isdecimal():
                     self.fail(f"expected 'INT', found {tok!r}", i + 1)
-                k = -int(tok)
+                k = -self.number(i + 1, _LONG_EXPONENT)
             elif tok is not None and tok.isdecimal():
-                k = int(tok)
+                k = self.number(i + 1, _LONG_EXPONENT)
             else:
                 self.fail("expected '*' or an integer after '^'", i + 1)
             self.i = i + 2
@@ -306,8 +317,8 @@ _ONE_NODE = Num(1)
 
 
 def _letter(node):
-    # (g, k) when node is g^k with k >= 1 and g one letter of s3core's
-    # right rules: a, b, a^*, b^*, (1 - a a^*) or (1 - b b^*); else None
+    # (g, k) when node is g^k with k >= 1 and g one letter of a basis
+    # monomial's word: a, b, a^*, b^*, (1 - a a^*) or (1 - b b^*); else None
     k = 1
     while node.__class__ is Pow and node.exponent >= 0:
         k, node = k * node.exponent, node.base
@@ -319,7 +330,7 @@ def _letter(node):
           and node.right.left.__class__ is Sym
           and node.right.right == Star(node.right.left)):
         g = _FLAGS.get(node.right.left.name)
-    return (g, k) if k and g in LETTERS else None
+    return (g, k) if k and g in _LETTER_MONO else None
 
 
 def _terms(val) -> dict:
@@ -331,8 +342,9 @@ def _terms(val) -> dict:
 
 
 def _fold(d: dict, g, k: int) -> dict:
-    # the terms d times g^k (k >= 1), letter by letter by g's right rule
-    return substitute((g,) * k, _RIGHT, d, extend)
+    # the terms d times g^k (k >= 1): one product by the monomial of g^k
+    t = BasisMonomial(*(k * i for i in _LETTER_MONO[g]))
+    return extend(d, lambda s: _mono_mul(s, t))
 
 
 def _lift(x, like):

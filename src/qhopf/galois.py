@@ -135,8 +135,9 @@ def strong_connection_closed(n: int, sign: str = "+") -> TensorElement:
     out: dict = {}
     if sign == "+":
         for k in range(n + 1):
-            # reorder (1-aa*)^(n-k) a*^k into a*^k (1-aa*)^(n-k)
-            coeff = qbinomial(n, k) * qpow(n - k) * qpow(-k * (n - k))
+            # reordering (1-aa*)^(n-k) a*^k into a*^k (1-aa*)^(n-k)
+            # gives q^(-k(n-k))
+            coeff = qbinomial(n, k) * qpow(n - k - k * (n - k))
             left = BasisMonomial(-k, n - k, 0, n - k)
             right = BasisMonomial(k, 0, 0, -(n - k))
             out[(left, right)] = coeff
@@ -148,7 +149,8 @@ def strong_connection_closed(n: int, sign: str = "+") -> TensorElement:
             out[(left, right)] = coeff
     else:
         raise ValueError("sign must be '+' or '-'")
-    return TensorElement(out)
+    # valid keys (one flag exponent is 0) and nonzero coefficients
+    return TensorElement._raw(out)
 
 
 def lifted_can(t: TensorElement) -> CotensorElement:

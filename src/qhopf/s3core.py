@@ -11,13 +11,18 @@ and a*^|mu| for mu < 0 (same for b_nu).  Elements are finite linear
 combinations of these monomials with :class:`~qhopf.scalars.ParamScalar`
 coefficients.
 
+The algebra is the tensor product of two quantum discs, D_q generated
+by a and D_p generated by b, modulo (1 - aa*)(1 - bb*) = 0, and the
+basis is the tensor basis without its part with m, n >= 1.  The
+product of two basis monomials is one disc product per side, each in
+closed form by the q-binomial theorem, with every term that carries
+both flags dropped.  It is memoized per monomial pair, and multiplying
+by one letter is the product with that letter's monomial.
+
 A basis monomial is spelled as a word once, in ``_word``, with flag
 letters for 1 - aa* and 1 - bb*.  :func:`substitute` multiplies images
-along a word; the monomial product, :func:`normalize_word`,
-:func:`iota_word`, the chart maps and the operator images all use it.
-A product substitutes the word of the shorter factor into single-letter
-rewrite rules acting on the other, from the right or the left.
-Monomial-pair products are memoized.
+along a word; :func:`normalize_word`, :func:`iota_word`, the chart maps
+and the operator images use it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import partial
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .scalars import ONE, ParamScalar, ppow, qpow, scalar
+from .scalars import ONE, ParamScalar, ppow, qbinomial, qpow, scalar
 from .sparse import SparseElement, bilinear, extend
 
 __all__ = [
@@ -92,12 +97,19 @@ class BasisMonomial(NamedTuple):
 
 UNIT_MONO = BasisMonomial(0, 0, 0, 0)
 
-_GEN_MONO = {
+# the letters of a word: the generators and a flag letter for each of
+# 1 - a a* and 1 - b b*, with the basis monomial of each
+FLAG_A = ("a", "a*")
+FLAG_B = ("b", "b*")
+_LETTER_MONO = {
     "a": BasisMonomial(1, 0, 0, 0),
     "a*": BasisMonomial(-1, 0, 0, 0),
     "b": BasisMonomial(0, 0, 0, 1),
     "b*": BasisMonomial(0, 0, 0, -1),
+    FLAG_A: BasisMonomial(0, 1, 0, 0),
+    FLAG_B: BasisMonomial(0, 0, 1, 0),
 }
+LETTERS = tuple(_LETTER_MONO)
 
 
 def monomial(mu: int, m: int, n: int, nu: int) -> BasisMonomial:
@@ -112,21 +124,8 @@ def monomial(mu: int, m: int, n: int, nu: int) -> BasisMonomial:
 
 
 # ---------------------------------------------------------------------------
-# words and single-letter rewrite rules
-#
-# A word's letters are the four generators and the two flags FLAG_A for
-# 1 - a a* and FLAG_B for 1 - b b*.  Each rule returns the canonical
-# expansion of t*g (or g*t) as a tuple of (monomial, coefficient) pairs.
-# Flag commutations:
-#     (1-aa*) a  = q a (1-aa*),   (1-aa*) a* = q^-1 a* (1-aa*),
-#     (1-bb*) b  = p b (1-bb*),   (1-bb*) b* = p^-1 b* (1-bb*),
-# the flags commute with the other pair's letters, and
-# (1-aa*)^m (1-bb*)^n = 0 whenever both exponents are positive.
+# words and monomial products
 # ---------------------------------------------------------------------------
-
-FLAG_A = ("a", "a*")
-FLAG_B = ("b", "b*")
-
 
 def _word(t: BasisMonomial) -> tuple:
     """The letters of t left to right: a_mu (1-aa*)^m (1-bb*)^n b_nu."""
@@ -144,100 +143,72 @@ def substitute(word, images: Mapping, one, mul=operator.mul):
     return out
 
 
-_RIGHT_CACHE: dict = {}
-_LEFT_CACHE: dict = {}
+def _disc_mul(mu1, m1, mu2, m2, spow, param, lead=False):
+    """(a_mu1 x^m1)(a_mu2 x^m2) in the quantum disc D_s as ((mu, m, c), ...).
 
+    D_s is generated by a with a* a - s a a* = 1 - s, and x = 1 - a a*
+    satisfies x a = s a x, a a* = 1 - x and a* a = 1 - s x.  Moving x^m1
+    past a_mu2 gives s^(m1 mu2).  For opposite signs a^k a*^l and
+    a*^k a^l expand by the q-binomial theorem into
+    sum_j c_j a_(mu1+mu2) x^j over 0 <= j <= r = min(k, l), with
+    d = l - r and [r, j]_s the Gauss binomial:
 
-def _right_letter(g, t: BasisMonomial):
-    key = (t, g)
-    hit = _RIGHT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    mu, m, n, nu = t
-    if g == "a":
-        out = [(BasisMonomial(mu + 1, m, n, nu), qpow(m))]
-        if mu < 0 and n == 0:
-            out.append((BasisMonomial(mu + 1, m + 1, n, nu), -qpow(m + 1)))
-    elif g == "a*":
-        out = [(BasisMonomial(mu - 1, m, n, nu), qpow(-m))]
-        if mu > 0 and n == 0:
-            out.append((BasisMonomial(mu - 1, m + 1, n, nu), -qpow(-m)))
-    elif g == "b":
-        out = [(BasisMonomial(mu, m, n, nu + 1), ONE)]
-        if nu < 0 and m == 0:
-            out.append((BasisMonomial(mu, m, n + 1, nu + 1), -ppow(-nu)))
-    elif g == "b*":
-        out = [(BasisMonomial(mu, m, n, nu - 1), ONE)]
-        if nu > 0 and m == 0:
-            out.append((BasisMonomial(mu, m, n + 1, nu - 1), -ppow(1 - nu)))
-    elif g == FLAG_A:
-        out = [] if n else [(BasisMonomial(mu, m + 1, 0, nu), ONE)]
-    elif g == FLAG_B:
-        out = [] if m else [(BasisMonomial(mu, 0, n + 1, nu), ppow(-nu))]
-    else:
-        raise ValueError(f"unknown generator {g!r}")
-    out = tuple(out)
-    _RIGHT_CACHE[key] = out
+        a^k a*^l:  c_j = (-1)^j s^(-j(j-1)/2 - j(r-j) - j d) [r, j]_s,
+        a*^k a^l:  c_j = (-1)^j s^(j(j+1)/2 + j d) [r, j]_s.
+
+    ``spow`` is s^k and ``param`` names s for :func:`qbinomial`; a true
+    ``lead`` keeps only the term j = 0.  The keys are distinct and the
+    coefficients nonzero.
+    """
+    e, mu, m = m1 * mu2, mu1 + mu2, m1 + m2
+    if lead or mu1 * mu2 >= 0:
+        return ((mu, m, spow(e)),)
+    r = min(abs(mu1), abs(mu2))
+    d = abs(mu2) - r
+    out = []
+    for j in range(r + 1):
+        if mu1 > 0:
+            ej = e - j * (j - 1) // 2 - j * (r - j) - j * d
+        else:
+            ej = e + j * (j + 1) // 2 + j * d
+        c = spow(ej) * qbinomial(r, j, param)
+        out.append((mu, m + j, -c if j & 1 else c))
     return out
 
-
-def _left_letter(g, t: BasisMonomial):
-    key = (t, g)
-    hit = _LEFT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    mu, m, n, nu = t
-    if g == "a":
-        out = [(BasisMonomial(mu + 1, m, n, nu), ONE)]
-        if mu < 0 and n == 0:
-            out.append((BasisMonomial(mu + 1, m + 1, n, nu), -qpow(mu + 1)))
-    elif g == "a*":
-        out = [(BasisMonomial(mu - 1, m, n, nu), ONE)]
-        if mu > 0 and n == 0:
-            out.append((BasisMonomial(mu - 1, m + 1, n, nu), -qpow(mu)))
-    elif g == "b":
-        out = [(BasisMonomial(mu, m, n, nu + 1), ppow(-n))]
-        if nu < 0 and m == 0:
-            out.append((BasisMonomial(mu, m, n + 1, nu + 1), -ppow(-n)))
-    elif g == "b*":
-        out = [(BasisMonomial(mu, m, n, nu - 1), ppow(n))]
-        if nu > 0 and m == 0:
-            out.append((BasisMonomial(mu, m, n + 1, nu - 1), -ppow(n + 1)))
-    elif g == FLAG_A:
-        out = [] if n else [(BasisMonomial(mu, m + 1, 0, nu), qpow(mu))]
-    elif g == FLAG_B:
-        out = [] if m else [(BasisMonomial(mu, 0, n + 1, nu), ONE)]
-    else:
-        raise ValueError(f"unknown generator {g!r}")
-    out = tuple(out)
-    _LEFT_CACHE[key] = out
-    return out
-
-
-# multiplication by one letter from the right (left), as a rule on monomials
-LETTERS = (*GENERATORS, FLAG_A, FLAG_B)   # the letters of a word
-_RIGHT = {g: partial(_right_letter, g) for g in LETTERS}
-_LEFT = {g: partial(_left_letter, g) for g in _RIGHT}
 
 _MONO_MUL_CACHE: dict = {}
 
 
 def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
-    """Canonical expansion of the product t1 * t2 as ((mono, coeff), ...)."""
+    """Canonical expansion of the product t1 * t2 as ((mono, coeff), ...).
+
+    The tensor product of one disc product per side, without the terms
+    that carry both flags.  The a side is the D_q product of
+    a_mu1 (1-aa*)^m1 and a_mu2 (1-aa*)^m2.  The b side (1-bb*)^n b_nu is
+    the adjoint of the D_p monomial b_-nu (1-bb*)^n; the involution
+    reverses products and fixes p, so the b side is the D_p product
+    (b_-nu2 (1-bb*)^n2)(b_-nu1 (1-bb*)^n1), read back with nu = -mu'.
+    """
     key = (t1, t2)
     hit = _MONO_MUL_CACHE.get(key)
     if hit is not None:
         return hit
-    # a word has |mu| + m + n + |nu| letters; fold the shorter one
-    if sum(map(abs, t2)) <= sum(map(abs, t1)):
-        # the letters of t2 onto t1 from the right
-        acc = substitute(_word(t2), _RIGHT, {t1: ONE}, extend)
-    else:
-        # the letters of t1 onto t2 from the left, innermost first
-        acc = substitute(reversed(_word(t1)), _LEFT, {t2: ONE}, extend)
-    out = tuple(acc.items())
+    mu1, m1, n1, nu1 = t1
+    mu2, m2, n2, nu2 = t2
+    # a side whose factors carry a flag keeps it in every term, so the
+    # other side needs only its term without a new flag
+    right = _disc_mul(-nu2, n2, -nu1, n1, ppow, "p", m1 or m2)
+    out = tuple((BasisMonomial(mu, m, n, -nu), c * e)
+                for mu, m, c in _disc_mul(mu1, m1, mu2, m2, qpow, "q",
+                                          n1 or n2)
+                for nu, n, e in right if not (m and n))
     _MONO_MUL_CACHE[key] = out
     return out
+
+
+# multiplication by one letter from the right (left), as a rule on monomials
+_RIGHT = {g: partial(_mono_mul, t2=t) for g, t in _LETTER_MONO.items()}
+_LEFT = {g: partial(_mono_mul, t) for g, t in _LETTER_MONO.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +246,9 @@ class AlgElement(SparseElement):
 
     @classmethod
     def generator(cls, name: str) -> "AlgElement":
-        if name not in _GEN_MONO:
+        if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}")
-        return cls._raw({_GEN_MONO[name]: ONE})
+        return cls._raw({_LETTER_MONO[name]: ONE})
 
     @classmethod
     def from_monomial(cls, t: BasisMonomial, coeff: ScalarLike = 1) -> "AlgElement":

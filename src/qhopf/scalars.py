@@ -608,9 +608,6 @@ class ParamScalar:
     def is_zero(self):
         return not self._n
 
-    def is_one(self):
-        return self._d is None and self._n == {(0, 0): 1}
-
     def is_constant(self):
         n = self._n
         return self._d.__class__ is not dict and (
@@ -715,15 +712,30 @@ class ParamScalar:
     # -- evaluation and rendering -------------------------------------------
 
     def evaluate(self, p_val, q_val):
-        """Evaluate at numeric parameter values; exact on Fractions."""
+        """Evaluate at numeric parameter values; exact on Fractions.
+
+        A pole raises ``ZeroDivisionError``.  A float evaluation that
+        over- or underflows to a zero denominator or a value that is not
+        finite raises ``ValueError`` unless the exact denominator at the
+        same floats is zero too.
+        """
         num, den = self._fraction()
-        dv = _peval(den, p_val, q_val)
-        if dv == 0:
-            raise ZeroDivisionError(
-                f"pole of {self} at p={p_val}, q={q_val}")
-        nv = _peval(num, p_val, q_val)
-        # int coefficients at int arguments still divide exactly
-        return (Fraction(nv) if nv.__class__ is int else nv) / dv
+        try:
+            dv = _peval(den, p_val, q_val)
+            if dv:
+                nv = _peval(num, p_val, q_val)
+                # int coefficients at int arguments still divide exactly
+                out = (Fraction(nv) if nv.__class__ is int else nv) / dv
+                # out - out is 0 unless out is infinite or nan
+                if out.__class__ is Fraction or out - out == 0:
+                    return out
+        except OverflowError:
+            pass
+        where = f"at p={p_val}, q={q_val}"
+        if _peval(den, Fraction(p_val), Fraction(q_val)) == 0:
+            raise ZeroDivisionError(f"pole of {self} {where}")
+        raise ValueError(
+            f"{self} is not representable in floating point {where}")
 
     def subs_swap(self):
         """The image under exchanging p and q."""

@@ -86,6 +86,23 @@ def test_errors_exit_two(capsys):
     assert main(["unknown-command"]) == 2
 
 
+@pytest.mark.parametrize("text, pos", [("1" * 5000, 0),
+                                       ("a + 2*" + "7" * 41, 6),
+                                       ("a^" + "3" * 5000, 2)],
+                         ids=["literal", "factor", "exponent"])
+def test_long_numbers_fail_the_budget_at_their_position(capsys, text, pos):
+    # a literal (or exponent) with more digits than 2^128 is rejected
+    # before int() converts it, with its position
+    code, out, err = run_cli(capsys, "normalize", text)
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]
+    assert "exceeds the" in message and "budget" in message
+    assert message.endswith(f"(at position {pos})")
+    # 39 digits can still fit the parameter budget
+    code, out, _ = run_cli(capsys, "normalize", "9" * 38)
+    assert code == 0 and json.loads(out)["result"]["text"] == "9" * 38
+
+
 def test_verify_suite_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "galois")
     assert code == 0

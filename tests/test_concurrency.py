@@ -32,8 +32,7 @@ def _work(seed: int) -> list:
 
 
 def _clear(monkeypatch):
-    for module, name in ((scalars, "_QBIN_ROWS"), (s3core, "_RIGHT_CACHE"),
-                         (s3core, "_LEFT_CACHE"),
+    for module, name in ((scalars, "_QBIN_ROWS"),
                          (s3core, "_MONO_MUL_CACHE"),
                          (galois, "_CONN_CACHE")):
         monkeypatch.setattr(module, name, {})

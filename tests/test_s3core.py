@@ -1,13 +1,14 @@
 """Normal forms, relations, and structure maps of the sphere algebra."""
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhopf.scalars import ONE, P, Q, qpow, scalar
-from qhopf.s3core import (FLAG_A, FLAG_B, AlgElement, BasisMonomial,
+from qhopf.scalars import ONE, P, Q, ppow, qpow, scalar
+from qhopf.s3core import (FLAG_A, FLAG_B, LETTERS, AlgElement, BasisMonomial,
                           FreeWord, UNIT_MONO, _word, iota_image, iota_word,
                           iota, monomial, mul, mul_by_generator,
                           normalize_word, substitute)
@@ -302,3 +303,113 @@ def test_flag_letter_rules_match_their_generator_products():
                 == right
             assert AlgElement._raw(extend(x.terms, s3core._LEFT[flag])) \
                 == left
+
+
+# -- the reference fold: single-letter rewrite rules -------------------------
+#
+# Each rule returns the canonical expansion of t*g (or g*t) for one
+# letter g as a list of (monomial, coefficient) pairs, from the defining
+# relations and the flag commutations
+#     (1-aa*) a  = q a (1-aa*),   (1-aa*) a* = q^-1 a* (1-aa*),
+#     (1-bb*) b  = p b (1-bb*),   (1-bb*) b* = p^-1 b* (1-bb*).
+# Folding a word's letters onto a monomial multiplies by the word.
+
+def _right_letter(g, t):
+    mu, m, n, nu = t
+    if g == "a":
+        out = [(BasisMonomial(mu + 1, m, n, nu), qpow(m))]
+        if mu < 0 and n == 0:
+            out.append((BasisMonomial(mu + 1, m + 1, n, nu), -qpow(m + 1)))
+    elif g == "a*":
+        out = [(BasisMonomial(mu - 1, m, n, nu), qpow(-m))]
+        if mu > 0 and n == 0:
+            out.append((BasisMonomial(mu - 1, m + 1, n, nu), -qpow(-m)))
+    elif g == "b":
+        out = [(BasisMonomial(mu, m, n, nu + 1), ONE)]
+        if nu < 0 and m == 0:
+            out.append((BasisMonomial(mu, m, n + 1, nu + 1), -ppow(-nu)))
+    elif g == "b*":
+        out = [(BasisMonomial(mu, m, n, nu - 1), ONE)]
+        if nu > 0 and m == 0:
+            out.append((BasisMonomial(mu, m, n + 1, nu - 1), -ppow(1 - nu)))
+    elif g == FLAG_A:
+        out = [] if n else [(BasisMonomial(mu, m + 1, 0, nu), ONE)]
+    else:
+        out = [] if m else [(BasisMonomial(mu, 0, n + 1, nu), ppow(-nu))]
+    return out
+
+
+def _left_letter(g, t):
+    mu, m, n, nu = t
+    if g == "a":
+        out = [(BasisMonomial(mu + 1, m, n, nu), ONE)]
+        if mu < 0 and n == 0:
+            out.append((BasisMonomial(mu + 1, m + 1, n, nu), -qpow(mu + 1)))
+    elif g == "a*":
+        out = [(BasisMonomial(mu - 1, m, n, nu), ONE)]
+        if mu > 0 and n == 0:
+            out.append((BasisMonomial(mu - 1, m + 1, n, nu), -qpow(mu)))
+    elif g == "b":
+        out = [(BasisMonomial(mu, m, n, nu + 1), ppow(-n))]
+        if nu < 0 and m == 0:
+            out.append((BasisMonomial(mu, m, n + 1, nu + 1), -ppow(-n)))
+    elif g == "b*":
+        out = [(BasisMonomial(mu, m, n, nu - 1), ppow(n))]
+        if nu > 0 and m == 0:
+            out.append((BasisMonomial(mu, m, n + 1, nu - 1), -ppow(n + 1)))
+    elif g == FLAG_A:
+        out = [] if n else [(BasisMonomial(mu, m + 1, 0, nu), qpow(mu))]
+    else:
+        out = [] if m else [(BasisMonomial(mu, 0, n + 1, nu), ONE)]
+    return out
+
+
+_RIGHT_RULES = {g: partial(_right_letter, g) for g in LETTERS}
+_LEFT_RULES = {g: partial(_left_letter, g) for g in LETTERS}
+
+
+def _folds(t1, t2):
+    # t1 * t2 twice: the letters of t2 onto t1 from the right, and the
+    # letters of t1 onto t2 from the left, innermost first
+    return (substitute(_word(t2), _RIGHT_RULES, {t1: ONE}, extend),
+            substitute(reversed(_word(t1)), _LEFT_RULES, {t2: ONE}, extend))
+
+
+def _check_product(t1, t2):
+    got = s3core._mono_mul(t1, t2)
+    keys = [t for t, _ in got]
+    assert len(set(keys)) == len(keys) and all(c for _, c in got)
+    assert all(monomial(*t) == t for t in keys)
+    right, left = _folds(t1, t2)
+    assert dict(got) == right == left, (t1, t2)
+
+
+def test_monomial_products_match_the_letter_fold_on_a_box():
+    # every pair with |mu|, |nu| <= 2 and m, n <= 2 (m n = 0)
+    box = [BasisMonomial(mu, m, n, nu) for mu in range(-2, 3)
+           for nu in range(-2, 3) for m in range(3) for n in range(3)
+           if not (m and n)]
+    assert len(box) ** 2 == 15625
+    for t1 in box:
+        for t2 in box:
+            _check_product(t1, t2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_monomial_products_match_the_letter_fold_far_out(seed):
+    # seeded pairs with reach |mu| + |nu| up to 12 and flags up to 6,
+    # in both orders
+    rng = random.Random(seed)
+
+    def draw():
+        mu = rng.randint(-12, 12)
+        reach = 12 - abs(mu)
+        m = rng.randint(0, 6)
+        n = 0 if m else rng.randint(0, 6)
+        return BasisMonomial(mu, m, n, rng.randint(-reach, reach))
+
+    for _ in range(15):
+        t1, t2 = draw(), draw()
+        _check_product(t1, t2)
+        _check_product(t2, t1)
+

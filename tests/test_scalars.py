@@ -124,6 +124,31 @@ def test_eval_pole_raises():
         (ONE / (ONE - Q)).evaluate(0.5, 1.0)
 
 
+@pytest.mark.parametrize("k", [650, 600])
+def test_float_overflow_is_not_a_pole(k):
+    # 0.3^650 underflows to 0.0 and 0.3^600 to a subnormal whose
+    # reciprocal is inf; neither value is a pole
+    with pytest.raises(ValueError, match="not representable"):
+        qpow(-k).evaluate(0.5, 0.3)
+    # exact arguments evaluate as before
+    assert qpow(-k).evaluate(Fraction(1, 2), Fraction(3, 10)) \
+        == Fraction(10, 3) ** k
+
+
+def test_true_poles_stay_poles_at_float_extremes():
+    # p^700 - q^700 overflows at 10.0; it is exactly 0 only at p = q
+    x = ONE / (ppow(700) - qpow(700))
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        x.evaluate(10.0, 10.0)
+    with pytest.raises(ValueError, match="not representable"):
+        x.evaluate(10.0, 9.0)
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        (ONE / (P - Q)).evaluate(1e200, 1e200)
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        qpow(-1).evaluate(0.5, 0.0)
+    assert (ONE / (P - Q)).evaluate(0.5, 0.3) == pytest.approx(5.0)
+
+
 def test_division_by_zero_polynomial_raises():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
