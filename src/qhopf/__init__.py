@@ -15,8 +15,8 @@ from .scalars import ONE, P, Q, ZERO, ParamScalar, ppow, qbinomial, qpow
 from .s3core import (AlgElement, BasisMonomial, FreeWord, iota_image,
                      iota_word, mul, mul_by_generator, normalize_word)
 from .hopf import CotensorElement, LaurentElement, coaction
-from .gluing import DiscElement, TrivializedElement, boundary, chi, disc_mul, \
-    gluing_check, phi12
+from .gluing import (DiscElement, TrivializedElement, boundary, chi,
+                     gluing_check, phi12)
 from .galois import (TensorElement, check_connection_properties,
                      galois_witness, lifted_can, strong_connection,
                      strong_connection_closed)

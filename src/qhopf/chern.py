@@ -41,16 +41,14 @@ class CoinvariantMatrix:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, check: bool = True):
+    def __init__(self, entries):
         entries = [list(row) for row in entries]
         if not entries or any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("entries must form a nonempty rectangle")
-        if check:
-            for row in entries:
-                for e in row:
-                    if not e.is_coinvariant():
-                        raise ValueError(
-                            f"matrix entry {e} is not coinvariant")
+        for row in entries:
+            for e in row:
+                if not e.is_coinvariant():
+                    raise ValueError(f"matrix entry {e} is not coinvariant")
         self.entries = entries
 
     @property
@@ -75,15 +73,14 @@ class CoinvariantMatrix:
                     acc = acc + mul(self.entries[i][k], other.entries[k][j])
                 row.append(acc)
             out.append(row)
-        return CoinvariantMatrix(out, check=False)
+        return CoinvariantMatrix(out)
 
     def __sub__(self, other: "CoinvariantMatrix") -> "CoinvariantMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in matrix difference")
         return CoinvariantMatrix(
             [[a - b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)],
-            check=False)
+             for r1, r2 in zip(self.entries, other.entries)])
 
     def __eq__(self, other):
         if not isinstance(other, CoinvariantMatrix):
@@ -133,7 +130,7 @@ def _legs(mu: int):
         lefts = [
             AlgElement.from_monomial(
                 BasisMonomial(-(n - k), k, 0, k),
-                qbinomial(n, n - k) * qpow(k) * qpow(-k * (n - k)))
+                qbinomial(n, n - k) * qpow(k - k * (n - k)))
             for k in range(n + 1)
         ]
     else:

@@ -22,7 +22,8 @@ from fractions import Fraction
 from . import chern, galois, gluing, hopf
 from .exprs import ExprError, evaluate, evaluate_algebra
 from .scalars import ParamScalar
-from .s3core import AlgElement, mul
+from .s3core import mul
+from .sparse import SparseElement
 
 SCHEMA = 1
 
@@ -127,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        parents=[output])
     p.add_argument("--k", required=True,
                    type=_bounded(-K_MAX, K_MAX, "circle power"),
-                   help=f"circle power, |k| <= {K_MAX} (about 1.6 s "
+                   help=f"circle power, |k| <= {K_MAX} (about 1.0 s "
                         f"and 0.85 MB of JSON at the limit)")
 
     p = sub.add_parser("idempotent", help="line-module idempotent matrix",
@@ -136,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_bounded(-IDEMPOTENT_MU_MAX, IDEMPOTENT_MU_MAX,
                                  "winding label", nonzero=True),
                    help=f"winding label, 1 <= |mu| <= {IDEMPOTENT_MU_MAX} "
-                        f"(about 0.8 s and 1.2 MB of JSON at the limit)")
+                        f"(about 0.45 s and 1.2 MB of JSON at the limit)")
 
     p = sub.add_parser("pairing", help="trace paired with an idempotent",
                        parents=[output])
@@ -162,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _element_payload(x: AlgElement) -> dict:
+def _element_payload(x: SparseElement) -> dict:
     return {"text": x.text(), "terms": x.json_terms()}
 
 
@@ -210,11 +211,8 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
         val = evaluate(args.expression)
         if isinstance(val, ParamScalar):
             report["result"] = {"text": str(val)}
-        elif isinstance(val, AlgElement):
-            report["result"] = _element_payload(val.star())
         else:
-            report["result"] = {"text": val.star().text(),
-                                "terms": val.star().json_terms()}
+            report["result"] = _element_payload(val.star())
         return report, 0
 
     if cmd == "winding":

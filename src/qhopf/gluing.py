@@ -2,7 +2,9 @@
 
 A quantum disc with parameter r is generated by x with
 x* x - r x x* = 1 - r; its monomial basis is x_mu (1-xx*)^m with the
-same signed-power convention as the sphere algebra.  The sphere glues
+same signed-power convention as the sphere algebra, and two monomials
+multiply by the closed-form disc product that the sphere uses for each
+of its two sides (``s3core._disc_mul`` with s = r).  The sphere glues
 two solid tori (disc (x) circle) over their boundary two-torus: the
 chart maps send
 
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .scalars import ONE
+from .scalars import ONE, ppow, qpow
 from .hopf import LaurentElement, _over_powers_text, _power, coaction
 from .s3core import (FLAG_A, FLAG_B, GENERATORS, AlgElement, BasisMonomial,
-                     _mono_mul, _word, monomial, substitute)
-from .sparse import SparseElement, bilinear, extend
+                     _disc_mul, _word, monomial, substitute)
+from .sparse import SparseElement, extend
 
 __all__ = [
     "DiscMonomial",
@@ -35,7 +37,6 @@ __all__ = [
     "TrivializedElement",
     "LaurentTensor",
     "disc_generator",
-    "disc_mul",
     "boundary",
     "boundary_tensor",
     "chi",
@@ -54,16 +55,8 @@ def _disc_key(t) -> DiscMonomial:
     return mu, m
 
 
-def _disc_mono_mul(tag: str, t1: DiscMonomial, t2: DiscMonomial):
-    # The q-disc is the subalgebra generated by a: x_mu (1-xx*)^m is
-    # a_mu (1-aa*)^m, multiplied by the sphere's a-rules.  The p-disc has
-    # the same relation with p for q, so its structure constants are the
-    # q-disc ones with p and q exchanged.
-    prod = _mono_mul(BasisMonomial(t1[0], t1[1], 0, 0),
-                     BasisMonomial(t2[0], t2[1], 0, 0))
-    if tag == "q":
-        return [((t.mu, t.m), k) for t, k in prod]
-    return [((t.mu, t.m), k if k is ONE else k.subs_swap()) for t, k in prod]
+# the powers of each disc's parameter, for its closed-form product
+_SPOW = {"p": ppow, "q": qpow}
 
 
 class _Tagged(SparseElement):
@@ -89,10 +82,8 @@ class DiscElement(_Tagged):
         return cls(tag, {(0, 0): ONE})
 
     def _mono_mul(self, t1: DiscMonomial, t2: DiscMonomial):
-        return _disc_mono_mul(self.tag, t1, t2)
-
-    def _product(self, other):
-        return disc_mul(self, other)
+        return [((mu, m), c) for mu, m, c
+                in _disc_mul(*t1, *t2, _SPOW[self.tag], self.tag)]
 
     def _key_text(self, t: DiscMonomial) -> str:
         mu, m = t
@@ -110,13 +101,6 @@ class DiscElement(_Tagged):
 
 def disc_generator(tag: str, starred: bool = False) -> DiscElement:
     return DiscElement(tag, {((-1, 0) if starred else (1, 0)): ONE})
-
-
-def disc_mul(x: DiscElement, y: DiscElement) -> DiscElement:
-    """Product of two disc elements with the same parameter tag."""
-    if x.tag != y.tag:
-        raise ValueError(f"mixed parameter tags {x.tag!r} and {y.tag!r}")
-    return x._like(bilinear(x._d, y._d, x._mono_mul))
 
 
 def boundary(x: DiscElement) -> LaurentElement:
@@ -147,7 +131,8 @@ class TrivializedElement(_Tagged):
         # multiply the disc legs, add the circle powers
         (t1, k1), (t2, k2) = x, y
         k = k1 + k2
-        return [((t, k), c) for t, c in _disc_mono_mul(self.tag, t1, t2)]
+        return [(((mu, m), k), c) for mu, m, c
+                in _disc_mul(*t1, *t2, _SPOW[self.tag], self.tag)]
 
     def u_powers(self) -> set[int]:
         return {k for (_, k) in self._d}

@@ -32,9 +32,10 @@ band on the first ``cols`` basis vectors maps them to distinct basis
 vectors, so its norm is the largest |weight| there, and a sum of bands
 is bounded by the sum of these norms.  The flag spectra are read off
 the diagonal band.  Dense matrices are formed only in the public
-``gen`` and ``evaluate`` and in the polar, shift-tensor-projection and
-faithfulness checks.  numpy is imported with this module, which the
-rest of the package loads only inside the numeric verification suites.
+``gen`` and ``evaluate`` and in the polar and shift-tensor-projection
+checks; the faithfulness probe reads its witness off the bands.  numpy
+is imported with this module, which the rest of the package loads only
+inside the numeric verification suites.
 
 Also here: spectra of the flag operators, polar-isometry and
 shift-tensor-projection witnesses, the defect of the classical

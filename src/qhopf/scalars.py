@@ -6,20 +6,21 @@ rational coefficients.  A :class:`ParamScalar` is always in canonical
 form, so equality of values coincides with equality of representations.
 The value's own reduced denominator picks one of two representations:
 
-- If the denominator is a monomial, the value is a Laurent polynomial,
-  stored as one sparse dict ``{(i, j): c}`` for ``c p^i q^j`` with
-  signed exponents.  Coefficients are ints; a
-  :class:`fractions.Fraction` appears only for a non-integer one.  Sums,
+- If the denominator is a monomial with coefficient 1, the value is a
+  Laurent polynomial with int coefficients, stored as one sparse dict
+  ``{(i, j): c}`` for ``c p^i q^j`` with signed exponents.  Sums,
   products and negation of such values are plain dict arithmetic, with
   no gcd.  Everything the algebra layers build lies in Z[p^±1, q^±1].
-- Otherwise (``1/(1 - q)``, division in expressions, Gauss-binomial
-  quotients) the value is a fraction of two integer polynomials, reduced
-  by their polynomial gcd and by the gcd of their integer contents, with
-  the lowest-order coefficient of the denominator positive.  An
-  operation with such an operand takes this field path, and its result
-  returns to the Laurent form when its reduced denominator is a
-  monomial.  The gcd, pseudo-remainders and exact division all run on
-  int coefficients (Gauss's lemma keeps quotients by primitive divisors
+- Otherwise (``3/2*p``, ``1/(1 - q)``, division in expressions,
+  Gauss-binomial quotients) the value is a fraction of two int
+  polynomials with exponents >= 0, reduced by their polynomial gcd and
+  by the gcd of their integer contents, with the lowest-order
+  coefficient of the denominator positive: ``3/2*p`` is ``3 p`` over
+  ``2`` and ``1/(2 q)`` is ``1`` over ``2 q``.  An operation with such an
+  operand takes this field path, and its result returns to the Laurent
+  form when its reduced denominator is a monomial with coefficient 1.
+  The gcd, pseudo-remainders and exact division all run on int
+  coefficients (Gauss's lemma keeps quotients by primitive divisors
   integral); rational coefficients are cleared once on entry.
 
 Products go through one entry point, ``_pmul``: a dict loop for small
@@ -186,13 +187,9 @@ def _kmul(f, g):
     it lies within B = min(|f|, |g|) max|f| max|g|; slots of s bits with
     2^(s-1) > B hold it once a bias of 2^(s-1) is added.  Each factor
     becomes one Python int, one big-int multiply does the work, and the
-    biased product unpacks through ``to_bytes``.  None when a coefficient
-    is not an int, or when the slots outnumber the term pairs by more
-    than KMUL_MAX_SPARSITY.
+    biased product unpacks through ``to_bytes``.  None when the slots
+    outnumber the term pairs by more than KMUL_MAX_SPARSITY.
     """
-    if not (all(c.__class__ is int for c in f.values())
-            and all(c.__class__ is int for c in g.values())):
-        return None
     fis, fjs = zip(*f)
     gis, gjs = zip(*g)
     fi0, fj0, gi0, gj0 = min(fis), min(fjs), min(gis), min(gjs)
@@ -492,54 +489,31 @@ def format_linear(pairs) -> str:
 # ParamScalar
 # ---------------------------------------------------------------------------
 
-# tag of a Laurent value with at least one non-integer coefficient
-_RATIONAL = "rational"
-
-
-def _laurent(terms):
-    """(terms, tag) of a Laurent dict, with integral coefficients as ints."""
-    tag = None
-    for m, c in terms.items():
-        if c.__class__ is not int:
-            c = Fraction(c)
-            if c.denominator == 1:
-                terms[m] = c.numerator
-            else:
-                terms[m] = c
-                tag = _RATIONAL
-    return terms, tag
-
-
 def _reduce(num, den):
-    """(terms, tag) of the canonical form of num/den (den nonzero).
+    """(num, den) of the canonical form of num/den (den nonzero).
 
-    Rational coefficients are cleared by one common multiple, the
-    polynomial gcd and then the common integer content are divided out,
-    and the sign makes the lowest-order denominator coefficient positive.
+    Both are int polynomials with exponents >= 0.  The polynomial gcd
+    and then the common integer content are divided out, and the sign
+    makes the lowest-order denominator coefficient positive.  A
+    denominator that is then a monomial with coefficient 1 gives the
+    Laurent form (num shifted, None).
     """
     if not num:
         return {}, None
-    if any(c.__class__ is not int for c in (*num.values(), *den.values())):
-        s = math.lcm(*[c.denominator for c in (*num.values(), *den.values())])
-        num = {m: c.numerator * (s // c.denominator) for m, c in num.items()}
-        den = {m: c.numerator * (s // c.denominator) for m, c in den.items()}
-    if len(den) > 1:
-        g = _pgcd(num, den)
-        if len(g) != 1 or next(iter(g)) != (0, 0):
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-        k = math.gcd(math.gcd(*num.values()), *den.values())
-        if den[min(den, key=_gkey)] < 0:
-            k = -k
-        if k != 1:
-            num = {m: c // k for m, c in num.items()}
-            den = {m: c // k for m, c in den.items()}
-        if len(den) > 1:
-            return num, den
-    # a monomial denominator: the value is a Laurent polynomial
+    g = _pgcd(num, den)
+    if len(g) != 1 or next(iter(g)) != (0, 0):
+        num = _pdiv_exact(num, g)
+        den = _pdiv_exact(den, g)
+    k = math.gcd(math.gcd(*num.values()), *den.values())
+    if den[min(den, key=_gkey)] < 0:
+        k = -k
+    if k != 1:
+        num = {m: c // k for m, c in num.items()}
+        den = {m: c // k for m, c in den.items()}
     (di, dj), dc = next(iter(den.items()))
-    return _laurent({(i - di, j - dj): c if dc == 1 else Fraction(c, dc)
-                     for (i, j), c in num.items()})
+    if len(den) > 1 or dc != 1:
+        return num, den
+    return (_pshift(num, -di, -dj) if di or dj else num), None
 
 
 class ParamScalar:
@@ -549,19 +523,27 @@ class ParamScalar:
     ``num`` and ``den`` are read-only views of the reduced fraction.
     """
 
-    # _d is None or _RATIONAL: _n is a Laurent dict, with int or with
-    # some Fraction coefficients; otherwise _n/_d is a reduced fraction
-    # of int polynomials whose denominator _d is not a monomial
+    # _d is None: _n is a Laurent dict with int coefficients; otherwise
+    # _n/_d is a reduced fraction of int polynomials whose denominator
+    # _d is not a monomial with coefficient 1
     __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
             num = {(0, 0): num}
-        terms, tag = _laurent({m: c for m, c in num.items() if c})
+        n, d = {m: c for m, c in num.items() if c}, None
+        for c in n.values():
+            if c.__class__ is not int:
+                # s n over s, with s the common coefficient denominator
+                n = {m: Fraction(c) for m, c in n.items()}
+                s = math.lcm(*[c.denominator for c in n.values()])
+                n, d = _divide(_new({m: int(c * s) for m, c in n.items()},
+                                    None), ParamScalar(s))
+                break
         if den is not None:
-            terms, tag = _divide(_new(terms, tag), ParamScalar(den))
-        _set_n(self, terms)
-        _set_d(self, tag)
+            n, d = _divide(_new(n, d), ParamScalar(den))
+        _set_n(self, n)
+        _set_d(self, d)
 
     def __setattr__(self, *args):
         raise AttributeError("ParamScalar is immutable")
@@ -573,7 +555,7 @@ class ParamScalar:
     def _parts(self):
         # numerator and denominator polynomials, exponents >= 0
         n, d = self._n, self._d
-        if d.__class__ is dict:
+        if d is not None:
             return n, d
         si = min([0] + [i for i, _ in n])
         sj = min([0] + [j for _, j in n])
@@ -585,7 +567,7 @@ class ParamScalar:
         # _parts scaled so that the lowest-order denominator coefficient
         # is 1: the form that views, rendering and evaluation read
         n, d = self._parts()
-        if self._d.__class__ is not dict:
+        if self._d is None:
             return n, d
         lc = d[min(d, key=_gkey)]
         if lc == 1:
@@ -609,9 +591,9 @@ class ParamScalar:
         return not self._n
 
     def is_constant(self):
-        n = self._n
-        return self._d.__class__ is not dict and (
-            not n or (len(n) == 1 and (0, 0) in n))
+        n, d = self._n, self._d
+        return ((not n or (len(n) == 1 and (0, 0) in n))
+                and (d is None or (len(d) == 1 and (0, 0) in d)))
 
     def is_integer(self):
         return self._d is None and self.is_constant()
@@ -619,7 +601,8 @@ class ParamScalar:
     def as_fraction(self):
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self._n.get((0, 0), 0))
+        d = self._d
+        return Fraction(self._n.get((0, 0), 0), 1 if d is None else d[0, 0])
 
     def __bool__(self):
         return bool(self._n)
@@ -657,11 +640,8 @@ class ParamScalar:
             return other
         if other is ONE:
             return self
-        a, b = self._d, other._d
-        if a is None and b is None:
+        if self._d is None and other._d is None:
             return _new(_pmul(self._n, other._n), None)
-        if a.__class__ is not dict and b.__class__ is not dict:
-            return _new(*_laurent(_pmul(self._n, other._n)))
         sn, sd = self._parts()
         on, od = other._parts()
         return _new(*_reduce(_pmul(sn, on), _pmul(sd, od)))
@@ -707,7 +687,7 @@ class ParamScalar:
             return hash(self.as_fraction())
         d = self._d
         return hash((frozenset(self._n.items()),
-                     frozenset(d.items()) if d.__class__ is dict else None))
+                     None if d is None else frozenset(d.items())))
 
     # -- evaluation and rendering -------------------------------------------
 
@@ -737,16 +717,9 @@ class ParamScalar:
         raise ValueError(
             f"{self} is not representable in floating point {where}")
 
-    def subs_swap(self):
-        """The image under exchanging p and q."""
-        n, d = self._n, self._d
-        if d.__class__ is not dict:
-            return _new(_swap(n), d)
-        return ParamScalar(_swap(n), _swap(d))
-
     def __str__(self):
         num, den = self._fraction()
-        if den is _POLY_ONE:
+        if den == _POLY_ONE:
             return _poly_str(num)
         den = _poly_str(den)
         # a product monomial is bracketed too: 1/p*q would read as q/p
@@ -761,21 +734,18 @@ _set_n = ParamScalar._n.__set__
 _set_d = ParamScalar._d.__set__
 
 
-def _new(terms, tag) -> ParamScalar:
-    # raw builder for canonical (terms, tag) pairs
+def _new(num, den) -> ParamScalar:
+    # raw builder for canonical (num, den) pairs, den None when Laurent
     x = object.__new__(ParamScalar)
-    _set_n(x, terms)
-    _set_d(x, tag)
+    _set_n(x, num)
+    _set_d(x, den)
     return x
 
 
 def _combine(x, y, op):
     # x + y or x - y, with op the matching polynomial helper
-    a, b = x._d, y._d
-    if a is None and b is None:
+    if x._d is None and y._d is None:
         return _new(op(x._n, y._n), None)
-    if a.__class__ is not dict and b.__class__ is not dict:
-        return _new(*_laurent(op(x._n, y._n)))
     xn, xd = x._parts()
     yn, yd = y._parts()
     if xd == yd:

@@ -2,45 +2,46 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from qhopf.scalars import ONE, P, Q
 from qhopf.gluing import (DiscElement, TrivializedElement, boundary,
-                          boundary_tensor, chi, disc_generator, disc_mul,
-                          gluing_check, phi12, trivialization_colinear,
+                          boundary_tensor, chi, disc_generator, gluing_check,
+                          phi12, trivialization_colinear,
                           trivialization_over_base)
 from qhopf.hopf import LaurentElement
-from qhopf.s3core import AlgElement, BasisMonomial, iota_image, mul
+from qhopf.s3core import AlgElement, BasisMonomial, _mono_mul, iota_image, mul
 from qhopf.verify import random_coinvariant, random_element
 
 
 X = disc_generator("p")
 XS = disc_generator("p", starred=True)
 ONE_P = DiscElement.one("p")
-W = ONE_P - disc_mul(X, XS)   # 1 - x x*
+W = ONE_P - X * XS   # 1 - x x*
 
 
 def test_disc_relations():
     # x* x = 1 - p (1 - x x*)
-    assert disc_mul(XS, X) == DiscElement("p", {(0, 0): ONE, (0, 1): -P})
+    assert XS * X == DiscElement("p", {(0, 0): ONE, (0, 1): -P})
     # x x* = 1 - (1 - x x*)
-    assert disc_mul(X, XS) == DiscElement("p", {(0, 0): ONE, (0, 1): -ONE})
+    assert X * XS == DiscElement("p", {(0, 0): ONE, (0, 1): -ONE})
     # (1 - x x*) x = p x (1 - x x*)
-    assert disc_mul(W, X) == DiscElement("p", {(1, 1): P})
+    assert W * X == DiscElement("p", {(1, 1): P})
     # and the q-tagged disc uses q
     y, ys = disc_generator("q"), disc_generator("q", starred=True)
-    assert disc_mul(ys, y) == DiscElement("q", {(0, 0): ONE, (0, 1): -Q})
+    assert ys * y == DiscElement("q", {(0, 0): ONE, (0, 1): -Q})
 
 
 def test_disc_relation_in_element_form():
-    lhs = disc_mul(XS, X) - P * disc_mul(X, XS)
+    lhs = XS * X - P * (X * XS)
     assert lhs == DiscElement("p", {(0, 0): ONE - P})
 
 
 def test_mixed_tags_error():
     with pytest.raises(ValueError):
-        disc_mul(X, disc_generator("q"))
+        X * disc_generator("q")
     with pytest.raises(ValueError):
         X + disc_generator("q")
     with pytest.raises(ValueError):
@@ -56,13 +57,33 @@ def test_disc_associativity():
                      ONE + P * rng.randint(-1, 1)}
             els.append(DiscElement("p", terms))
         x, y, z = els
-        assert disc_mul(disc_mul(x, y), z) == disc_mul(x, disc_mul(y, z))
+        assert (x * y) * z == x * (y * z)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_disc_products_match_the_sphere_and_the_swap(seed):
+    # the q-disc is the sphere's a side; the p-disc has the q-disc's keys
+    # and its coefficients with p and q exchanged
+    rng = random.Random(300 + seed)
+    points = [(Fraction(1, 2), Fraction(2, 7)),
+              (Fraction(-3, 5), Fraction(4, 3))]
+    for _ in range(30):
+        t1, t2 = ((rng.randint(-5, 5), rng.randint(0, 3)) for _ in range(2))
+        yq = DiscElement("q", {t1: ONE}) * DiscElement("q", {t2: ONE})
+        yp = DiscElement("p", {t1: ONE}) * DiscElement("p", {t2: ONE})
+        want = {(t.mu, t.m): c for t, c in _mono_mul(
+            BasisMonomial(*t1, 0, 0), BasisMonomial(*t2, 0, 0))}
+        assert yq.terms == want
+        assert yp.terms.keys() == want.keys()
+        for a, b in points:
+            for key, c in want.items():
+                assert yp.terms[key].evaluate(a, b) == c.evaluate(b, a)
 
 
 def test_boundary_examples():
     assert boundary(X) == LaurentElement.u_power(1)
     assert boundary(W).is_zero()
-    assert boundary(disc_mul(XS, X)) == LaurentElement.one()
+    assert boundary(XS * X) == LaurentElement.one()
 
 
 def test_chart_images_of_generators():
@@ -78,7 +99,7 @@ def test_chart_images_of_generators():
 
 def test_chart_image_of_the_base():
     f0 = iota_image("f0")
-    xx = disc_mul(X, XS)
+    xx = X * XS
     assert chi(f0, "p") == TrivializedElement(
         "p", {(t, 0): c for t, c in xx.terms.items()})
     assert chi(f0, "q") == TrivializedElement.one("q")

@@ -160,6 +160,17 @@ def test_division_by_zero_polynomial_raises():
 # field laws on random scalars
 # ---------------------------------------------------------------------------
 
+def one_form(x):
+    # int coefficients throughout, and either no denominator (Laurent) or
+    # one that is not a monomial with coefficient 1
+    n, d = x._n, x._d
+    if d is None:
+        d = {}
+    elif d.__class__ is not dict or list(d.values()) == [1]:
+        return False
+    return all(c.__class__ is int for c in (*n.values(), *d.values()))
+
+
 def scalars_strategy():
     coeff = st.integers(-4, 4)
     def build(c0, cp, cq, cpq):
@@ -183,6 +194,8 @@ def test_field_axioms(x, y, z):
     assert x - x == ZERO
     if not x.is_zero():
         assert x * (ONE / x) == ONE
+    assert all(map(one_form, (x, y, z, x + y, y + z, (x + y) + z, x * y,
+                              y * z, (x * y) * z, x * (y + z), x - x)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,12 +232,6 @@ def test_exact_fraction_evaluation():
     v = x.evaluate(Fraction(1, 2), Fraction(1, 3))
     assert isinstance(v, Fraction)
     assert v == Fraction(16, 9)
-
-
-def test_swap_parameters():
-    x = (ONE - Q * Q) / (ONE - P)
-    y = x.subs_swap()
-    assert y == (ONE - P * P) / (ONE - Q)
 
 
 def test_canonical_strings():
@@ -264,6 +271,12 @@ def test_hash_agrees_with_equality():
     cancelled = (ONE - Q * Q) / ((ONE - Q) * Q)
     assert cancelled == ONE / Q + ONE
     assert hash(cancelled) == hash(ONE / Q + ONE)
+    # one value by every route: one form, one hash, one string
+    routes = [ParamScalar({(0, -1): Fraction(1, 2)}), ONE / (2 * Q),
+              qpow(-1) / 2, evaluate_scalar("1/(2*q)")]
+    for x in routes:
+        assert x == routes[0] and hash(x) == hash(routes[0])
+        assert str(x) == "1/2/q" and one_form(x)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +304,9 @@ def test_laurent_scalars_differential(seed):
     pole = ONE / (ONE - P * Q)
     for _ in range(25):
         x, y, z = (random_laurent(rng) for _ in range(3))
+        assert all(map(one_form, (x, y, z, x * y, (x * y) * z, x + y,
+                                  x - y, -y, x * (y + z), x * pole,
+                                  x * pole * (ONE - P * Q), x + pole)))
         assert (x * y) * z == x * (y * z)
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
@@ -313,7 +329,7 @@ def test_laurent_scalars_differential(seed):
         assert evaluate_scalar(str(num)) == num
         assert evaluate_scalar(str(den)) == den
         assert evaluate_scalar(str(x)) == x
-        assert str(x.subs_swap().subs_swap()) == str(x)
+        assert one_form(num) and one_form(den)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +383,6 @@ def test_pmul_and_kmul_match_the_reference_loop(seed):
     g = {(0, 0): -5, (1, 1): 2, (-400, 3): 1, (3, -700): 4}
     assert _kmul(f, g) is None
     assert _pmul(f, g) == reference_product(f, g)
-    # a non-integer coefficient is not the kernel's to pack
-    assert _kmul({(0, 0): Fraction(1, 2), (1, 0): 1}, {(0, 0): 1}) is None
 
 
 @pytest.mark.parametrize("seed", range(4))
