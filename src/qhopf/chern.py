@@ -26,7 +26,8 @@ the whole idempotent takes (n+1)^2; both read the legs from one place.
 from __future__ import annotations
 
 from .scalars import ONE, ParamScalar, ZERO, ppow, qbinomial, qpow
-from .s3core import AlgElement, BasisMonomial, mul
+from .s3core import AlgElement, BasisMonomial, _mono_mul, mul
+from .sparse import accumulate
 
 __all__ = [
     "CoinvariantMatrix",
@@ -60,20 +61,11 @@ class CoinvariantMatrix:
         return rows == cols
 
     def __matmul__(self, other: "CoinvariantMatrix") -> "CoinvariantMatrix":
-        rows, inner = self.shape
-        inner2, cols = other.shape
-        if inner != inner2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                acc = AlgElement.zero()
-                for k in range(inner):
-                    acc = acc + mul(self.entries[i][k], other.entries[k][j])
-                row.append(acc)
-            out.append(row)
-        return CoinvariantMatrix(out)
+        return CoinvariantMatrix(
+            [[_sum_of_products(zip(row, col)) for col in zip(*other.entries)]
+             for row in self.entries])
 
     def __sub__(self, other: "CoinvariantMatrix") -> "CoinvariantMatrix":
         if self.shape != other.shape:
@@ -97,10 +89,8 @@ class CoinvariantMatrix:
         """Sum of the diagonal entries; stays coinvariant."""
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        acc = AlgElement.zero()
-        for i in range(len(self.entries)):
-            acc = acc + self.entries[i][i]
-        return acc
+        return AlgElement._raw(accumulate({}, (
+            (ONE, row[i]._d.items()) for i, row in enumerate(self.entries))))
 
     def json_entries(self):
         return [[e.json_terms() for e in row] for row in self.entries]
@@ -112,6 +102,14 @@ class CoinvariantMatrix:
 
     def __repr__(self):
         return f"CoinvariantMatrix({self.text()})"
+
+
+def _sum_of_products(pairs) -> AlgElement:
+    # the sum of x y over the pairs (x, y): one accumulate over the
+    # monomial product blocks of every pair, as s3core.mul has for one
+    return AlgElement._raw(accumulate({}, (
+        (c1 * c2, _mono_mul(t1, t2)) for x, y in pairs
+        for t1, c1 in x._d.items() for t2, c2 in y._d.items())))
 
 
 def _legs(mu: int):
@@ -193,8 +191,4 @@ def pairing(mu: int) -> ParamScalar:
     enters, so the matrix trace is summed from the n+1 products
     E_jj = r_j l_j instead of building all (n+1)^2 entries.
     """
-    rights, lefts = _legs(mu)
-    diagonal = AlgElement.zero()
-    for r, l in zip(rights, lefts):
-        diagonal = diagonal + mul(r, l)
-    return trace_functional(diagonal)
+    return trace_functional(_sum_of_products(zip(*_legs(mu))))

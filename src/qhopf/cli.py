@@ -42,7 +42,7 @@ N_MIN, N_MAX = 2, 100_000
 
 # budgets of --k and --mu, each measured at its limit (whole commands,
 # one run per sign, on a shared 2-core Xeon): connection --k 64 takes
-# about 1.0 s and prints 0.85 MB; pairing --mu 30 takes 0.3-0.4 s;
+# about 0.7 s and prints 0.85 MB; pairing --mu 30 takes 0.3-0.4 s;
 # idempotent prints (n+1)^2 entries, so it stops sooner: --mu 14 takes
 # about 0.45 s and prints 1.2 MB
 K_MAX = 64
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        parents=[output])
     p.add_argument("--k", required=True,
                    type=_bounded(-K_MAX, K_MAX, "circle power"),
-                   help=f"circle power, |k| <= {K_MAX} (about 1.0 s "
+                   help=f"circle power, |k| <= {K_MAX} (about 0.7 s "
                         f"and 0.85 MB of JSON at the limit)")
 
     p = sub.add_parser("idempotent", help="line-module idempotent matrix",

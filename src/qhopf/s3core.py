@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .scalars import ONE, ParamScalar, ppow, qbinomial, qpow, scalar
-from .sparse import SparseElement, bilinear, extend
+from .sparse import SparseElement, accumulate, bilinear, extend
 
 __all__ = [
     "BasisMonomial",
@@ -376,7 +376,5 @@ def iota_word(letters: Iterable[str]) -> AlgElement:
 
 def iota(poly: Mapping[tuple, ScalarLike]) -> AlgElement:
     """Image of a polynomial in f0, f1, f1*, given as {word: coefficient}."""
-    out = AlgElement.zero()
-    for word, c in poly.items():
-        out = out + iota_word(word).scale(c)
-    return out
+    return _raw(accumulate({}, ((scalar(c), iota_word(word)._d.items())
+                                for word, c in poly.items())))

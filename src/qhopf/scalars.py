@@ -7,10 +7,16 @@ form, so equality of values coincides with equality of representations.
 The value's own reduced denominator picks one of two representations:
 
 - If the denominator is a monomial with coefficient 1, the value is a
-  Laurent polynomial with int coefficients, stored as one sparse dict
-  ``{(i, j): c}`` for ``c p^i q^j`` with signed exponents.  Sums,
-  products and negation of such values are plain dict arithmetic, with
-  no gcd.  Everything the algebra layers build lies in Z[p^±1, q^±1].
+  Laurent polynomial with int coefficients, stored as an offset
+  ``(i0, j0)`` and one sparse dict ``{(i, j): c}`` whose lowest p and
+  lowest q exponents are both 0: the value is the sum of
+  ``c p^(i0+i) q^(j0+j)``.  Sums, products and negation of such values
+  are plain dict arithmetic, with no gcd.  A product with a single term
+  c p^i q^j adds the offsets and shares the other dict when c = 1 (it
+  rescales the values, on the same keys, otherwise), so the q^k and p^k
+  structure constants of the algebra cost no dict copy.  A sum copies
+  the operand at the lower offset and adds the other's terms at moved
+  keys.  Everything the algebra layers build lies in Z[p^±1, q^±1].
 - Otherwise (``3/2*p``, ``1/(1 - q)``, division in expressions,
   Gauss-binomial quotients) the value is a fraction of two int
   polynomials with exponents >= 0, reduced by their polynomial gcd and
@@ -23,9 +29,9 @@ The value's own reduced denominator picks one of two representations:
   coefficients (Gauss's lemma keeps quotients by primitive divisors
   integral); rational coefficients are cleared once on entry.
 
-Products go through one entry point, ``_pmul``: a dict loop for small
-factors and, from ``KMUL_MIN_PAIRS`` term pairs on, one big-integer
-multiply by Kronecker substitution (``_kmul``).
+Products of two polynomials go through one entry point, ``_pmul``: a
+dict loop for small factors and, from ``KMUL_MIN_PAIRS`` term pairs on,
+one big-integer multiply by Kronecker substitution (``_kmul``).
 
 The read-only views ``num`` and ``den`` give the reduced fraction for
 either representation, with exponents >= 0, Fraction coefficients and
@@ -41,7 +47,6 @@ import struct
 from fractions import Fraction
 from itertools import accumulate, product
 from types import MappingProxyType
-from typing import Union
 
 __all__ = [
     "ParamScalar",
@@ -56,8 +61,6 @@ __all__ = [
     "format_linear",
 ]
 
-ScalarLike = Union["ParamScalar", int, Fraction]
-
 
 # ---------------------------------------------------------------------------
 # bivariate polynomial helpers (plain dicts {(i, j): c}, zero == {})
@@ -69,38 +72,30 @@ def _gkey(mono):
     return (i + j, j)
 
 
-def _padd(f, g):
+def _padd(f, g, sub=False, di=0, dj=0):
+    # f + g (f - g when sub) with g's keys moved by (di, dj), and whether
+    # a key with a zero exponent cancelled
     out = dict(f)
+    cut = False
+    shift = di or dj
     for m, c in g.items():
+        if shift:
+            m = (m[0] + di, m[1] + dj)
         s = out.get(m)
         if s is None:
-            out[m] = c
+            out[m] = -c if sub else c
         else:
-            s = s + c
+            s = s - c if sub else s + c
             if s:
                 out[m] = s
             else:
                 del out[m]
-    return out
+                cut = cut or 0 in m
+    return out, cut
 
 
 def _pneg(f):
     return {m: -c for m, c in f.items()}
-
-
-def _psub(f, g):
-    out = dict(f)
-    for m, c in g.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = -c
-        else:
-            s = s - c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
 
 
 def _pshift(f, di, dj):
@@ -128,12 +123,6 @@ _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 def _pmul(f, g):
     if not f or not g:
         return {}
-    if len(f) == 1:
-        (i, j), c = next(iter(f.items()))
-        return {(i + gi, j + gj): c * gc for (gi, gj), gc in g.items()}
-    if len(g) == 1:
-        (i, j), c = next(iter(g.items()))
-        return {(fi + i, fj + j): fc * c for (fi, fj), fc in f.items()}
     if len(f) * len(g) >= KMUL_MIN_PAIRS:
         out = _kmul(f, g)
         if out is not None:
@@ -231,7 +220,8 @@ def _peval(f, pv, qv):
     return total
 
 
-_POLY_ONE = {(0, 0): 1}
+_K0 = (0, 0)
+_POLY_ONE = {_K0: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +322,7 @@ def _prem(a, b):
             break
         # the leading coefficient of a, times q^(d - n)
         la = {(i, d - n): c for (i, j), c in a.items() if j == d}
-        a = _psub(_pmul(a, lb), _pmul(b, la))
+        a = _padd(_pmul(a, lb), _pmul(b, la), True)[0]
         if a:
             a = _pprim(a)
     return a
@@ -490,16 +480,16 @@ def format_linear(pairs) -> str:
 # ---------------------------------------------------------------------------
 
 def _reduce(num, den):
-    """(num, den) of the canonical form of num/den (den nonzero).
+    """The canonical value num/den (den nonzero).
 
     Both are int polynomials with exponents >= 0.  The polynomial gcd
     and then the common integer content are divided out, and the sign
     makes the lowest-order denominator coefficient positive.  A
     denominator that is then a monomial with coefficient 1 gives the
-    Laurent form (num shifted, None).
+    Laurent form.
     """
     if not num:
-        return {}, None
+        return ZERO
     g = _pgcd(num, den)
     if len(g) != 1 or next(iter(g)) != (0, 0):
         num = _pdiv_exact(num, g)
@@ -512,8 +502,18 @@ def _reduce(num, den):
         den = {m: c // k for m, c in den.items()}
     (di, dj), dc = next(iter(den.items()))
     if len(den) > 1 or dc != 1:
-        return num, den
-    return (_pshift(num, -di, -dj) if di or dj else num), None
+        return _new(num, den, _K0)
+    return _laurent(num, -di, -dj)
+
+
+def _laurent(n, i=0, j=0):
+    # the Laurent value n p^i q^j in normal form (n has no zero values)
+    if not n:
+        return ZERO
+    a, b = map(min, zip(*n))
+    i, j = i + a, j + b
+    return _new(_pshift(n, -a, -b) if a or b else n, None,
+                (i, j) if i or j else _K0)
 
 
 class ParamScalar:
@@ -523,45 +523,47 @@ class ParamScalar:
     ``num`` and ``den`` are read-only views of the reduced fraction.
     """
 
-    # _d is None: _n is a Laurent dict with int coefficients; otherwise
-    # _n/_d is a reduced fraction of int polynomials whose denominator
-    # _d is not a monomial with coefficient 1
-    __slots__ = ("_n", "_d")
+    # _d is None: the value is the int dict _n times p^i q^j for the
+    # offset _o = (i, j), where _n is empty with offset (0, 0) or has a
+    # key with i = 0 and a key with j = 0.  Otherwise _n/_d is a reduced
+    # fraction of int polynomials whose denominator _d is not a monomial
+    # with coefficient 1, and _o is (0, 0).  Values share their dicts,
+    # so no dict is changed after construction.
+    __slots__ = ("_n", "_d", "_o")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = {(0, 0): num}
-        n, d = {m: c for m, c in num.items() if c}, None
-        for c in n.values():
-            if c.__class__ is not int:
-                # s n over s, with s the common coefficient denominator
-                n = {m: Fraction(c) for m, c in n.items()}
-                s = math.lcm(*[c.denominator for c in n.values()])
-                n, d = _divide(_new({m: int(c * s) for m, c in n.items()},
-                                    None), ParamScalar(s))
-                break
+        if num.__class__ is int:
+            x = _new({_K0: num} if num else {}, None, _K0)
+        else:
+            # s num over s, with s the common coefficient denominator
+            n = {_K0: num} if isinstance(num, (int, Fraction)) else num
+            n = {m: Fraction(c) for m, c in n.items() if c}
+            s = math.lcm(*[c.denominator for c in n.values()])
+            x = _laurent({m: int(c * s) for m, c in n.items()})
+            if s != 1:
+                x = _divide(x, ParamScalar(s))
         if den is not None:
-            n, d = _divide(_new(n, d), ParamScalar(den))
-        _set_n(self, n)
-        _set_d(self, d)
+            x = _divide(x, ParamScalar(den))
+        _set_n(self, x._n)
+        _set_d(self, x._d)
+        _set_o(self, x._o)
 
     def __setattr__(self, *args):
         raise AttributeError("ParamScalar is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild from the canonical data, never setattr
-        return _new, (self._n, self._d)
+        return _new, (self._n, self._d, self._o)
 
     def _parts(self):
         # numerator and denominator polynomials, exponents >= 0
         n, d = self._n, self._d
         if d is not None:
             return n, d
-        si = min([0] + [i for i, _ in n])
-        sj = min([0] + [j for _, j in n])
-        if not (si or sj):
-            return n, _POLY_ONE
-        return _pshift(n, -si, -sj), {(-si, -sj): 1}
+        i, j = self._o
+        si, sj = max(i, 0), max(j, 0)
+        return ((_pshift(n, si, sj) if si or sj else n),
+                {(si - i, sj - j): 1} if i < 0 or j < 0 else _POLY_ONE)
 
     def _fraction(self):
         # _parts scaled so that the lowest-order denominator coefficient
@@ -592,8 +594,8 @@ class ParamScalar:
 
     def is_constant(self):
         n, d = self._n, self._d
-        return ((not n or (len(n) == 1 and (0, 0) in n))
-                and (d is None or (len(d) == 1 and (0, 0) in d)))
+        return (self._o == _K0 and (not n or (len(n) == 1 and _K0 in n))
+                and (d is None or (len(d) == 1 and _K0 in d)))
 
     def is_integer(self):
         return self._d is None and self.is_constant()
@@ -614,7 +616,7 @@ class ParamScalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ParamScalar(other)
-        return _combine(self, other, _padd)
+        return _combine(self, other, False)
 
     __radd__ = __add__
 
@@ -623,13 +625,13 @@ class ParamScalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ParamScalar(other)
-        return _combine(self, other, _psub)
+        return _combine(self, other, True)
 
     def __rsub__(self, other):
         return scalar(other) - self
 
     def __neg__(self):
-        return _new(_pneg(self._n), self._d)
+        return _new(_pneg(self._n), self._d, self._o)
 
     def __mul__(self, other):
         if other.__class__ is not ParamScalar:
@@ -641,10 +643,22 @@ class ParamScalar:
         if other is ONE:
             return self
         if self._d is None and other._d is None:
-            return _new(_pmul(self._n, other._n), None)
+            xn, yn = self._n, other._n
+            if len(yn) == 1:
+                xn, yn = yn, xn
+            if len(xn) == 1:
+                # a monomial factor moves the offset and keeps the keys
+                c = xn[_K0]
+                n = yn if c == 1 else {m: c * v for m, v in yn.items()}
+            else:
+                n = _pmul(xn, yn)
+            if not n:
+                return ZERO
+            (xi, xj), (yi, yj) = self._o, other._o
+            return _new(n, None, (xi + yi, xj + yj))
         sn, sd = self._parts()
         on, od = other._parts()
-        return _new(*_reduce(_pmul(sn, on), _pmul(sd, od)))
+        return _reduce(_pmul(sn, on), _pmul(sd, od))
 
     __rmul__ = __mul__
 
@@ -653,7 +667,7 @@ class ParamScalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ParamScalar(other)
-        return _new(*_divide(self, other))
+        return _divide(self, other)
 
     def __rtruediv__(self, other):
         return scalar(other) / self
@@ -679,14 +693,15 @@ class ParamScalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ParamScalar(other)
-        return self._n == other._n and self._d == other._d
+        return (self._n == other._n and self._o == other._o
+                and self._d == other._d)
 
     def __hash__(self):
         # a constant hashes like the int or Fraction it equals
         if self.is_constant():
             return hash(self.as_fraction())
         d = self._d
-        return hash((frozenset(self._n.items()),
+        return hash((frozenset(self._n.items()), self._o,
                      None if d is None else frozenset(d.items())))
 
     # -- evaluation and rendering -------------------------------------------
@@ -732,25 +747,45 @@ class ParamScalar:
 
 _set_n = ParamScalar._n.__set__
 _set_d = ParamScalar._d.__set__
+_set_o = ParamScalar._o.__set__
 
 
-def _new(num, den) -> ParamScalar:
-    # raw builder for canonical (num, den) pairs, den None when Laurent
+def _new(num, den, off) -> ParamScalar:
+    # raw builder for canonical data (see ParamScalar's slots)
     x = object.__new__(ParamScalar)
     _set_n(x, num)
     _set_d(x, den)
+    _set_o(x, off)
     return x
 
 
-def _combine(x, y, op):
-    # x + y or x - y, with op the matching polynomial helper
+def _combine(x, y, sub):
+    # x + y, or x - y when sub
+    f, g = x._n, y._n
+    if not g:
+        return x
+    if not f:
+        return -y if sub else y
     if x._d is None and y._d is None:
-        return _new(op(x._n, y._n), None)
+        o = x._o
+        if o == y._o:
+            n, cut = _padd(f, g, sub)
+            return _laurent(n, *o) if cut else _new(n, None, o)
+        (xi, xj), (yi, yj) = o, y._o
+        if yi <= xi and yj <= xj:
+            # copy the operand at the lower offset, unshifted
+            f, g, xi, xj, yi, yj = (_pneg(g) if sub else g), f, yi, yj, xi, xj
+            sub = False
+        n, cut = _padd(f, g, sub, yi - xi, yj - xj)
+        if cut or yi < xi or yj < xj:
+            return _laurent(n, xi, xj)
+        return _new(n, None, (xi, xj))
     xn, xd = x._parts()
     yn, yd = y._parts()
     if xd == yd:
-        return _new(*_reduce(op(xn, yn), xd))
-    return _new(*_reduce(op(_pmul(xn, yd), _pmul(yn, xd)), _pmul(xd, yd)))
+        return _reduce(_padd(xn, yn, sub)[0], xd)
+    return _reduce(_padd(_pmul(xn, yd), _pmul(yn, xd), sub)[0],
+                   _pmul(xd, yd))
 
 
 def _divide(x, y):
@@ -770,10 +805,10 @@ def scalar(x) -> ParamScalar:
     raise TypeError(f"cannot promote {type(x).__name__} to ParamScalar")
 
 
-ZERO = _new({}, None)
-ONE = _new({(0, 0): 1}, None)
-P = _new({(1, 0): 1}, None)
-Q = _new({(0, 1): 1}, None)
+ZERO = _new({}, None, _K0)
+ONE = _new(_POLY_ONE, None, _K0)
+P = _new(_POLY_ONE, None, (1, 0))
+Q = _new(_POLY_ONE, None, (0, 1))
 
 _PPOW_CACHE: dict[int, ParamScalar] = {0: ONE, 1: P}
 _QPOW_CACHE: dict[int, ParamScalar] = {0: ONE, 1: Q}
@@ -783,7 +818,7 @@ def ppow(k: int) -> ParamScalar:
     """p^k for a signed exponent (negative k gives 1/p^|k|)."""
     hit = _PPOW_CACHE.get(k)
     if hit is None:
-        hit = _PPOW_CACHE[k] = _new({(k, 0): 1}, None)
+        hit = _PPOW_CACHE[k] = _new(_POLY_ONE, None, (k, 0))
     return hit
 
 
@@ -791,7 +826,7 @@ def qpow(k: int) -> ParamScalar:
     """q^k for a signed exponent."""
     hit = _QPOW_CACHE.get(k)
     if hit is None:
-        hit = _QPOW_CACHE[k] = _new({(0, k): 1}, None)
+        hit = _QPOW_CACHE[k] = _new(_POLY_ONE, None, (0, k))
     return hit
 
 
@@ -831,7 +866,7 @@ def qbinomial(n: int, k: int, param: str = "q") -> ParamScalar:
     row = _QBIN_ROWS.get((param, n))
     if row is None:
         half = [ONE] + [_new({(0, e) if param == "q" else (e, 0): c
-                              for e, c in enumerate(coeffs)}, None)
+                              for e, c in enumerate(coeffs)}, None, _K0)
                         for coeffs in _qbin_lists(n)[1:]]
         row = _QBIN_ROWS[param, n] = tuple(half[min(j, n - j)]
                                            for j in range(n + 1))

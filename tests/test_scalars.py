@@ -1,5 +1,7 @@
 """Exact coefficient field and Gauss binomials."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -171,6 +173,15 @@ def one_form(x):
     return all(c.__class__ is int for c in (*n.values(), *d.values()))
 
 
+def laurent_normal(x):
+    # the offset form: a Laurent dict is empty at offset (0, 0) or has a
+    # key with i = 0 and a key with j = 0; a field value has offset (0, 0)
+    n, o = x._n, x._o
+    if x._d is not None or not n:
+        return o == (0, 0)
+    return min(i for i, _ in n) == 0 and min(j for _, j in n) == 0
+
+
 def scalars_strategy():
     coeff = st.integers(-4, 4)
     def build(c0, cp, cq, cpq):
@@ -196,6 +207,11 @@ def test_field_axioms(x, y, z):
         assert x * (ONE / x) == ONE
     assert all(map(one_form, (x, y, z, x + y, y + z, (x + y) + z, x * y,
                               y * z, (x * y) * z, x * (y + z), x - x)))
+    assert all(map(laurent_normal, (
+        x, y, z, x + y, y + z, (x + y) + z, x * y, y * z, (x * y) * z,
+        x * (y + z), x - x, x + ZERO, x * ONE)))
+    if not x.is_zero():
+        assert laurent_normal(ONE / x) and laurent_normal(x * (ONE / x))
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,6 +323,11 @@ def test_laurent_scalars_differential(seed):
         assert all(map(one_form, (x, y, z, x * y, (x * y) * z, x + y,
                                   x - y, -y, x * (y + z), x * pole,
                                   x * pole * (ONE - P * Q), x + pole)))
+        assert all(map(laurent_normal, (
+            x, y, z, x * y, (x * y) * z, y * z, x + y, x - y, -y, y + z,
+            x * (y + z), x * pole, x * pole * (ONE - P * Q), x + pole,
+            (x + pole) - pole, x - x, x * ONE, x + ZERO, x * ZERO,
+            ParamScalar(x.num), ParamScalar(x.den))))
         assert (x * y) * z == x * (y * z)
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
@@ -471,3 +492,134 @@ def test_rendering_reads_back(seed):
         field = random_poly_scalar(rng) / den * shift if den else laurent
         for x in (laurent, field, laurent + ONE / (ONE - P * Q)):
             assert evaluate_scalar(str(x)) == x, str(x)
+
+
+# ---------------------------------------------------------------------------
+# the offset form of Laurent values against plain true-exponent dicts
+# ---------------------------------------------------------------------------
+
+def true_dict(x):
+    # the signed-exponent dict of a Laurent value, read through num/den
+    ((di, dj), dc), = x.den.items()
+    assert dc == 1
+    return {(i - di, j - dj): c for (i, j), c in x.num.items()}
+
+
+def ref_add(f, g, sign=1):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_at(f, pv, qv):
+    return sum((c * pv**i * qv**j for (i, j), c in f.items()), Fraction(0))
+
+
+OFFSET_POINTS = [(Fraction(2, 3), Fraction(-5, 7)),
+                 (Fraction(-9, 4), Fraction(3, 11))]
+
+
+def random_true_dict(rng):
+    # a window of exponents at a random, often negative, corner; one in
+    # five values is univariate, one in five a single term
+    i0, j0 = rng.randint(-9, 5), rng.randint(-9, 5)
+    terms = 1 if rng.random() < 0.2 else rng.randint(2, 7)
+    wide = rng.random() < 0.8
+    out = {}
+    for _ in range(terms):
+        c = rng.choice([1, -1, 3, rng.randint(-40, 40) or 2])
+        out[(i0 + (rng.randint(0, 4) if wide else 0),
+             j0 + rng.randint(0, 4))] = c
+    return out
+
+
+def check_against(x, f):
+    # x is the Laurent value of the true dict f, in offset form
+    assert laurent_normal(x) and one_form(x)
+    assert true_dict(x) == f
+    y = ParamScalar(f)
+    assert x == y and hash(x) == hash(y) and str(x) == str(y)
+    for pv, qv in OFFSET_POINTS:
+        assert x.evaluate(pv, qv) == ref_at(f, pv, qv)
+
+
+def offset_cases(rng):
+    # pairs (x, y) with their true dicts: crossing offsets, cancelling
+    # lowest terms and monomial factors first, then random pairs
+    cases = [
+        ({(-3, 2): 1, (-3, 3): 1}, {(1, -2): 1, (2, -2): 1}),   # crossing
+        ({(-1, 0): 1, (0, 1): 2}, {(-1, 0): -1, (0, 0): 1}),    # low p
+        ({(0, -4): 5, (2, 1): 1}, {(0, -4): -5, (1, 0): 1}),    # low q
+        ({(-2, -2): 3, (1, 0): -1}, {(-2, -2): -3, (1, 0): 1}),  # all
+        ({(0, 7): 1}, {(1, 1): 1, (0, 2): -3, (4, 0): 1}),      # c = 1
+        ({(-2, 0): -1}, {(1, 1): 2, (0, 3): 1, (2, 2): -1}),    # c = -1
+        ({(0, -4): 3}, {(-5, 0): 1, (0, -5): 1, (-3, 3): 7}),   # c = 3
+    ]
+    for _ in range(60):
+        cases.append((random_true_dict(rng), random_true_dict(rng)))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_offset_arithmetic_against_true_exponents(seed):
+    rng = random.Random(1300 + seed)
+    for f, g in offset_cases(rng):
+        x, y = ParamScalar(f), ParamScalar(g)
+        check_against(x, f)
+        check_against(y, g)
+        check_against(x + y, ref_add(f, g))
+        check_against(y + x, ref_add(f, g))
+        check_against(x - y, ref_add(f, g, -1))
+        check_against(y - x, ref_add(g, f, -1))
+        check_against(-x, {m: -c for m, c in f.items()})
+        check_against(x * y, reference_product(f, g))
+        check_against(y * x, reference_product(f, g))
+        check_against(x - x, {})
+        check_against(x * ZERO, {})
+        check_against(ZERO * y, {})
+        assert x - x == ZERO and hash(x - x) == hash(0)
+        for k in range(4):
+            want = {(0, 0): 1}
+            for _ in range(k):
+                want = reference_product(want, f)
+            check_against(x ** k, want)
+        assert (x == y) == (f == g)
+        # division and negative powers leave the ring: compare values
+        for pv, qv in OFFSET_POINTS:
+            xv, yv = ref_at(f, pv, qv), ref_at(g, pv, qv)
+            assert (x / y).evaluate(pv, qv) == xv / yv
+            assert (x ** -2).evaluate(pv, qv) == xv ** -2
+        assert laurent_normal(x / y) and (x / y) * y == x
+        # a field value built from Laurent ones, and back
+        z = (qpow(-5) * x) / (ONE - Q)
+        assert laurent_normal(z) and one_form(z)
+        check_against(z * (ONE - Q) * qpow(5), f)
+        for pv, qv in OFFSET_POINTS:
+            assert z.evaluate(pv, qv) == \
+                ref_at(f, pv, qv) * qv**-5 / (1 - qv)
+
+
+def test_every_route_to_the_unit_is_one():
+    routes = [qpow(3) * qpow(-3), Q * (ONE / Q), ParamScalar({(0, 0): 1}),
+              ONE, ppow(-2) * ppow(2), qpow(-4) ** 0]
+    for x in routes:
+        assert x == ONE and hash(x) == 1 and laurent_normal(x)
+        assert str(x) == "1" and x.is_integer() and x.as_fraction() == 1
+
+
+def test_monomial_factors_share_the_coefficient_dict():
+    x = ppow(-2) * qpow(3) * (ONE + P - 3 * Q * Q + P * Q)
+    assert len(x._n) >= 3
+    assert (qpow(7) * x)._n is x._n
+    assert (x * ppow(-3))._n is x._n
+    assert (x * ppow(-3)) * ppow(3) == x
+
+
+def test_offset_values_copy_and_pickle():
+    for x in (ppow(-3) * qpow(5) * (ONE - 2 * P + Q), qpow(-7), ppow(4),
+              (ONE + qpow(-2)) / (ONE - P)):
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x) and str(y) == str(x)
+            assert laurent_normal(y) and y * ONE == x and y + ZERO == x
