@@ -20,13 +20,15 @@ the trace with the matrix trace of an idempotent yields an integer;
 for winding -1 it is exactly -1, independent of p and q, and the tests
 pin the value mu for every 1 <= |mu| <= 20.  The pairing needs only
 the diagonal entries r_j l_j, so it forms n+1 sphere products where
-the whole idempotent takes (n+1)^2; both read the legs from one place.
+the whole idempotent takes (n+1)^2.  Both read the legs l_k (x) r_k
+as the summands of ``galois.strong_connection_closed``.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ParamScalar, ZERO, ppow, qbinomial, qpow
-from .s3core import AlgElement, BasisMonomial, _mono_mul, mul
+from .scalars import ONE, ParamScalar, ZERO, ppow, qpow
+from .galois import strong_connection_closed
+from .s3core import AlgElement, _mono_mul, mul
 from .sparse import accumulate
 
 __all__ = [
@@ -115,32 +117,15 @@ def _sum_of_products(pairs) -> AlgElement:
 def _legs(mu: int):
     """The right and the left legs of the connection value on u^|mu|.
 
-    For mu = -n they are r_j = a^(n-j) b*^j and
-    l_k = [n, n-k]_q q^k (1-aa*)^k a*^(n-k) b^k; for mu = +n the roles
-    of a and b, and of q and p, are exchanged.
+    They are the summands l_k (x) r_k of the closed form (its "+" sign
+    for mu < 0), ordered by the flag exponent k of the left leg.
     """
     if mu == 0:
         raise ValueError("winding 0 is the free module; no idempotent here")
-    n = abs(mu)
-    if mu < 0:
-        rights = [AlgElement.from_monomial(BasisMonomial(n - j, 0, 0, -j))
-                  for j in range(n + 1)]
-        lefts = [
-            AlgElement.from_monomial(
-                BasisMonomial(-(n - k), k, 0, k),
-                qbinomial(n, n - k) * qpow(k - k * (n - k)))
-            for k in range(n + 1)
-        ]
-    else:
-        rights = [AlgElement.from_monomial(BasisMonomial(-j, 0, 0, n - j))
-                  for j in range(n + 1)]
-        lefts = [
-            AlgElement.from_monomial(
-                BasisMonomial(k, 0, k, -(n - k)),
-                qbinomial(n, n - k, param="p") * ppow(k))
-            for k in range(n + 1)
-        ]
-    return rights, lefts
+    ell = strong_connection_closed(abs(mu), "+" if mu < 0 else "-")
+    terms = sorted(ell.terms.items(), key=lambda t: t[0][0].m + t[0][0].n)
+    return ([AlgElement._raw({right: ONE}) for (_, right), _ in terms],
+            [AlgElement._raw({left: c}) for (left, _), c in terms])
 
 
 def idempotent(mu: int) -> CoinvariantMatrix:

@@ -224,8 +224,7 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
 
     if cmd == "coaction":
         x = evaluate_algebra(args.expression)
-        cot = hopf.coaction(x)
-        report["result"] = {"text": cot.text(), "terms": cot.json_terms()}
+        report["result"] = _element_payload(hopf.coaction(x))
         return report, 0
 
     if cmd == "gluing-check":

@@ -28,7 +28,8 @@ from operator import itemgetter
 from .scalars import ONE, ppow, qpow
 from .hopf import LaurentElement, _over_powers_text, _power, coaction
 from .s3core import (FLAG_A, FLAG_B, GENERATORS, AlgElement, BasisMonomial,
-                     _disc_mul, _word, monomial, substitute)
+                     _disc_mul, _flag_text, _power_text, _word, monomial,
+                     substitute)
 from .sparse import SparseElement, extend
 
 __all__ = [
@@ -88,15 +89,10 @@ class DiscElement(_Tagged):
     def _key_text(self, t: DiscMonomial) -> str:
         mu, m = t
         sym = "x" if self.tag == "p" else "y"
-        parts = []
-        if mu > 0:
-            parts.append(sym if mu == 1 else f"{sym}^{mu}")
-        elif mu < 0:
-            parts.append(f"{sym}^*" if mu == -1 else f"{sym}^*^{-mu}")
-        if m:
-            flag = f"(1 - {sym} {sym}^*)"
-            parts.append(flag if m == 1 else flag + f"^{m}")
-        return " ".join(parts) if parts else "1"
+        if not m:
+            return _power_text(sym, mu) if mu else "1"
+        flag = _flag_text(sym, m)
+        return f"{_power_text(sym, mu)} {flag}" if mu else flag
 
 
 def disc_generator(tag: str, starred: bool = False) -> DiscElement:

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import operator
 from functools import partial
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple
 
 from .scalars import ONE, ParamScalar, ppow, qbinomial, qpow, scalar
 from .sparse import SparseElement, accumulate, bilinear, extend
@@ -78,21 +77,27 @@ class BasisMonomial(NamedTuple):
 
     def text(self) -> str:
         parts = []
-        if self.mu > 0:
-            parts.append("a" if self.mu == 1 else f"a^{self.mu}")
-        elif self.mu < 0:
-            parts.append("a^*" if self.mu == -1 else f"a^*^{-self.mu}")
+        if self.mu:
+            parts.append(_power_text("a", self.mu))
         if self.m:
-            parts.append("(1 - a a^*)" if self.m == 1
-                         else f"(1 - a a^*)^{self.m}")
+            parts.append(_flag_text("a", self.m))
         if self.n:
-            parts.append("(1 - b b^*)" if self.n == 1
-                         else f"(1 - b b^*)^{self.n}")
-        if self.nu > 0:
-            parts.append("b" if self.nu == 1 else f"b^{self.nu}")
-        elif self.nu < 0:
-            parts.append("b^*" if self.nu == -1 else f"b^*^{-self.nu}")
+            parts.append(_flag_text("b", self.n))
+        if self.nu:
+            parts.append(_power_text("b", self.nu))
         return " ".join(parts) if parts else "1"
+
+
+def _power_text(g: str, e: int) -> str:
+    """Rendering of g_e for e != 0: g^e, or g^*^|e| for e < 0."""
+    if e > 0:
+        return g if e == 1 else f"{g}^{e}"
+    return f"{g}^*" if e == -1 else f"{g}^*^{-e}"
+
+
+def _flag_text(g: str, m: int) -> str:
+    """Rendering of (1 - g g*)^m for m >= 1."""
+    return f"(1 - {g} {g}^*)" if m == 1 else f"(1 - {g} {g}^*)^{m}"
 
 
 UNIT_MONO = BasisMonomial(0, 0, 0, 0)
@@ -215,9 +220,6 @@ _LEFT = {g: partial(_mono_mul, t) for g, t in _LETTER_MONO.items()}
 # elements
 # ---------------------------------------------------------------------------
 
-ScalarLike = Union[ParamScalar, int, Fraction]
-
-
 def _checked(t) -> BasisMonomial:
     if not (isinstance(t, tuple) and len(t) == 4):
         raise ValueError(f"not a basis monomial index: {t!r}")
@@ -251,7 +253,7 @@ class AlgElement(SparseElement):
         return cls._raw({_LETTER_MONO[name]: ONE})
 
     @classmethod
-    def from_monomial(cls, t: BasisMonomial, coeff: ScalarLike = 1) -> "AlgElement":
+    def from_monomial(cls, t: BasisMonomial, coeff=1) -> "AlgElement":
         return cls({t: coeff})
 
     def _product(self, other):
@@ -374,7 +376,7 @@ def iota_word(letters: Iterable[str]) -> AlgElement:
     return substitute(letters, _IOTA, AlgElement.one(), mul)
 
 
-def iota(poly: Mapping[tuple, ScalarLike]) -> AlgElement:
+def iota(poly: Mapping) -> AlgElement:
     """Image of a polynomial in f0, f1, f1*, given as {word: coefficient}."""
     return _raw(accumulate({}, ((scalar(c), iota_word(word)._d.items())
                                 for word, c in poly.items())))

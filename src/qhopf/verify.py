@@ -5,9 +5,8 @@ Each suite function returns a JSON-serializable report of the shape
     {"suite": str, "pass": bool, "elapsed_s": float, "checks": [...]}
 
 with one entry per verified identity.  The suites are side-effect free
-and individually runnable; ``suite_all`` is their conjunction.  Random
-data is drawn from seeded generators, and every report records its
-parameters.
+and individually runnable.  Random data is drawn from seeded
+generators, and every report records its parameters.
 
 The numeric suites (chern, numeric, classical) import ``numrep``, and
 with it numpy, when they run; the symbolic suites never load it.
@@ -32,7 +31,6 @@ __all__ = [
     "suite_chern",
     "suite_numeric",
     "suite_classical",
-    "suite_all",
     "run_suite",
     "SUITES",
 ]
@@ -474,13 +472,6 @@ def run_suite(name: str, **params) -> dict:
     code = suite.__code__
     accepted = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     return suite(**{k: v for k, v in params.items() if k in accepted})
-
-
-def suite_all(p_val: float = 0.5, q_val: float = 1.0 / 3.0, N: int = 300,
-              seed: int = 7) -> list[dict]:
-    """Every suite with its acceptance-grade parameters."""
-    return [run_suite(name, p_val=p_val, q_val=q_val, N=N, seed=seed)
-            for name in SUITES]
 
 
 SUITES = {

@@ -8,6 +8,7 @@ import pytest
 from qhopf.scalars import ONE, P, Q, scalar
 from qhopf.chern import (CoinvariantMatrix, idempotent, pairing,
                          trace_functional)
+from qhopf.galois import strong_connection
 from qhopf.s3core import AlgElement, BasisMonomial, mul
 from qhopf import numrep
 from qhopf.verify import random_coinvariant
@@ -39,6 +40,21 @@ def test_idempotent_squared():
         assert e.shape == (abs(mu) + 1, abs(mu) + 1)
     with pytest.raises(ValueError):
         idempotent(0)
+
+
+def test_idempotent_entries_are_products_of_the_recursion_legs():
+    # E_jk = r_j l_k with the legs of the sandwich recursion's ell(u^n),
+    # ordered by the flag exponent of the left leg
+    for n in range(1, 6):
+        for mu in (-n, n):
+            terms = sorted(strong_connection(-mu).terms.items(),
+                           key=lambda t: t[0][0].m + t[0][0].n)
+            rights = [AlgElement({r: ONE}) for (_, r), _ in terms]
+            lefts = [AlgElement({s: c}) for (s, _), c in terms]
+            entries = idempotent(mu).entries
+            for j, r in enumerate(rights):
+                for k, left in enumerate(lefts):
+                    assert entries[j][k] == mul(r, left), (mu, j, k)
 
 
 def test_idempotent_winding_minus_two_corner_entries():

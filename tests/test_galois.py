@@ -1,5 +1,6 @@
 """Strong connection: seeds, recursion, closed form, and identities."""
 
+import signal
 import sys
 
 import pytest
@@ -112,6 +113,40 @@ def test_connection_properties_report():
         check_connection_properties(0)
 
 
+# two tensors whose products cancel in lifted_can and in multiply_legs,
+# added to ell(u): the first has right legs in winding 2 and left legs
+# in winding -1, the second left legs in winding 0 and right legs in 1
+_STRAY_LEGS = {
+    "right_colinearity": {
+        (BasisMonomial(0, 0, 0, 1), BasisMonomial(3, 0, 0, 1)): ONE,
+        (BasisMonomial(1, 0, 0, 2), BasisMonomial(2, 0, 0, 0)): -ONE,
+    },
+    "left_colinearity": {
+        (BasisMonomial(1, 0, 0, 1), BasisMonomial(1, 0, 0, 0)): ONE,
+        (BasisMonomial(0, 0, 0, 0), BasisMonomial(2, 0, 0, 1)): -ONE,
+    },
+}
+
+
+@pytest.mark.parametrize("identity", sorted(_STRAY_LEGS))
+def test_connection_properties_report_a_stray_winding(monkeypatch, identity):
+    stray = TensorElement(_STRAY_LEGS[identity])
+    assert lifted_can(stray).is_zero() and multiply_legs(stray).is_zero()
+    real = galois.strong_connection
+    monkeypatch.setattr(galois, "strong_connection",
+                        lambda k: real(k) + stray if k == 1 else real(k))
+    rep = check_connection_properties(2)
+    assert not rep["pass"]
+    assert len(rep["checks"]) == 5
+    for check in rep["checks"]:
+        for name in ("lifted_can", "right_colinearity", "left_colinearity",
+                     "counit_law"):
+            assert check[name] is not (check["k"] == 1 and name == identity)
+    leg = identity.split("_")[0]
+    assert rep["failures"] == [{"k": 1, "identity": identity,
+                                "difference": f"winding mismatch in {leg} leg"}]
+
+
 def test_per_term_windings():
     for k in range(-8, 9):
         for (s, t) in strong_connection(k).terms:
@@ -159,3 +194,19 @@ def test_strong_connection_stack_depth_is_bounded(monkeypatch):
     assert minus == strong_connection_closed(40, "-")
     # the cache was filled on the way up; a smaller power is a cache hit
     assert galois._CONN_CACHE[39] is strong_connection(39)
+
+
+def test_strong_connection_rejects_a_non_integer_power():
+    # unchecked, a fractional power steps past 0 in the search for a
+    # cached power and never stops; the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("no answer for a fractional power")
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for call in (strong_connection, galois_witness):
+            with pytest.raises(ValueError):
+                call(0.5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -39,6 +39,18 @@ def test_disc_relation_in_element_form():
     assert lhs == DiscElement("p", {(0, 0): ONE - P})
 
 
+def test_disc_element_text():
+    for tag, g in (("p", "x"), ("q", "y")):
+        powers = {0: [], 1: [g], 2: [f"{g}^2"], -1: [f"{g}^*"],
+                  -2: [f"{g}^*^2"]}
+        flags = {0: [], 1: [f"(1 - {g} {g}^*)"], 2: [f"(1 - {g} {g}^*)^2"]}
+        for mu, m in itertools.product(powers, flags):
+            want = " ".join(powers[mu] + flags[m]) or "1"
+            assert str(DiscElement(tag, {(mu, m): ONE})) == want, (tag, mu, m)
+    assert str(DiscElement("q", {(-2, 1): ONE})) == "y^*^2 (1 - y y^*)"
+    assert str(DiscElement("p", {(0, 0): ONE})) == "1"
+
+
 def test_mixed_tags_error():
     with pytest.raises(ValueError):
         X * disc_generator("q")
