@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from .scalars import ONE, ParamScalar, ZERO, ppow, qpow
 from .galois import strong_connection_closed
+from .hopf import _power
 from .s3core import AlgElement, _mono_mul, mul
 from .sparse import accumulate
 
@@ -65,9 +66,18 @@ class CoinvariantMatrix:
     def __matmul__(self, other: "CoinvariantMatrix") -> "CoinvariantMatrix":
         if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch in matrix product")
-        return CoinvariantMatrix(
-            [[_sum_of_products(zip(row, col)) for col in zip(*other.entries)]
-             for row in self.entries])
+        # one accumulate for the whole product, keyed (row, column, monomial)
+        cols = list(zip(*other.entries))
+        out = [[{} for _ in cols] for _ in self.entries]
+        for (i, k, t), c in accumulate({}, (
+                ((c1, c2), [((i, k, t), c) for t, c in _mono_mul(t1, t2)])
+                for i, row in enumerate(self.entries)
+                for k, col in enumerate(cols) for x, y in zip(row, col)
+                for t1, c1 in x._d.items()
+                for t2, c2 in y._d.items())).items():
+            out[i][k][t] = c
+        return CoinvariantMatrix([[AlgElement._raw(d) for d in row]
+                                  for row in out])
 
     def __sub__(self, other: "CoinvariantMatrix") -> "CoinvariantMatrix":
         if self.shape != other.shape:
@@ -106,21 +116,13 @@ class CoinvariantMatrix:
         return f"CoinvariantMatrix({self.text()})"
 
 
-def _sum_of_products(pairs) -> AlgElement:
-    # the sum of x y over the pairs (x, y): one accumulate over the
-    # monomial product blocks of every pair, as s3core.mul has for one
-    return AlgElement._raw(accumulate({}, (
-        (c1 * c2, _mono_mul(t1, t2)) for x, y in pairs
-        for t1, c1 in x._d.items() for t2, c2 in y._d.items())))
-
-
 def _legs(mu: int):
     """The right and the left legs of the connection value on u^|mu|.
 
     They are the summands l_k (x) r_k of the closed form (its "+" sign
     for mu < 0), ordered by the flag exponent k of the left leg.
     """
-    if mu == 0:
+    if _power(mu) == 0:
         raise ValueError("winding 0 is the free module; no idempotent here")
     ell = strong_connection_closed(abs(mu), "+" if mu < 0 else "-")
     terms = sorted(ell.terms.items(), key=lambda t: t[0][0].m + t[0][0].n)
@@ -176,4 +178,6 @@ def pairing(mu: int) -> ParamScalar:
     enters, so the matrix trace is summed from the n+1 products
     E_jj = r_j l_j instead of building all (n+1)^2 entries.
     """
-    return trace_functional(_sum_of_products(zip(*_legs(mu))))
+    return trace_functional(AlgElement._raw(accumulate({}, (
+        ((c1, c2), _mono_mul(t1, t2)) for r, l in zip(*_legs(mu))
+        for t1, c1 in r._d.items() for t2, c2 in l._d.items()))))

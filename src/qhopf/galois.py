@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from .scalars import ONE, ppow, qbinomial, qpow
 from .hopf import CotensorElement, _power
-from .s3core import AlgElement, BasisMonomial, UNIT_MONO, _checked, _mono_mul
+from .s3core import (AlgElement, BasisMonomial, UNIT_MONO, _checked,
+                     _mono_product)
 from .sparse import SparseElement, bilinear, extend
 
 __all__ = [
@@ -75,9 +76,9 @@ def _sandwich(outer: TensorElement, inner: TensorElement) -> TensorElement:
     # sum over outer terms x (x) y of  (x . inner-left) (x) (inner-right . y)
     def image(xy, st):
         (x, y), (s, t) = xy, st
-        right = _mono_mul(t, y)
+        right = _mono_product(t, y)
         return [((lm, rm), lc if rc is ONE else rc if lc is ONE else lc * rc)
-                for lm, lc in _mono_mul(x, s) for rm, rc in right]
+                for lm, lc in _mono_product(x, s) for rm, rc in right]
     return TensorElement._raw(bilinear(outer._d, inner._d, image))
 
 
@@ -131,7 +132,7 @@ def strong_connection_closed(n: int, sign: str = "+") -> TensorElement:
     [n, k]_q q^(n-k) (1-aa*)^(n-k) a*^k b^(n-k)  (x)  a^k b*^(n-k);
     the - sign exchanges a with b and q with p.
     """
-    if n < 1:
+    if _power(n) < 1:
         raise ValueError("closed form needs a positive power")
     out: dict = {}
     if sign == "+":
@@ -158,13 +159,13 @@ def lifted_can(t: TensorElement) -> CotensorElement:
     """Apply the coaction to the right leg and multiply the algebra legs."""
     def image(sr):
         w = sr[1].winding
-        return [((m, w), k) for m, k in _mono_mul(*sr)]
+        return [((m, w), k) for m, k in _mono_product(*sr)]
     return CotensorElement._raw(extend(t.terms, image))
 
 
 def multiply_legs(t: TensorElement) -> AlgElement:
     """The multiplication map applied to a two-leg tensor."""
-    return AlgElement._raw(extend(t.terms, lambda sr: _mono_mul(*sr)))
+    return AlgElement._raw(extend(t.terms, lambda sr: _mono_product(*sr)))
 
 
 def partition_identity_holds(n: int, sign: str = "+") -> bool:
@@ -195,7 +196,7 @@ def check_connection_properties(k_max: int) -> dict:
     (iii) left colinearity: the left legs all sit in winding -k;
     (iv)  multiplying the legs gives 1 (the partition identity).
     """
-    if k_max < 1:
+    if _power(k_max) < 1:
         raise ValueError("k_max must be positive")
     failures = []
     checks = []

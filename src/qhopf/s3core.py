@@ -176,15 +176,11 @@ def _disc_mul(mu1, m1, mu2, m2, spow, param, lead=False):
             ej = e - j * (j - 1) // 2 - j * (r - j) - j * d
         else:
             ej = e + j * (j + 1) // 2 + j * d
-        c = spow(ej) * qbinomial(r, j, param)
-        out.append((mu, m + j, -c if j & 1 else c))
+        out.append((mu, m + j, spow(ej) * qbinomial(r, j, param, j & 1)))
     return out
 
 
-_MONO_MUL_CACHE: dict = {}
-
-
-def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
+def _mono_product(t1: BasisMonomial, t2: BasisMonomial):
     """Canonical expansion of the product t1 * t2 as ((mono, coeff), ...).
 
     The tensor product of one disc product per side, without the terms
@@ -194,21 +190,26 @@ def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
     reverses products and fixes p, so the b side is the D_p product
     (b_-nu2 (1-bb*)^n2)(b_-nu1 (1-bb*)^n1), read back with nu = -mu'.
     """
-    key = (t1, t2)
-    hit = _MONO_MUL_CACHE.get(key)
-    if hit is not None:
-        return hit
     mu1, m1, n1, nu1 = t1
     mu2, m2, n2, nu2 = t2
     # a side whose factors carry a flag keeps it in every term, so the
     # other side needs only its term without a new flag
     right = _disc_mul(-nu2, n2, -nu1, n1, ppow, "p", m1 or m2)
-    out = tuple((BasisMonomial(mu, m, n, -nu), c * e)
-                for mu, m, c in _disc_mul(mu1, m1, mu2, m2, qpow, "q",
-                                          n1 or n2)
-                for nu, n, e in right if not (m and n))
-    _MONO_MUL_CACHE[key] = out
-    return out
+    return tuple((BasisMonomial(mu, m, n, -nu), c * e)
+                 for mu, m, c in _disc_mul(mu1, m1, mu2, m2, qpow, "q",
+                                           n1 or n2)
+                 for nu, n, e in right if not (m and n))
+
+
+_MONO_MUL_CACHE: dict = {}
+
+
+def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
+    """:func:`_mono_product`, memoized; one-shot products skip the memo."""
+    hit = _MONO_MUL_CACHE.get((t1, t2))
+    if hit is None:
+        hit = _MONO_MUL_CACHE[t1, t2] = _mono_product(t1, t2)
+    return hit
 
 
 # multiplication by one letter from the right (left), as a rule on monomials

@@ -29,9 +29,9 @@ The value's own reduced denominator picks one of two representations:
   coefficients (Gauss's lemma keeps quotients by primitive divisors
   integral); rational coefficients are cleared once on entry.
 
-Products of two polynomials go through one entry point, ``_pmul``: a
-dict loop for small factors and, from ``KMUL_MIN_PAIRS`` term pairs on,
-one big-integer multiply by Kronecker substitution (``_kmul``).
+Sums of products of Laurent values go through one kernel, ``_packed_sums``
+(called by ``sparse.accumulate``, and by ``_pmul`` for one product); it
+packs them as big integers (:mod:`qhopf.kronecker`) when that pays.
 
 The read-only views ``num`` and ``den`` give the reduced fraction for
 either representation, with exponents >= 0, Fraction coefficients and
@@ -43,9 +43,8 @@ literally and read back.  The monomial order is graded lex, ``p < q``.
 from __future__ import annotations
 
 import math
-import struct
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from types import MappingProxyType
 
 __all__ = [
@@ -108,25 +107,18 @@ def _pprim(f):
     return f if g == 1 else {m: c // g for m, c in f.items()}
 
 
-# _pmul hands a product to _kmul from this many term pairs |f| |g| on;
-# below it the dict loop is faster (measured on the products of the
-# deep-exact workload and of pairing(30), see CHANGES.md)
-KMUL_MIN_PAIRS = 96
-# _kmul declines a product whose packed slots outnumber its term pairs by
-# more than this factor: unpacking would then cost more than the loop
-KMUL_MAX_SPARSITY = 4
-
-# struct formats of the slot widths that one pack or unpack call covers
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# term pairs from which packing pays, plus one per decoded slot (CHANGES.md)
+PACK_MIN_PAIRS = 256
 
 
 def _pmul(f, g):
     if not f or not g:
         return {}
-    if len(f) * len(g) >= KMUL_MIN_PAIRS:
-        out = _kmul(f, g)
+    if len(f) * len(g) >= PACK_MIN_PAIRS:
+        out = _packed_sums([(_new(f, None, _K0), ((0, _new(g, None, _K0)),))])
         if out is not None:
-            return out
+            x = out[0]
+            return _pshift(x._n, *x._o) if x._o != _K0 else x._n
     out = {}
     for (fi, fj), fc in f.items():
         for (gi, gj), gc in g.items():
@@ -143,71 +135,28 @@ def _pmul(f, g):
     return out
 
 
-def _kpack(f, i0, j0, width, nbytes, nslots):
-    # f at the packing point: slot (i - i0) W + (j - j0), nbytes each,
-    # holds c + 2^(8 nbytes - 1); the slot biases are subtracted again
-    half = 1 << (8 * nbytes - 1)
-    fmt = _SLOT_FORMATS.get(nbytes)
-    if fmt:
-        digits = [half] * nslots
-        for (i, j), c in f.items():
-            digits[(i - i0) * width + j - j0] = c + half
-        raw = struct.pack(f"<{nslots}{fmt}", *digits)
-    else:
-        raw = bytearray(_kbias_bytes(nbytes) * nslots)
-        for (i, j), c in f.items():
-            k = ((i - i0) * width + j - j0) * nbytes
-            raw[k:k + nbytes] = (c + half).to_bytes(nbytes, "little")
-    return (int.from_bytes(raw, "little")
-            - int.from_bytes(_kbias_bytes(nbytes) * nslots, "little"))
-
-
-def _kbias_bytes(nbytes):
-    # one slot holding 2^(8 nbytes - 1), little-endian
-    return bytes(nbytes - 1) + b"\x80"
-
-
-def _kmul(f, g):
-    """f*g for Laurent int dicts by Kronecker substitution, or None.
-
-    Exponent (i, j) goes to slot (i - i0) W + (j - j0), with W one more
-    than the product's q-degree span, so the product's slots never
-    collide.  A product coefficient sums at most min(|f|, |g|) terms, so
-    it lies within B = min(|f|, |g|) max|f| max|g|; slots of s bits with
-    2^(s-1) > B hold it once a bias of 2^(s-1) is added.  Each factor
-    becomes one Python int, one big-int multiply does the work, and the
-    biased product unpacks through ``to_bytes``.  None when the slots
-    outnumber the term pairs by more than KMUL_MAX_SPARSITY.
+def _packed_sums(blocks):
+    """{t: sum of f c} over blocks (f, pairs) and pairs (t, c), zeros left
+    out, f possibly a pair (f, g) for f g.  None for a 0 or field value, or
+    below PACK_MIN_PAIRS term pairs of multi-term products plus slots.
     """
-    fis, fjs = zip(*f)
-    gis, gjs = zip(*g)
-    fi0, fj0, gi0, gj0 = min(fis), min(fjs), min(gis), min(gjs)
-    fdi, fdj = max(fis) - fi0, max(fjs) - fj0
-    gdi, gdj = max(gis) - gi0, max(gjs) - gj0
-    width = fdj + gdj + 1
-    rows = fdi + gdi + 1
-    if rows * width > KMUL_MAX_SPARSITY * len(f) * len(g):
+    work = 0
+    for f, pairs in blocks:
+        if f.__class__ is tuple:
+            lf, lg = len(f[0]._n), len(f[1]._n)
+            work += lf * lg if lf > 1 < lg and pairs else 0
+            lf *= lg
+        else:
+            lf = len(f._n)
+        if lf > 1:
+            for _, c in pairs:
+                if len(c._n) > 1:
+                    work += lf * len(c._n)
+    if work < PACK_MIN_PAIRS:
         return None
-    bound = (min(len(f), len(g)) * max(map(abs, f.values()))
-             * max(map(abs, g.values())))
-    nbytes = (bound.bit_length() + 8) // 8
-    if nbytes <= 8:
-        nbytes = 1 << (nbytes - 1).bit_length()
-    nslots = rows * width
-    prod = (_kpack(f, fi0, fj0, width, nbytes, fdi * width + fdj + 1)
-            * _kpack(g, gi0, gj0, width, nbytes, gdi * width + gdj + 1))
-    raw = (prod + int.from_bytes(_kbias_bytes(nbytes) * nslots, "little")
-           ).to_bytes(nslots * nbytes, "little")
-    fmt = _SLOT_FORMATS.get(nbytes)
-    if fmt:
-        digits = struct.unpack(f"<{nslots}{fmt}", raw)
-    else:
-        digits = [int.from_bytes(raw[k:k + nbytes], "little")
-                  for k in range(0, len(raw), nbytes)]
-    half = 1 << (8 * nbytes - 1)
-    keys = product(range(fi0 + gi0, fi0 + gi0 + rows),
-                   range(fj0 + gj0, fj0 + gj0 + width))
-    return {m: v - half for m, v in zip(keys, digits) if v != half}
+    # loaded on first use: a process that never packs never compiles it
+    from .kronecker import packed_sums
+    return packed_sums(blocks, work - PACK_MIN_PAIRS)
 
 
 def _peval(f, pv, qv):
@@ -851,23 +800,26 @@ def _qbin_lists(n: int) -> list:
     return out
 
 
-def qbinomial(n: int, k: int, param: str = "q") -> ParamScalar:
+def qbinomial(n: int, k: int, param: str = "q", negate=False) -> ParamScalar:
     """The Gauss binomial coefficient as a polynomial in the parameter.
 
     The coefficient of x^k y^(n-k) in (x + y)^n when yx = sxy.  Row n is
     built on int lists by ``[n, k] = [n, k-1] (1 - s^(n-k+1)) / (1 - s^k)``
     for k <= n/2 and mirrored; each entry is wrapped once, and the row
-    is stored only when complete, so no caller sees a partial row.
+    is stored only when complete, so no caller sees a partial row.  A
+    true ``negate`` gives -[n, k], from a negated row stored beside it.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"qbinomial({n}, {k}) is undefined")
     if param not in ("p", "q"):
         raise ValueError("param must be 'p' or 'q'")
-    row = _QBIN_ROWS.get((param, n))
+    row = _QBIN_ROWS.get((param, n, negate))
     if row is None:
         half = [ONE] + [_new({(0, e) if param == "q" else (e, 0): c
                               for e, c in enumerate(coeffs)}, None, _K0)
                         for coeffs in _qbin_lists(n)[1:]]
-        row = _QBIN_ROWS[param, n] = tuple(half[min(j, n - j)]
-                                           for j in range(n + 1))
+        if negate:
+            half = [_new(_pneg(x._n), None, _K0) for x in half]
+        row = _QBIN_ROWS[param, n, negate] = tuple(half[min(j, n - j)]
+                                                   for j in range(n + 1))
     return row[k]

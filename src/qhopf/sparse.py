@@ -11,7 +11,8 @@ supplies its key check (``_key``), its product of two keys
 
 :func:`accumulate` is the one loop that sums coefficients per key and
 drops the keys whose sum vanishes; :func:`extend` (linear maps given on
-keys) and :func:`bilinear` (products given on key pairs) feed it.
+keys) and :func:`bilinear` (products given on key pairs) feed it; a call
+worth packing sums as big integers first (``scalars._packed_sums``).
 
 Elements are values.  ``terms`` is a read-only view, attributes cannot
 be assigned, and the internal builder ``_raw`` takes ownership of a
@@ -25,7 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 
-from .scalars import ONE, ParamScalar, format_linear, scalar
+from .scalars import ONE, ParamScalar, _packed_sums, format_linear, scalar
 
 __all__ = ["SparseElement", "accumulate", "extend", "bilinear"]
 
@@ -36,10 +37,17 @@ def accumulate(out: dict, blocks, subtract: bool = False) -> dict:
     """Add (or subtract) f * c at key t into ``out``, for every block
     (f, pairs) of ``blocks`` and every (t, c) of its pairs.
 
-    A key whose sum vanishes drops out.
+    A key whose sum vanishes drops out.  The factor f may be a pair
+    (f1, f2) for f1 f2; pairs are read twice, so none is an iterator.
     """
+    blocks = blocks if blocks.__class__ is list else list(blocks)
+    sums = _packed_sums(blocks) if blocks else None
+    if sums is not None:
+        blocks = ((ONE, sums.items()),)
     get = out.get
     for f, pairs in blocks:
+        if f.__class__ is tuple and pairs:
+            f = f[0] * f[1]
         for t, c in pairs:
             if f is not ONE:
                 c = f if c is ONE else f * c
@@ -71,9 +79,12 @@ def extend(terms, f) -> dict:
 
 def bilinear(x, y, f) -> dict:
     """Bilinear extension: the sum of c1 c2 f(t1, t2) over pairs of terms."""
+    if len(x) == len(y) == 1:   # one product: nothing to sum, as in extend
+        (t1, c1), (t2, c2) = *x.items(), *y.items()
+        return extend({t2: c1 * c2}, lambda t: f(t1, t))
     y = y.items()
-    return accumulate({}, ((c1 * c2, f(t1, t2))
-                           for t1, c1 in x.items() for t2, c2 in y))
+    return accumulate({}, [(c1 * c2, f(t1, t2))
+                           for t1, c1 in x.items() for t2, c2 in y])
 
 
 class SparseElement:

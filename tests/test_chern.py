@@ -42,6 +42,25 @@ def test_idempotent_squared():
         idempotent(0)
 
 
+@pytest.mark.parametrize("mu", [-4, 4, -5, 5, -6, 6])
+def test_idempotent_squared_where_the_product_is_packed(mu, monkeypatch):
+    # at these sizes the matrix product sums its coefficient products as
+    # packed big integers in one call
+    from qhopf import kronecker
+    sums, engine = [], kronecker.packed_sums
+    monkeypatch.setattr(kronecker, "packed_sums",
+                        lambda *args: sums.append(engine(*args)) or sums[-1])
+    e = idempotent(mu)
+    assert (e @ e - e).is_zero()
+    assert any(s is not None for s in sums)
+
+
+@pytest.mark.parametrize("call", [idempotent, pairing])
+def test_a_non_integer_winding_is_a_value_error(call):
+    with pytest.raises(ValueError, match="integer"):
+        call(1.5 if call is idempotent else 2.0)
+
+
 def test_idempotent_entries_are_products_of_the_recursion_legs():
     # E_jk = r_j l_k with the legs of the sandwich recursion's ell(u^n),
     # ordered by the flag exponent of the left leg

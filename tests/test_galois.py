@@ -210,3 +210,23 @@ def test_strong_connection_rejects_a_non_integer_power():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call, arg", [(strong_connection_closed, 2.0),
+                                       (check_connection_properties, 1.5)])
+def test_a_non_integer_power_is_a_value_error(call, arg):
+    with pytest.raises(ValueError, match="integer"):
+        call(arg)
+
+
+def test_one_shot_leg_products_leave_the_monomial_memo_alone(monkeypatch):
+    # the connection recursion and the lifted canonical map multiply
+    # monomial pairs that never recur, so they skip the product memo
+    from qhopf import s3core
+    monkeypatch.setattr(s3core, "_MONO_MUL_CACHE", {})
+    monkeypatch.setattr(galois, "_CONN_CACHE", {})
+    for k in (7, -7, 3):
+        ell = strong_connection(k)
+        assert lifted_can(ell) == CotensorElement({(UNIT_MONO, k): ONE})
+        assert multiply_legs(ell) == AlgElement.one()
+    assert s3core._MONO_MUL_CACHE == {}

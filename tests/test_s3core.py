@@ -413,3 +413,25 @@ def test_monomial_products_match_the_letter_fold_far_out(seed):
         _check_product(t1, t2)
         _check_product(t2, t1)
 
+
+
+def test_opposite_sign_products_negate_no_coefficient(monkeypatch):
+    # the sign (-1)^j of a Gauss-binomial term comes from a stored negated
+    # row, so a cold product negates no coefficient
+    from qhopf import scalars
+    from qhopf.scalars import ParamScalar
+    pairs = [(BasisMonomial(5, 0, 0, -3), BasisMonomial(-7, 0, 0, 4)),
+             (BasisMonomial(-6, 0, 0, 2), BasisMonomial(4, 0, 0, -5)),
+             (BasisMonomial(3, 2, 0, 0), BasisMonomial(-4, 0, 0, 1))]
+    negations = []
+    neg = ParamScalar.__neg__
+    monkeypatch.setattr(scalars, "_QBIN_ROWS", {})
+    monkeypatch.setattr(s3core, "_MONO_MUL_CACHE", {})
+    monkeypatch.setattr(ParamScalar, "__neg__",
+                        lambda x: negations.append(x) or neg(x))
+    got = [s3core._mono_mul(t1, t2) for t1, t2 in pairs]
+    monkeypatch.undo()
+    assert negations == []
+    for (t1, t2), terms in zip(pairs, got):
+        right, left = _folds(t1, t2)
+        assert len(terms) > 2 and dict(terms) == right == left

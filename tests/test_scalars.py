@@ -381,9 +381,21 @@ def random_int_poly(rng, terms, bivariate, huge):
     return out
 
 
+def packed_product(f, g):
+    # f g as a packed sum with one product, or None where the kernel
+    # declines; the result in exponent-dict form
+    from qhopf.scalars import _laurent, _packed_sums
+    out = _packed_sums([((_laurent(f), _laurent(g)), ((0, ONE),))])
+    if out is None:
+        return None
+    (i, j), n = out[0]._o, out[0]._n
+    return {(a + i, b + j): c for (a, b), c in n.items()}
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_pmul_and_kmul_match_the_reference_loop(seed):
-    from qhopf.scalars import KMUL_MIN_PAIRS, _kmul, _pmul
+def test_pmul_and_kmul_match_the_reference_loop(seed, monkeypatch):
+    from qhopf import scalars
+    from qhopf.scalars import PACK_MIN_PAIRS, _pmul
     rng = random.Random(seed)
     sizes = [1, 2, 3, 5, 8, 12, 20, 40]
     crossed = set()
@@ -396,14 +408,104 @@ def test_pmul_and_kmul_match_the_reference_loop(seed):
         want = reference_product(f, g)
         assert _pmul(f, g) == want
         assert _pmul(g, f) == want
-        assert _kmul(f, g) == want
-        crossed.add(nf * ng >= KMUL_MIN_PAIRS)
+        with monkeypatch.context() as m:
+            # a threshold far below zero packs every product
+            m.setattr(scalars, "PACK_MIN_PAIRS", -10**9)
+            assert packed_product(f, g) == want
+        crossed.add(nf * ng >= PACK_MIN_PAIRS)
     assert crossed == {False, True}
     # a product far sparser than its term pairs stays on the dict loop
     f = {(0, 0): 3, (0, 1): -1, (500, 0): 2**65, (0, 900): 7}
     g = {(0, 0): -5, (1, 1): 2, (-400, 3): 1, (3, -700): 4}
-    assert _kmul(f, g) is None
+    monkeypatch.setattr(scalars, "PACK_MIN_PAIRS", 0)
+    assert packed_product(f, g) is None
     assert _pmul(f, g) == reference_product(f, g)
+
+
+def reference_sums(blocks):
+    # the sums of f c per key over plain exponent dicts, zero sums dropped
+    out = {}
+    for f, pairs in blocks:
+        fs = f if isinstance(f, tuple) else (f,)
+        for t, c in pairs:
+            term = {(0, 0): 1}
+            for x in fs + (c,):
+                term = reference_product(term, true_dict(x))
+            out[t] = ref_add(out.get(t, {}), term)
+    return {t: s for t, s in out.items() if s}
+
+
+def random_kernel_value(rng, huge):
+    # a Laurent value at a negative or positive corner, often bivariate,
+    # with small, huge and negative coefficients
+    i0, j0 = rng.randint(-6, 4), rng.randint(-6, 4)
+    wide = rng.random() < 0.5
+    f = {}
+    for _ in range(rng.choice([1, 1, 2, 3, 6, 10])):
+        c = rng.randint(-9, 9) or 1
+        if huge and rng.random() < 0.5:
+            c *= rng.randint(2**60, 2**80)
+        f[(i0 + (rng.randint(0, 3) if wide else 0),
+           j0 + rng.randint(0, 8))] = c
+    return ParamScalar({m: c for m, c in f.items() if c}) * ppow(0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_sums_match_the_reference_loop(seed, monkeypatch):
+    from qhopf import scalars
+    from qhopf.scalars import _packed_sums
+    from qhopf.sparse import accumulate
+    rng = random.Random(900 + seed)
+    for _ in range(25):
+        huge = rng.random() < 0.4
+        blocks = []
+        for _ in range(rng.randint(1, 8)):
+            f = random_kernel_value(rng, huge)
+            if rng.random() < 0.5:
+                f = (f, random_kernel_value(rng, huge))
+            pairs = [(rng.randint(0, 4), random_kernel_value(rng, huge))
+                     for _ in range(rng.randint(0, 5))]
+            blocks.append((f, pairs))
+        if rng.random() < 0.3:
+            # the same products negated: every key must cancel and drop
+            blocks += [(f, [(t, -c) for t, c in pairs]) for f, pairs in blocks]
+        want = reference_sums(blocks)
+        got = accumulate({}, blocks)
+        assert {t: true_dict(s) for t, s in got.items()} == want
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "PACK_MIN_PAIRS", -10**9)
+            got = _packed_sums(blocks)
+        assert {t: true_dict(s) for t, s in got.items()} == want
+        for s in got.values():
+            assert laurent_normal(s)
+
+
+def test_packed_sums_at_the_slot_bound_and_declines(monkeypatch):
+    from qhopf import scalars
+    from qhopf.scalars import _packed_sums
+    from qhopf.sparse import accumulate
+    monkeypatch.setattr(scalars, "PACK_MIN_PAIRS", -10**9)
+    # c (1 + q^2) times 1: the bound is |c| itself, so the slots are as
+    # narrow as c allows and the digits reach 2^s - 1 and 1
+    for bits in (7, 8, 15, 16, 31, 32, 63, 64, 71, 72):
+        for c in (2**bits - 1, -(2**bits - 1), 2**bits, -(2**bits)):
+            x = ParamScalar({(0, 0): c, (0, 2): c}) * qpow(-3)
+            got = _packed_sums([(x, [("t", ONE)]), (ONE, [("u", x)])])
+            assert got == {"t": x, "u": x}
+            got = _packed_sums([(x, [("t", ONE)]), (-x, [("t", ONE)])])
+            assert got == {}
+    # zero and field values stay on the dict loop, and so does an empty
+    # call at the real threshold (packed, it sums to nothing)
+    assert _packed_sums([]) == {}
+    field = ONE / (ONE - Q)
+    for blocks in ([(field, [("t", P + Q)])], [(P + Q, [("t", field)])],
+                   [((P + Q, field), [("t", Q)])], [(ZERO, [("t", Q)])]):
+        assert _packed_sums(blocks) is None
+        f, ((t, c),) = blocks[0]
+        f = f[0] * f[1] if isinstance(f, tuple) else f
+        assert accumulate({}, blocks) == ({t: f * c} if f else {})
+    monkeypatch.undo()
+    assert _packed_sums([]) is None and accumulate({}, []) == {}
 
 
 @pytest.mark.parametrize("seed", range(4))
