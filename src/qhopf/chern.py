@@ -21,7 +21,8 @@ for winding -1 it is exactly -1, independent of p and q, and the tests
 pin the value mu for every 1 <= |mu| <= 20.  The pairing needs only
 the diagonal entries r_j l_j, so it forms n+1 sphere products where
 the whole idempotent takes (n+1)^2.  Both read the legs l_k (x) r_k
-as the summands of ``galois.strong_connection_closed``.
+as the summands of ``galois.strong_connection_closed``.  A matrix is
+a sparse element keyed (row, column, monomial) and tagged with its shape.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 from .scalars import ONE, ParamScalar, ZERO, ppow, qpow
 from .galois import strong_connection_closed
 from .hopf import _power
-from .s3core import AlgElement, _mono_mul, mul
-from .sparse import accumulate
+from .s3core import AlgElement, _mono_mul
+from .sparse import SparseElement, accumulate, extend
 
 __all__ = [
     "CoinvariantMatrix",
@@ -40,69 +41,65 @@ __all__ = [
 ]
 
 
-class CoinvariantMatrix:
-    """A rectangular matrix with entries in the coinvariant subalgebra."""
+class CoinvariantMatrix(SparseElement):
+    """A rectangular matrix with entries in the coinvariant subalgebra.
 
-    __slots__ = ("entries",)
+    Keyed (row, column, monomial) and tagged with its shape (rows,
+    columns), so the core's arithmetic rejects mixed shapes.
+    """
+
+    __slots__ = ("tag",)
 
     def __init__(self, entries):
         entries = [list(row) for row in entries]
         if not entries or any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("entries must form a nonempty rectangle")
-        for row in entries:
-            for e in row:
-                if not e.is_coinvariant():
-                    raise ValueError(f"matrix entry {e} is not coinvariant")
-        self.entries = entries
+        bad = [e for row in entries for e in row if not e.is_coinvariant()]
+        if bad:
+            raise ValueError(f"matrix entry {bad[0]} is not coinvariant")
+        object.__setattr__(self, "tag", (len(entries), len(entries[0])))
+        super().__init__({(i, k, t): c for i, row in enumerate(entries)
+                          for k, e in enumerate(row) for t, c in e._d.items()})
 
     @property
     def shape(self):
-        return (len(self.entries), len(self.entries[0]))
+        return self.tag
 
     def is_square(self):
-        rows, cols = self.shape
+        rows, cols = self.tag
         return rows == cols
 
+    @property
+    def entries(self) -> list:
+        """A new list of rows of entries, absent ones as zero elements."""
+        rows, cols = self.tag
+        out = [[{} for _ in range(cols)] for _ in range(rows)]
+        for (i, k, t), c in self._d.items():
+            out[i][k][t] = c
+        return [[AlgElement._raw(d) for d in row] for row in out]
+
     def __matmul__(self, other: "CoinvariantMatrix") -> "CoinvariantMatrix":
-        if self.shape[1] != other.shape[0]:
+        if self.tag[1] != other.tag[0]:
             raise ValueError("shape mismatch in matrix product")
         # one accumulate for the whole product, keyed (row, column, monomial)
         cols = list(zip(*other.entries))
-        out = [[{} for _ in cols] for _ in self.entries]
-        for (i, k, t), c in accumulate({}, (
-                ((c1, c2), [((i, k, t), c) for t, c in _mono_mul(t1, t2)])
-                for i, row in enumerate(self.entries)
-                for k, col in enumerate(cols) for x, y in zip(row, col)
-                for t1, c1 in x._d.items()
-                for t2, c2 in y._d.items())).items():
-            out[i][k][t] = c
-        return CoinvariantMatrix([[AlgElement._raw(d) for d in row]
-                                  for row in out])
-
-    def __sub__(self, other: "CoinvariantMatrix") -> "CoinvariantMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in matrix difference")
-        return CoinvariantMatrix(
-            [[a - b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)])
-
-    def __eq__(self, other):
-        if not isinstance(other, CoinvariantMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return self._raw(accumulate({}, (
+            ((c1, c2), [((i, k, t), c) for t, c in _mono_mul(t1, t2)])
+            for i, row in enumerate(self.entries)
+            for k, col in enumerate(cols) for x, y in zip(row, col)
+            for t1, c1 in x._d.items()
+            for t2, c2 in y._d.items())), (self.tag[0], other.tag[1]))
 
     def all_coinvariant(self):
-        return all(e.is_coinvariant() for row in self.entries for e in row)
+        return all(t.winding == 0 for _, _, t in self._d)
 
     def trace(self) -> AlgElement:
         """Sum of the diagonal entries; stays coinvariant."""
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return AlgElement._raw(accumulate({}, (
-            (ONE, row[i]._d.items()) for i, row in enumerate(self.entries))))
+        return AlgElement._raw(extend(
+            {key: c for key, c in self._d.items() if key[0] == key[1]},
+            lambda key: ((key[2], ONE),)))
 
     def json_entries(self):
         return [[e.json_terms() for e in row] for row in self.entries]
@@ -112,22 +109,20 @@ class CoinvariantMatrix:
             "[" + ", ".join(e.text() for e in row) + "]"
             for row in self.entries) + "]"
 
-    def __repr__(self):
-        return f"CoinvariantMatrix({self.text()})"
-
 
 def _legs(mu: int):
     """The right and the left legs of the connection value on u^|mu|.
 
-    They are the summands l_k (x) r_k of the closed form (its "+" sign
-    for mu < 0), ordered by the flag exponent k of the left leg.
+    The right legs are monomials, the left legs (monomial, coefficient)
+    pairs: the summands l_k (x) r_k of the closed form (its "+" sign for
+    mu < 0), ordered by the flag exponent k of the left leg.
     """
     if _power(mu) == 0:
         raise ValueError("winding 0 is the free module; no idempotent here")
     ell = strong_connection_closed(abs(mu), "+" if mu < 0 else "-")
     terms = sorted(ell.terms.items(), key=lambda t: t[0][0].m + t[0][0].n)
-    return ([AlgElement._raw({right: ONE}) for (_, right), _ in terms],
-            [AlgElement._raw({left: c}) for (left, _), c in terms])
+    return ([right for (_, right), _ in terms],
+            [(left, c) for (left, _), c in terms])
 
 
 def idempotent(mu: int) -> CoinvariantMatrix:
@@ -144,7 +139,10 @@ def idempotent(mu: int) -> CoinvariantMatrix:
     is excluded: the trivial free module needs no projection.
     """
     rights, lefts = _legs(mu)
-    return CoinvariantMatrix([[mul(r, l) for l in lefts] for r in rights])
+    return CoinvariantMatrix._raw({
+        (j, k, t): c if e is ONE else c * e
+        for j, r in enumerate(rights) for k, (left, c) in enumerate(lefts)
+        for t, e in _mono_mul(r, left)}, (len(rights), len(rights)))
 
 
 def trace_functional(x: AlgElement) -> ParamScalar:
@@ -178,6 +176,6 @@ def pairing(mu: int) -> ParamScalar:
     enters, so the matrix trace is summed from the n+1 products
     E_jj = r_j l_j instead of building all (n+1)^2 entries.
     """
+    rights, lefts = _legs(mu)
     return trace_functional(AlgElement._raw(accumulate({}, (
-        ((c1, c2), _mono_mul(t1, t2)) for r, l in zip(*_legs(mu))
-        for t1, c1 in r._d.items() for t2, c2 in l._d.items()))))
+        (c, _mono_mul(r, left)) for r, (left, c) in zip(rights, lefts)))))

@@ -41,10 +41,10 @@ def _fraction(text: str) -> Fraction:
 N_MIN, N_MAX = 2, 100_000
 
 # budgets of --k and --mu, each measured at its limit (whole commands,
-# one run per sign, on a shared 2-core Xeon): connection --k 64 takes
-# about 0.7 s and prints 0.85 MB; pairing --mu 30 takes 0.3-0.4 s;
+# five runs per sign, on a shared 2-core Xeon): connection --k 64 takes
+# about 0.4 s and prints 0.85 MB; pairing --mu 30 takes 0.17-0.2 s;
 # idempotent prints (n+1)^2 entries, so it stops sooner: --mu 14 takes
-# about 0.45 s and prints 1.2 MB
+# 0.25-0.3 s and prints 1.2 MB
 K_MAX = 64
 PAIRING_MU_MAX = 30
 IDEMPOTENT_MU_MAX = 14
@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        parents=[output])
     p.add_argument("--k", required=True,
                    type=_bounded(-K_MAX, K_MAX, "circle power"),
-                   help=f"circle power, |k| <= {K_MAX} (about 0.7 s "
+                   help=f"circle power, |k| <= {K_MAX} (about 0.4 s "
                         f"and 0.85 MB of JSON at the limit)")
 
     p = sub.add_parser("idempotent", help="line-module idempotent matrix",
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_bounded(-IDEMPOTENT_MU_MAX, IDEMPOTENT_MU_MAX,
                                  "winding label", nonzero=True),
                    help=f"winding label, 1 <= |mu| <= {IDEMPOTENT_MU_MAX} "
-                        f"(about 0.45 s and 1.2 MB of JSON at the limit)")
+                        f"(0.25-0.3 s and 1.2 MB of JSON at the limit)")
 
     p = sub.add_parser("pairing", help="trace paired with an idempotent",
                        parents=[output])
@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_bounded(-PAIRING_MU_MAX, PAIRING_MU_MAX,
                                  "winding label", nonzero=True),
                    help=f"winding label, 1 <= |mu| <= {PAIRING_MU_MAX} "
-                        f"(under 1 s at the limit)")
+                        f"(0.17-0.2 s at the limit)")
 
     p = sub.add_parser("verify", help="run a verification suite",
                        parents=[output])
@@ -249,8 +249,9 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
         e = chern.idempotent(args.mu)
         report["mu"] = args.mu
         report["size"] = e.shape[0]
-        report["entries"] = e.json_entries()
-        report["text"] = [[el.text() for el in row] for row in e.entries]
+        rows = e.entries
+        report["entries"] = [[el.json_terms() for el in row] for row in rows]
+        report["text"] = [[el.text() for el in row] for row in rows]
         return report, 0
 
     if cmd == "pairing":

@@ -92,6 +92,22 @@ def _finish(suite: str, checks: list, t0: float, **params) -> dict:
     }
 
 
+def _trace_agreement(pairs, N: int, p_val: float, q_val: float, reps):
+    """(pass, worst error, largest bound) of the truncated traces of the
+    (element, exact trace) pairs against the exact traces at (p, q); a
+    bound is the truncation tail plus a flat 1e-9 for float rounding."""
+    from . import numrep
+    ok, worst, max_bound = True, 0.0, 0.0
+    for x, exact in pairs:
+        got = numrep.numeric_trace(x, N, p_val, q_val, reps=reps)
+        err = abs(got.value - exact.evaluate(p_val, q_val))
+        bound = got.tail_bound + 1e-9
+        worst, max_bound = max(worst, err), max(max_bound, bound)
+        if err > bound:
+            ok = False
+    return ok, worst, max_bound
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -317,34 +333,16 @@ def suite_chern(n_max: int = 5, p_val: float = 0.5, q_val: float = 0.3,
 
     reps = (numrep.build_rep("rho1theta", (0.0,), N, p_val, q_val),
             numrep.build_rep("rho2theta", (0.0,), N, p_val, q_val))
-    tol_extra = 1e-9
-    worst = 0.0
-    max_bound = 0.0
-    ok = True
-    for _ in range(40):
-        x = random_coinvariant(rng)
-        sym = chern.trace_functional(x).evaluate(p_val, q_val)
-        got = numrep.numeric_trace(x, N, p_val, q_val, reps=reps)
-        err = abs(got.value - sym)
-        bound = got.tail_bound + tol_extra
-        worst = max(worst, err)
-        max_bound = max(max_bound, bound)
-        if err > bound:
-            ok = False
+    xs = [random_coinvariant(rng) for _ in range(40)]
+    ok, worst, max_bound = _trace_agreement(
+        [(x, chern.trace_functional(x)) for x in xs], N, p_val, q_val, reps)
     checks.append(_check(
         "exact trace matches the truncated operator trace",
         ok, count=40, worst_error=worst, max_bound=max_bound, N=N))
     # the pairing values agree with truncated traces of the idempotents
-    ok = True
-    worst = 0.0
-    for mu in (-2, -1, 1, 2):
-        sym = chern.pairing(mu).evaluate(p_val, q_val)
-        tr = chern.idempotent(mu).trace()
-        got = numrep.numeric_trace(tr, N, p_val, q_val, reps=reps)
-        err = abs(got.value - sym)
-        worst = max(worst, err)
-        if err > got.tail_bound + tol_extra:
-            ok = False
+    ok, worst, _ = _trace_agreement(
+        [(chern.idempotent(mu).trace(), chern.pairing(mu))
+         for mu in (-2, -1, 1, 2)], N, p_val, q_val, reps)
     checks.append(_check("pairings agree with truncated numeric traces", ok,
                          worst_error=worst))
     return _finish("chern", checks, t0, n_max=n_max, p=p_val, q=q_val,
@@ -398,23 +396,15 @@ def suite_numeric(p_val: float = 0.5, q_val: float = 1.0 / 3.0,
 
     reps = (numrep.build_rep("rho1theta", (0.0,), N, p_val, q_val),
             numrep.build_rep("rho2theta", (0.0,), N, p_val, q_val))
-    ok = True
-    worst = 0.0
-    count = 0
-    for mu in range(-3, 4):
-        for m, n_exp in [(0, 0)] + [(m, 0) for m in range(1, 7)] + \
-                        [(0, n) for n in range(1, 7)]:
-            x = AlgElement.from_monomial(BasisMonomial(mu, m, n_exp, mu))
-            sym = chern.trace_functional(x).evaluate(p_val, q_val)
-            got = numrep.numeric_trace(x, N, p_val, q_val, reps=reps)
-            err = abs(got.value - sym)
-            worst = max(worst, err)
-            count += 1
-            if err > got.tail_bound + 1e-9:
-                ok = False
+    xs = [AlgElement.from_monomial(BasisMonomial(mu, m, n_exp, mu))
+          for mu in range(-3, 4)
+          for m, n_exp in [(0, 0)] + [(m, 0) for m in range(1, 7)] +
+          [(0, n) for n in range(1, 7)]]
+    ok, worst, _ = _trace_agreement(
+        [(x, chern.trace_functional(x)) for x in xs], N, p_val, q_val, reps)
     checks.append(_check(
         "truncated traces match the exact trace on basis monomials", ok,
-        defect=worst, count=count, N=N))
+        defect=worst, count=len(xs), N=N))
 
     res = numrep.mvn_witness_check(10)
     checks.append(_check(

@@ -232,3 +232,27 @@ def test_coinvariant_matrix_validation():
     m = CoinvariantMatrix([[ONE_EL, BETA]])
     assert m.shape == (1, 2)
     assert not m.is_square()
+    e1, e2 = idempotent(-1), idempotent(2)
+    for op in (lambda: e1 + e2, lambda: e1 - e2, lambda: e1 @ e2,
+               lambda: m @ m):
+        with pytest.raises(ValueError):
+            op()
+    zero1 = CoinvariantMatrix([[AlgElement.zero()]])
+    zero2 = CoinvariantMatrix([[AlgElement.zero()] * 2] * 2)
+    assert zero1.is_zero() and zero2.is_zero() and zero1 != zero2
+
+
+def test_the_matrix_is_a_value():
+    # entries is a fresh list on every read, so writing into it or
+    # emptying it leaves the matrix alone; equal matrices hash equal
+    e = idempotent(-1)
+    want = e.entries
+    rows = e.entries
+    rows[0][0] = rows[1][1]
+    rows.clear()
+    assert e.entries == want
+    with pytest.raises(AttributeError):
+        e.entries = []
+    assert e.entries == want and e == idempotent(-1)
+    assert hash(e) == hash(idempotent(-1))
+    assert len({e, idempotent(-1), idempotent(1)}) == 2

@@ -8,6 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from qhopf import galois, s3core
+from qhopf.chern import idempotent
 from qhopf.galois import TensorElement, connection_seed, strong_connection
 from qhopf.gluing import DiscElement, TrivializedElement
 from qhopf.hopf import CotensorElement, LaurentElement
@@ -27,6 +28,7 @@ def samples():
         TensorElement({(A1, UNIT_MONO): Q}),
         DiscElement("p", {(1, 0): ONE}),
         TrivializedElement("q", {((1, 0), 1): ONE}),
+        idempotent(-1),
     ]
 
 
@@ -66,6 +68,7 @@ VALUES = {
     "TensorElement": strong_connection(2),
     "FreeWord": FreeWord(("a", "b*", "a"), ONE / (ONE - Q)),
     "DiscElement": DiscElement("q", {(1, 0): P}),
+    "CoinvariantMatrix": idempotent(2),
 }
 
 
