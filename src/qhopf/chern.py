@@ -101,9 +101,6 @@ class CoinvariantMatrix(SparseElement):
             {key: c for key, c in self._d.items() if key[0] == key[1]},
             lambda key: ((key[2], ONE),)))
 
-    def json_entries(self):
-        return [[e.json_terms() for e in row] for row in self.entries]
-
     def text(self) -> str:
         return "[" + ",\n ".join(
             "[" + ", ".join(e.text() for e in row) + "]"

@@ -265,9 +265,9 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
         from . import verify   # only this command loads the suites
         seed = args.seed if args.seed is not None else _default_seed()
         names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-        reports = [verify.run_suite(name, p_val=float(args.p),
-                                    q_val=float(args.q), N=args.N, seed=seed)
-                   for name in names]
+        reports = [verify.SUITES[name](
+            p_val=float(args.p), q_val=float(args.q), N=args.N, seed=seed)
+            for name in names]
         ok = all(r["pass"] for r in reports)
         report["suite"] = args.suite
         report["params"] = {"p": str(args.p), "q": str(args.q), "N": args.N,

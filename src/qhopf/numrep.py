@@ -30,12 +30,12 @@ trace formula.
 The defect checks read operator norms off the bands: the part of one
 band on the first ``cols`` basis vectors maps them to distinct basis
 vectors, so its norm is the largest |weight| there, and a sum of bands
-is bounded by the sum of these norms.  The flag spectra are read off
-the diagonal band.  Dense matrices are formed only in the public
-``gen`` and ``evaluate`` and in the polar and shift-tensor-projection
-checks; the faithfulness probe reads its witness off the bands.  numpy
-is imported with this module, which the rest of the package loads only
-inside the numeric verification suites.
+is bounded by the sum of these norms.  The flag spectra, the polar
+parts, the shift-tensor-projection witness and the faithfulness
+witness are read off the bands as well; no check forms an N x N
+matrix, and dense matrices come only from the public ``gen`` and
+``evaluate``.  numpy is imported with this module, which the rest of
+the package loads only inside the numeric verification suites.
 
 Also here: spectra of the flag operators, polar-isometry and
 shift-tensor-projection witnesses, the defect of the classical
@@ -361,21 +361,18 @@ def polar_isometry_check(rep: TruncatedRep, which: str = "a") -> dict:
 
     g*g is bounded below by 1-q (for g = a) resp. 1-p (for g = b), so
     the polar part is a well-defined isometry; both facts are checked on
-    the block away from the truncation boundary.
+    the block away from the truncation boundary.  g is one band, so g*g
+    is its squared weights and the polar part rescales it by gram^(-1/2).
     """
     if which not in ("a", "b"):
         raise ValueError("which must be 'a' or 'b'")
-    g = rep.gen(which)
-    dim = rep.dim
-    m = dim - 1 if dim > 1 else 1
-    gram = (g.conj().T @ g)[:m, :m]
-    eigval, eigvec = np.linalg.eigh(gram)
-    min_eig = float(eigval[0])
-    inv_sqrt = eigvec @ np.diag(eigval ** -0.5) @ eigvec.conj().T
-    v = g[:, :m] @ inv_sqrt
-    defect = float(np.linalg.norm(v.conj().T @ v - np.eye(m), 2))
+    (w,) = rep.bands[which].values()
+    m = rep.dim - 1 if rep.dim > 1 else 1
+    gram = (w.conj() * w).real[:m]
+    v = w[:m] * gram ** -0.5
+    defect = float(np.abs(v.conj() * v - 1.0).max())
     bound = 1 - (rep.q if which == "a" else rep.p)
-    return {"min_eig": min_eig, "lower_bound": bound,
+    return {"min_eig": float(gram.min()), "lower_bound": bound,
             "isometry_defect": defect}
 
 
@@ -389,20 +386,26 @@ def mvn_witness_check(N: int) -> dict:
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    s = np.zeros((N, N))
-    for k in range(N - 1):
-        s[k + 1, k] = 1.0
-    eye = np.eye(N)
-    proj = eye - s @ s.T
-    rank = int(round(np.trace(proj)))
-    v = np.kron(s, proj)
-    lhs1 = v.T @ v - np.kron(eye, proj)
-    lhs2 = v @ v.T - np.kron(eye - proj, proj)
-    mask = np.ones(N * N, dtype=bool)
-    mask[(N - 1) * N:] = False  # drop the top shift index on the first leg
-    defect1 = float(np.linalg.norm(lhs1[np.ix_(mask, mask)], 2))
-    defect2 = float(np.linalg.norm(lhs2[np.ix_(mask, mask)], 2))
-    pi = float(np.linalg.norm(v @ v.T @ v - v, 2))
+    shift = np.zeros(N, dtype=complex)
+    shift[:N - 1] = 1.0
+    s, one = {1: shift}, _band_identity(N)
+    proj = _band_comb((1.0, one), (-1.0, _band_mul(s, _band_adjoint(s))))
+    rank = int(round(float(np.sum(proj[0]).real)))
+
+    def tensor_e(x: dict) -> dict:
+        # x (x) e on the index kN + l: band s of x becomes band sN
+        return {k * N: np.outer(w, proj[0]).ravel() for k, w in x.items()}
+
+    v = tensor_e(s)
+    vst = _band_adjoint(v)
+    cols = (N - 1) * N  # drop the top shift index on the first leg
+    defect1 = _band_norm(_band_comb((1.0, _band_mul(vst, v)),
+                                    (-1.0, tensor_e(one))), cols)
+    defect2 = _band_norm(_band_comb(
+        (1.0, _band_mul(v, vst)),
+        (-1.0, tensor_e(_band_comb((1.0, one), (-1.0, proj))))), cols)
+    pi = _band_norm(_band_comb((1.0, _band_mul(_band_mul(v, vst), v)),
+                               (-1.0, v)), N * N)
     return {"projection_rank": rank, "defect_vstar_v": defect1,
             "defect_v_vstar": defect2, "partial_isometry_defect": pi,
             "max_defect": max(defect1, defect2)}
@@ -474,9 +477,7 @@ def classical_maps_check(samples: int, seed: int = 0) -> dict:
     return {"samples": samples, "seed": seed, "max_error": worst}
 
 
-def faithfulness_probe(x: AlgElement, N: int | None = None,
-                       trials: int = 8, seed: int = 0,
-                       threshold: float = 1e-8) -> bool:
+def faithfulness_probe(x: AlgElement, seed: int = 0) -> bool:
     """Search for a numeric witness that a symbolic element is nonzero.
 
     Separation strategy matching the monomial-basis argument: family 1
@@ -492,8 +493,8 @@ def faithfulness_probe(x: AlgElement, N: int | None = None,
     """
     if x.is_zero():
         return True
-    if N is None:
-        N = max(abs(t.mu) + abs(t.nu) + t.m + t.n for t in x.terms) + 10
+    N = max(abs(t.mu) + abs(t.nu) + t.m + t.n for t in x.terms) + 10
+    trials, threshold = 8, 1e-8
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         theta = 2.0 * math.pi * rng.random()

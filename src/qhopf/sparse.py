@@ -146,8 +146,7 @@ class SparseElement:
         if other.__class__ is not self.__class__:
             return False
         if other.tag != self.tag:
-            raise ValueError(
-                f"mixed parameter tags {self.tag!r} and {other.tag!r}")
+            raise ValueError(f"mixed tags {self.tag!r} and {other.tag!r}")
         return True
 
     def __add__(self, other):

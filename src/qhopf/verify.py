@@ -1,12 +1,16 @@
-"""Orchestrated verification suites.
+"""Orchestrated verification suites: the one statement of every check.
 
-Each suite function returns a JSON-serializable report of the shape
+Each suite in ``SUITES`` takes the keyword-only ``(p_val, q_val, N,
+seed)`` of the ``verify`` command, ignores those it does not use, and
+keeps its sample counts and sizes as constants.  It returns a
+JSON-serializable report of the shape
 
-    {"suite": str, "pass": bool, "elapsed_s": float, "checks": [...]}
+    {"suite": str, "params": dict, "pass": bool, "elapsed_s": float,
+     "checks": [...]}
 
-with one entry per verified identity.  The suites are side-effect free
-and individually runnable.  Random data is drawn from seeded
-generators, and every report records its parameters.
+with one entry per verified identity and ``params`` recording what it
+ran with.  The suites are side-effect free and draw random data from
+seeded generators; the acceptance tests read these reports.
 
 The numeric suites (chern, numeric, classical) import ``numrep``, and
 with it numpy, when they run; the symbolic suites never load it.
@@ -31,7 +35,6 @@ __all__ = [
     "suite_chern",
     "suite_numeric",
     "suite_classical",
-    "run_suite",
     "SUITES",
 ]
 
@@ -112,8 +115,9 @@ def _trace_agreement(pairs, N: int, p_val: float, q_val: float, reps):
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_algebra(seed: int = 7, triples: int = 500, pairs: int = 500) -> dict:
+def suite_algebra(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     """Defining relations, associativity, the involution, and the grading."""
+    triples, pairs = 500, 500
     t0 = time.perf_counter()
     rng = random.Random(seed)
     a, ast = AlgElement.generator("a"), AlgElement.generator("a*")
@@ -204,8 +208,9 @@ def _basis_monomials_upto(degree: int):
             yield BasisMonomial(mu, 0, n, nu)
 
 
-def suite_gluing(seed: int = 7, degree: int = 6, samples: int = 100) -> dict:
+def suite_gluing(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     """Chart maps, boundary matching, and trivialization laws."""
+    degree, samples = 6, 100
     t0 = time.perf_counter()
     rng = random.Random(seed)
     monos = list(_basis_monomials_upto(degree))
@@ -246,8 +251,9 @@ def suite_gluing(seed: int = 7, degree: int = 6, samples: int = 100) -> dict:
                    samples=samples)
 
 
-def suite_galois(k_max: int = 8) -> dict:
+def suite_galois(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     """Connection recursion vs closed form and all connection identities."""
+    k_max = 8
     t0 = time.perf_counter()
     checks = []
     ok = all(galois.strong_connection(n) ==
@@ -279,10 +285,10 @@ def suite_galois(k_max: int = 8) -> dict:
     return _finish("galois", checks, t0, k_max=k_max)
 
 
-def suite_chern(n_max: int = 5, p_val: float = 0.5, q_val: float = 0.3,
-                N: int = 300, seed: int = 7, tracial_pairs: int = 200) -> dict:
+def suite_chern(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     """Idempotents, the exact trace, and the pairing."""
     from . import numrep
+    n_max, tracial_pairs = 5, 200
     t0 = time.perf_counter()
     checks = []
     for n in range(1, n_max + 1):
@@ -349,13 +355,11 @@ def suite_chern(n_max: int = 5, p_val: float = 0.5, q_val: float = 0.3,
                    N=N, seed=seed)
 
 
-def suite_numeric(p_val: float = 0.5, q_val: float = 1.0 / 3.0,
-                  N: int = 300, seed: int = 7,
-                  truncations: tuple = (10, 50, 200),
-                  phases_per_family: int = 5, hom_pairs: int = 200,
-                  faithfulness_count: int = 100) -> dict:
+def suite_numeric(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     """Truncated representations against every symbolic claim."""
     from . import numrep
+    truncations, phases_per_family = (10, 50, 200), 5
+    hom_pairs, faithfulness_count = 200, 100
     t0 = time.perf_counter()
     rng = random.Random(seed)
     checks = []
@@ -441,27 +445,16 @@ def suite_numeric(p_val: float = 0.5, q_val: float = 1.0 / 3.0,
     return _finish("numeric", checks, t0, p=p_val, q=q_val, N=N, seed=seed)
 
 
-def suite_classical(samples: int = 1000, seed: int = 7) -> dict:
+def suite_classical(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     """Round-trip and equivariance of the classical coordinate maps."""
     from . import numrep
+    samples = 1000
     t0 = time.perf_counter()
     res = numrep.classical_maps_check(samples, seed=seed)
     checks = [_check("coordinate maps are mutually inverse circle maps",
                      res["max_error"] <= 1e-12, defect=res["max_error"],
                      tolerance=1e-12, samples=samples)]
     return _finish("classical", checks, t0, samples=samples, seed=seed)
-
-
-def run_suite(name: str, **params) -> dict:
-    """Run the suite ``SUITES[name]`` with those of ``params`` it accepts.
-
-    The command line passes p_val, q_val, N and seed to every suite; a
-    suite that does not take one of them runs at its own default.
-    """
-    suite = SUITES[name]
-    code = suite.__code__
-    accepted = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-    return suite(**{k: v for k, v in params.items() if k in accepted})
 
 
 SUITES = {

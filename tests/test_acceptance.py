@@ -1,29 +1,53 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
-Each test prints a single PASS/FAIL line (run pytest with -s to see them
-alongside the assertions).
+Criteria 2-9 read the reports of one ``qhopf verify all --seed 7`` run
+at the default parameters: each looks its checks up by name and asserts
+that they passed at the tolerance and count it states.  Each test prints
+a single PASS/FAIL line (run pytest with -s to see them alongside the
+assertions).
 """
 
-import itertools
-import math
-import random
+import contextlib
+import io
+import json
 import subprocess
 import sys
 import time
 
-from qhopf.scalars import ONE, P, Q
-from qhopf import chern, galois, gluing, numrep
-from qhopf.hopf import CotensorElement
-from qhopf.s3core import (AlgElement, BasisMonomial, UNIT_MONO, iota_image,
-                          mul)
-from qhopf.verify import random_element
+import pytest
 
-P_VAL, Q_VAL = 0.5, 1.0 / 3.0
+from qhopf import chern, cli
+from qhopf.scalars import ONE
 
 
 def report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num} failed: {detail}"
+
+
+@pytest.fixture(scope="module")
+def suites():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "all", "--seed", "7"])
+    result = json.loads(out.getvalue())
+    assert code == 0
+    assert result["params"] == {"p": "1/2", "q": "1/3", "N": 300, "seed": 7}
+    return {r["suite"]: r for r in result["reports"]}
+
+
+def checks(suites, suite, *names):
+    """The named checks of one suite report; a missing name fails."""
+    by_name = {c["check_name"]: c for c in suites[suite]["checks"]}
+    missing = [n for n in names if n not in by_name]
+    assert not missing, f"{suite} reports no check {missing}"
+    return [by_name[n] for n in names]
+
+
+def passed(found, **stated):
+    """All checks passed and report the stated values (tolerance, count)."""
+    return all(c["pass"] and all(c.get(k) == v for k, v in stated.items())
+               for c in found)
 
 
 def test_criterion_1_pairing_reproduction():
@@ -42,181 +66,103 @@ def test_criterion_1_pairing_reproduction():
            f"round-trip {elapsed:.3f}s (< 1s)")
 
 
-def test_criterion_2_strong_connection_equivalence():
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(1, 9):
-        ok &= galois.strong_connection(n) == \
-            galois.strong_connection_closed(n, "+")
-        ok &= galois.strong_connection(-n) == \
-            galois.strong_connection_closed(n, "-")
-    for k in range(-8, 9):
-        ok &= galois.lifted_can(galois.strong_connection(k)) == \
-            CotensorElement({(UNIT_MONO, k): ONE})
-    for n in range(1, 9):
-        ok &= galois.partition_identity_holds(n, "+")
-        ok &= galois.partition_identity_holds(n, "-")
-    elapsed = time.perf_counter() - t0
+def test_criterion_2_strong_connection_equivalence(suites):
+    found = checks(suites, "galois",
+                   "recursion equals closed form (positive powers)",
+                   "recursion equals closed form (negative powers)",
+                   "connection identity: lifted_can",
+                   "partition identities (both parameter sides)")
+    elapsed = suites["galois"]["elapsed_s"]
+    ok = passed(found[:2], count=8) and passed([found[2]], k_max=8)
+    ok &= passed([found[3]], count=16)
     report(2, ok and elapsed < 30.0,
            f"recursion = closed form, lifted canonical map, and partition "
            f"identities for |k| <= 8 in {elapsed:.2f}s (< 30s)")
 
 
-def test_criterion_3_idempotency():
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(1, 6):
-        for mu in (-n, n):
-            e = chern.idempotent(mu)
-            ok &= (e @ e - e).is_zero()
-            ok &= e.all_coinvariant()
-    elapsed = time.perf_counter() - t0
-    report(3, ok and elapsed < 60.0,
+def test_criterion_3_idempotency(suites):
+    found = checks(suites, "chern", *(f"idempotent squared, winding {mu:+d}"
+                                      for n in range(1, 6) for mu in (-n, n)))
+    elapsed = suites["chern"]["elapsed_s"]
+    report(3, passed(found) and elapsed < 60.0,
            f"E^2 = E with coinvariant entries for windings up to 5 "
            f"in {elapsed:.2f}s (< 60s)")
 
 
-def test_criterion_4_trace_anchors():
-    one = AlgElement.one()
-    beta = one - mul(AlgElement.generator("a"), AlgElement.generator("a*"))
-    ok = chern.trace_functional(one).is_zero()
-    ok &= chern.trace_functional(beta) == ONE / (ONE - Q)
-    n_dim = 300
-    reps = (numrep.build_rep("rho1theta", (0.0,), n_dim, P_VAL, Q_VAL),
-            numrep.build_rep("rho2theta", (0.0,), n_dim, P_VAL, Q_VAL))
-    worst = 0.0
-    count = 0
-    for mu in range(-3, 4):
-        flags = [(0, 0)] + [(m, 0) for m in range(1, 7)] + \
-            [(0, n) for n in range(1, 7)]
-        for m, n in flags:
-            x = AlgElement.from_monomial(BasisMonomial(mu, m, n, mu))
-            sym = chern.trace_functional(x).evaluate(P_VAL, Q_VAL)
-            got = numrep.numeric_trace(x, n_dim, P_VAL, Q_VAL, reps=reps)
-            err = abs(got.value - sym)
-            worst = max(worst, err)
-            count += 1
-            ok &= err <= got.tail_bound + 1e-9
+def test_criterion_4_trace_anchors(suites):
+    ok = passed(checks(suites, "chern", "trace of the unit is 0",
+                       "trace of 1-aa* is 1/(1-q)"))
+    (mono,) = checks(
+        suites, "numeric",
+        "truncated traces match the exact trace on basis monomials")
+    ok &= passed([mono], count=91, N=300)
     report(4, ok,
-           f"tr(1) = 0 and tr(1-aa*) = 1/(1-q) exactly; {count} basis "
+           f"tr(1) = 0 and tr(1-aa*) = 1/(1-q) exactly; {mono['count']} basis "
            f"monomials match the N=300 operator trace at (1/2, 1/3), "
-           f"worst error {worst:.2e}")
+           f"worst error {mono['defect']:.2e}")
 
 
-def test_criterion_5_relations_and_representations():
-    a, ast = AlgElement.generator("a"), AlgElement.generator("a*")
-    b, bst = AlgElement.generator("b"), AlgElement.generator("b*")
-    one = AlgElement.one()
-    ok = (mul(ast, a) - Q * mul(a, ast) - (ONE - Q) * one).is_zero()
-    ok &= (mul(bst, b) - P * mul(b, bst) - (ONE - P) * one).is_zero()
-    ok &= (mul(a, b) - mul(b, a)).is_zero()
-    ok &= (mul(ast, b) - mul(b, ast)).is_zero()
-    ok &= mul(one - mul(a, ast), one - mul(b, bst)).is_zero()
-    f0, f1, f1s = (iota_image(k) for k in ("f0", "f1", "f1*"))
-    ok &= (f0.star() - f0).is_zero()
-    ok &= (mul(f1s, f1) - Q * mul(f1, f1s) - (P - Q) * f0
-           - (ONE - P) * one).is_zero()
-    ok &= (mul(f0, f1) - P * mul(f1, f0) - (ONE - P) * f1).is_zero()
-    ok &= mul(one - f0, mul(f1, f1s) - f0).is_zero()
-    rng = random.Random(7)
-    worst = 0.0
-    for n_dim in (10, 50, 200):
-        for family in ("rho1theta", "rho2theta"):
-            for _ in range(5):
-                theta = 2.0 * math.pi * rng.random()
-                rep = numrep.build_rep(family, (theta,), n_dim, P_VAL, Q_VAL)
-                worst = max(worst,
-                            max(numrep.relation_defects(rep).values()))
-    ok &= worst <= 1e-12
+def test_criterion_5_relations_and_representations(suites):
+    ok = passed(checks(
+        suites, "algebra", "relation a*a - q aa* = 1-q",
+        "relation b*b - p bb* = 1-p", "relation ab = ba",
+        "relation (1-aa*)(1-bb*) = 0", "base relation f0 = f0*",
+        "base relation f1*f1 - q f1f1* = (p-q)f0 + 1-p",
+        "base relation f0f1 - p f1f0 = (1-p)f1",
+        "base relation (1-f0)(f1f1* - f0) = 0"))
+    (rel,) = checks(suites, "numeric",
+                    "defining relations hold on safe blocks")
+    ok &= passed([rel], tolerance=1e-12, truncations=[10, 50, 200])
     report(5, ok,
            f"all defining and base relations normalize to zero; truncated "
-           f"representation defects <= 1e-12 (worst {worst:.2e}) for "
+           f"representation defects <= 1e-12 (worst {rel['defect']:.2e}) for "
            f"N in (10, 50, 200), 5 phases per family")
 
 
-def test_criterion_6_algebra_soundness():
-    rng = random.Random(7)
-    ok = True
-    for _ in range(500):
-        x, y, z = (random_element(rng) for _ in range(3))
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            ok = False
-            break
-    assoc_ok = ok
-    ok = True
-    for _ in range(500):
-        x, y = random_element(rng), random_element(rng)
-        if mul(x, y).star() != mul(y.star(), x.star()):
-            ok = False
-            break
-    star_ok = ok
-    rep1 = numrep.build_rep("rho1theta", (0.9,), 30, P_VAL, Q_VAL)
-    rep2 = numrep.build_rep("rho2theta", (2.2,), 30, P_VAL, Q_VAL)
-    worst = 0.0
-    for _ in range(200):
-        x, y = random_element(rng), random_element(rng)
-        worst = max(worst, numrep.homomorphism_defect(x, y, rep1),
-                    numrep.homomorphism_defect(x, y, rep2))
-    hom_ok = worst <= 1e-10
-    found = tried = 0
-    for i in range(100):
-        x = random_element(rng)
-        if x.is_zero():
-            continue
-        tried += 1
-        found += bool(numrep.faithfulness_probe(x, seed=7 + i))
-    faith_ok = found == tried
-    ok = assoc_ok and star_ok and hom_ok and faith_ok
+def test_criterion_6_algebra_soundness(suites):
+    assoc, star = checks(suites, "algebra", "associativity on random triples",
+                         "involution is anti-multiplicative")
+    ok = passed([assoc, star], count=500)
+    ok &= suites["algebra"]["params"] == {"seed": 7, "triples": 500,
+                                          "pairs": 500}
+    hom, sep = checks(suites, "numeric",
+                      "matrix images respect multiplication",
+                      "separation probe finds witnesses for nonzero elements")
+    ok &= passed([hom], tolerance=1e-10, count=200) and passed([sep])
     report(6, ok,
-           f"associativity (500 triples) and anti-multiplicativity "
-           f"(500 pairs) exact; homomorphism oracle worst defect "
-           f"{worst:.2e} <= 1e-10 on 200 pairs; separation witnesses "
-           f"{found}/{tried}")
+           f"associativity ({assoc['count']} triples) and "
+           f"anti-multiplicativity ({star['count']} pairs) exact; "
+           f"homomorphism oracle worst defect {hom['defect']:.2e} <= 1e-10 "
+           f"on {hom['count']} pairs; separation witnesses "
+           f"{sep['found']}/{sep['count']}")
 
 
-def test_criterion_7_gluing():
-    count = 0
-    ok = True
-    degree = 6
-    for mu, nu in itertools.product(range(-degree, degree + 1), repeat=2):
-        rest = degree - abs(mu) - abs(nu)
-        if rest < 0:
-            continue
-        monos = [BasisMonomial(mu, 0, 0, nu)]
-        monos += [BasisMonomial(mu, m, 0, nu) for m in range(1, rest + 1)]
-        monos += [BasisMonomial(mu, 0, n, nu) for n in range(1, rest + 1)]
-        for t in monos:
-            ok &= gluing.gluing_check(AlgElement.from_monomial(t))
-            count += 1
-    rng = random.Random(7)
-    for _ in range(100):
-        ok &= gluing.gluing_check(random_element(rng))
-    for leg in ("p", "q"):
-        for _ in range(50):
-            ok &= gluing.trivialization_colinear(random_element(rng), leg)
+def test_criterion_7_gluing(suites):
+    monos, rand, colin = checks(
+        suites, "gluing", "gluing on all basis monomials of degree <= 6",
+        "gluing on random elements",
+        "charts intertwine coaction and coproduct")
+    ok = passed([monos], count=377) and passed([rand, colin], count=100)
     report(7, ok,
-           f"gluing matched on {count} basis monomials (degree <= 6) and "
-           f"100 random elements; chart colinearity exact on 100 random "
-           f"elements")
+           f"gluing matched on {monos['count']} basis monomials (degree <= 6) "
+           f"and {rand['count']} random elements; chart colinearity exact "
+           f"on {colin['count']} random elements")
 
 
-def test_criterion_8_classical_limit():
-    res = numrep.classical_maps_check(1000, seed=7)
-    ok = res["max_error"] <= 1e-12
-    report(8, ok,
-           f"1000 seeded samples: round trips, membership, and "
-           f"equivariance within {res['max_error']:.2e} (<= 1e-12)")
+def test_criterion_8_classical_limit(suites):
+    (res,) = checks(suites, "classical",
+                    "coordinate maps are mutually inverse circle maps")
+    report(8, passed([res], tolerance=1e-12, samples=1000),
+           f"{res['samples']} seeded samples: round trips, membership, and "
+           f"equivariance within {res['defect']:.2e} (<= 1e-12)")
 
 
-def test_criterion_9_operator_witnesses():
-    res = numrep.mvn_witness_check(10)
-    ok = res["max_defect"] <= 1e-12 and res["projection_rank"] == 1
-    rep = numrep.build_rep("rho2theta", (0.4,), 100, P_VAL, 0.3)
-    pol = numrep.polar_isometry_check(rep, "a")
-    ok &= pol["min_eig"] >= 1 - 0.3 - 1e-10
-    ok &= pol["isometry_defect"] <= 1e-10
+def test_criterion_9_operator_witnesses(suites):
+    mvn, pol = checks(suites, "numeric",
+                      "shift-tensor-projection witness identities",
+                      "polar parts are isometries above the gap")
+    ok = passed([mvn], tolerance=1e-12) and passed([pol], tolerance=1e-10)
     report(9, ok,
-           f"shift-tensor-projection defects {res['max_defect']:.2e} "
-           f"(<= 1e-12, N=10); polar isometry: min eigenvalue "
-           f"{pol['min_eig']:.6f} >= 1-q-1e-10, defect "
-           f"{pol['isometry_defect']:.2e} (<= 1e-10, N=100)")
+           f"shift-tensor-projection defects {mvn['defect']:.2e} "
+           f"(<= 1e-12, N=10); polar isometries of a and b above the gap "
+           f"1-q resp. 1-p, defect {pol['defect']:.2e} (<= 1e-10, N=100)")

@@ -237,6 +237,10 @@ def test_coinvariant_matrix_validation():
                lambda: m @ m):
         with pytest.raises(ValueError):
             op()
+    for op in (lambda: e1 + e2, lambda: e1 - e2):
+        with pytest.raises(ValueError,
+                           match=r"^mixed tags \(2, 2\) and \(3, 3\)$"):
+            op()
     zero1 = CoinvariantMatrix([[AlgElement.zero()]])
     zero2 = CoinvariantMatrix([[AlgElement.zero()] * 2] * 2)
     assert zero1.is_zero() and zero2.is_zero() and zero1 != zero2

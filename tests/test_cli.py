@@ -163,30 +163,29 @@ def test_verify_choices_are_the_suites(capsys):
     assert f"{{{choices}}}" in json.loads(err)["usage"]
 
 
-def test_run_suite_passes_each_suite_the_parameters_it_declares(
-        monkeypatch):
+def test_suites_take_the_command_parameters_and_record_their_sizes(capsys):
+    import inspect
     from qhopf import verify
-
-    def none():
-        return {}
-
-    def some(N=0, seed=0):
-        p_val = "a local, not a parameter"   # noqa: F841
-        return {"N": N, "seed": seed}
-
-    def every(p_val=0, q_val=0, N=0, seed=0):
-        return {"p_val": p_val, "q_val": q_val, "N": N, "seed": seed}
-
-    def keyword_only(*, seed=0, depth=3):
-        return {"seed": seed, "depth": depth}
-
-    monkeypatch.setattr(verify, "SUITES", {
-        "none": none, "some": some, "every": every, "kw": keyword_only})
-    params = {"p_val": 0.5, "q_val": 0.25, "N": 40, "seed": 3}
-    assert verify.run_suite("none", **params) == {}
-    assert verify.run_suite("some", **params) == {"N": 40, "seed": 3}
-    assert verify.run_suite("every", **params) == params
-    assert verify.run_suite("kw", **params) == {"seed": 3, "depth": 3}
+    want = [(name, inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.empty)
+            for name in ("p_val", "q_val", "N", "seed")]
+    for name, suite in verify.SUITES.items():
+        got = [(p.name, p.kind, p.default)
+               for p in inspect.signature(suite).parameters.values()]
+        assert got == want, name
+    # each report records the command's parameters it uses and the
+    # suite's own sizes, which no parameter changes
+    code, out, _ = run_cli(capsys, "verify", "all", "--p", "0.9", "--q",
+                           "0.2", "--N", "50", "--seed", "3")
+    assert code == 0
+    params = {r["suite"]: r["params"] for r in json.loads(out)["reports"]}
+    assert params == {
+        "algebra": {"seed": 3, "triples": 500, "pairs": 500},
+        "gluing": {"seed": 3, "degree": 6, "samples": 100},
+        "galois": {"k_max": 8},
+        "chern": {"n_max": 5, "p": 0.9, "q": 0.2, "N": 50, "seed": 3},
+        "numeric": {"p": 0.9, "q": 0.2, "N": 50, "seed": 3},
+        "classical": {"samples": 1000, "seed": 3},
+    }
 
 
 @pytest.mark.parametrize("suite", ["numeric", "all"])

@@ -357,6 +357,8 @@ def test_defect_and_spectrum_checks_form_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(numrep, "_band_dense", forbidden)
     for name in ("norm", "svd", "eigvalsh", "eigh", "eigvals"):
         monkeypatch.setattr(np.linalg, name, forbidden)
+    for name in ("kron", "eye"):
+        monkeypatch.setattr(np, name, forbidden)
     assert max(relation_defects(classical).values()) <= 1e-12
     for rep in reps:
         assert max(relation_defects(rep).values()) <= 1e-12
@@ -368,3 +370,16 @@ def test_defect_and_spectrum_checks_form_no_dense_matrix(monkeypatch):
     assert any(not x.is_zero() for x, _ in pairs)
     for i, (x, _) in enumerate(pairs):
         assert faithfulness_probe(x, seed=i)
+    # and so do the polar parts and the shift-tensor-projection witness
+    polar = [build_rep("rho2theta", (0.4,), 100, P_VAL, Q_VAL),
+             build_rep("rho1theta", (1.1,), 100, P_VAL, Q_VAL)]
+    for rep, which, gap in ((polar[0], "a", 1 - Q_VAL),
+                            (polar[1], "b", 1 - P_VAL),
+                            (polar[1], "a", 1.0)):
+        res = polar_isometry_check(rep, which)
+        assert res["min_eig"] >= gap - 1e-10
+        assert res["isometry_defect"] <= 1e-10
+    for n in (2, 10, 100):
+        res = mvn_witness_check(n)
+        assert res["max_defect"] <= 1e-12 and res["projection_rank"] == 1
+        assert res["partial_isometry_defect"] <= 1e-12
