@@ -12,14 +12,12 @@ load it.
 """
 
 from .scalars import ONE, P, Q, ZERO, ParamScalar, ppow, qbinomial, qpow
-from .s3core import (AlgElement, BasisMonomial, FreeWord, iota_image,
-                     iota_word, mul, mul_by_generator, normalize_word)
+from .s3core import AlgElement, BasisMonomial, iota_image, mul
 from .hopf import CotensorElement, LaurentElement, coaction
 from .gluing import (DiscElement, TrivializedElement, boundary, chi,
                      gluing_check, phi12)
-from .galois import (TensorElement, check_connection_properties,
-                     galois_witness, lifted_can, strong_connection,
-                     strong_connection_closed)
+from .galois import (TensorElement, connection_defects, lifted_can,
+                     strong_connection, strong_connection_closed)
 from .chern import CoinvariantMatrix, idempotent, pairing, trace_functional
 
 __version__ = "0.1.0"

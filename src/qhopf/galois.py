@@ -1,7 +1,6 @@
 """The strong connection of the circle fibration and its identities.
 
-The lifted canonical map sends s (x) t to s * Delta_R(t); the freeness
-witnesses below exhibit 1 (x) u^k in its image for every k.  The
+The lifted canonical map sends s (x) t to s * Delta_R(t).  The
 connection ell assigns to u^k a tensor built from the seeds
 
     ell(u)  = a* (x) a + q b(1-aa*) (x) b*,
@@ -12,11 +11,19 @@ terms x_i (x) y_i acting on the left leg from the left and on the
 right leg from the right (mirror recursion for negative powers).  The
 closed form is a Gauss-binomial sum; multiplying the two legs of
 ell(u^k) together telescopes to 1 (the partition identity).
+
+The connection value ell(u^k) is also the freeness witness, a preimage
+of 1 (x) u^k under the lifted canonical map: the product-of-preimages
+rule (witnesses sum_i h_i (x) h~_i for 1 (x) h and sum_j g_j (x) g~_j
+for 1 (x) g give sum_ij g_j h_i (x) h~_i g~_j for 1 (x) hg), iterated
+from the degree +-1 seeds, is the sandwich recursion.
+:func:`connection_defects` checks this and the other identities of a
+connection value.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ppow, qbinomial, qpow
+from .scalars import ONE, _wrap, ppow, qbinomial, qpow
 from .hopf import CotensorElement, _power
 from .s3core import (AlgElement, BasisMonomial, UNIT_MONO, _checked,
                      _mono_product)
@@ -24,14 +31,11 @@ from .sparse import SparseElement, bilinear, extend
 
 __all__ = [
     "TensorElement",
-    "connection_seed",
     "strong_connection",
     "strong_connection_closed",
     "lifted_can",
     "multiply_legs",
-    "partition_identity_holds",
-    "galois_witness",
-    "check_connection_properties",
+    "connection_defects",
 ]
 
 
@@ -64,9 +68,7 @@ class TensorElement(SparseElement):
             return "0"
         bits = []
         for (s, t), c in self.sorted_terms():
-            cs = str(c)
-            if " + " in cs or " - " in cs or cs.startswith("-"):
-                cs = f"({cs})"
+            cs = _wrap(str(c))
             lead = "" if cs == "1" else f"{cs}*"
             bits.append(f"{lead}{s.text()} (x) {t.text()}")
         return " + ".join(bits)
@@ -91,15 +93,6 @@ _SEED_MINUS = TensorElement({
     (BasisMonomial(0, 0, 0, -1), BasisMonomial(0, 0, 0, 1)): ONE,
     (BasisMonomial(1, 0, 1, 0), BasisMonomial(-1, 0, 0, 0)): ppow(1),
 })
-
-
-def connection_seed(sign: str) -> TensorElement:
-    """The degree +1 / -1 value of the connection."""
-    if sign == "+":
-        return _SEED_PLUS
-    if sign == "-":
-        return _SEED_MINUS
-    raise ValueError("sign must be '+' or '-'")
 
 
 _CONN_CACHE: dict[int, TensorElement] = {}
@@ -168,60 +161,27 @@ def multiply_legs(t: TensorElement) -> AlgElement:
     return AlgElement._raw(extend(t.terms, lambda sr: _mono_product(*sr)))
 
 
-def partition_identity_holds(n: int, sign: str = "+") -> bool:
-    """Multiplying the legs of the closed form telescopes to 1."""
-    return multiply_legs(strong_connection_closed(n, sign)) == AlgElement.one()
+def connection_defects(ell: TensorElement, k: int) -> dict[str, str]:
+    """The connection identities that ``ell`` fails as the value on u^k.
 
+    lifted_can:        the lifted canonical map gives 1 (x) u^k;
+    right_colinearity: the right legs all sit in winding k;
+    left_colinearity:  the left legs all sit in winding -k;
+    counit_law:        multiplying the legs gives 1 (the partition identity).
 
-def galois_witness(k: int) -> TensorElement:
-    """A preimage of 1 (x) u^k under the lifted canonical map.
-
-    The product-of-preimages rule (witnesses sum_i h_i (x) h~_i for
-    1 (x) h and sum_j g_j (x) g~_j for 1 (x) g give
-    sum_ij g_j h_i (x) h~_i g~_j for 1 (x) hg), iterated from the degree
-    +-1 seeds, is the sandwich recursion of the connection, so the
-    witness is the connection value; its preimage property is checked.
+    Each failed identity maps to its difference; an empty dict means
+    that every identity holds.
     """
-    out = strong_connection(k)
-    if lifted_can(out) != CotensorElement({(UNIT_MONO, k): ONE}):
-        raise AssertionError(f"witness for power {k} failed verification")
+    k = _power(k)
+    out = {}
+    diff = lifted_can(ell) - CotensorElement({(UNIT_MONO, k): ONE})
+    if diff:
+        out["lifted_can"] = diff.text()
+    if any(r.winding != k for _, r in ell.terms):
+        out["right_colinearity"] = "winding mismatch in right leg"
+    if any(s.winding != -k for s, _ in ell.terms):
+        out["left_colinearity"] = "winding mismatch in left leg"
+    diff = multiply_legs(ell) - AlgElement.one()
+    if diff:
+        out["counit_law"] = diff.text()
     return out
-
-
-def check_connection_properties(k_max: int) -> dict:
-    """Verify the connection identities exactly for all |k| <= k_max.
-
-    (i)   lifted canonical map of ell(u^k) equals 1 (x) u^k;
-    (ii)  right colinearity: the right legs all sit in winding k;
-    (iii) left colinearity: the left legs all sit in winding -k;
-    (iv)  multiplying the legs gives 1 (the partition identity).
-    """
-    if _power(k_max) < 1:
-        raise ValueError("k_max must be positive")
-    failures = []
-    checks = []
-    for k in range(-k_max, k_max + 1):
-        ell = strong_connection(k)
-        target = CotensorElement({(UNIT_MONO, k): ONE})
-        got = lifted_can(ell)
-        ok1 = got == target
-        if not ok1:
-            failures.append({"k": k, "identity": "lifted_can",
-                             "difference": (got - target).text()})
-        ok2 = all(r.winding == k for _, r in ell.terms)
-        if not ok2:
-            failures.append({"k": k, "identity": "right_colinearity",
-                             "difference": "winding mismatch in right leg"})
-        ok3 = all(s.winding == -k for s, _ in ell.terms)
-        if not ok3:
-            failures.append({"k": k, "identity": "left_colinearity",
-                             "difference": "winding mismatch in left leg"})
-        prod = multiply_legs(ell)
-        ok4 = prod == AlgElement.one()
-        if not ok4:
-            failures.append({"k": k, "identity": "counit_law",
-                             "difference": (prod - AlgElement.one()).text()})
-        checks.append({"k": k, "lifted_can": ok1, "right_colinearity": ok2,
-                       "left_colinearity": ok3, "counit_law": ok4})
-    return {"k_max": k_max, "pass": not failures, "checks": checks,
-            "failures": failures}

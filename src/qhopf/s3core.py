@@ -21,34 +21,26 @@ by one letter is the product with that letter's monomial.
 
 A basis monomial is spelled as a word once, in ``_word``, with flag
 letters for 1 - aa* and 1 - bb*.  :func:`substitute` multiplies images
-along a word; :func:`normalize_word`, :func:`iota_word`, the chart maps
-and the operator images use it.
+along a word; the chart maps and the operator images use it.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import partial
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .scalars import ONE, ParamScalar, ppow, qbinomial, qpow, scalar
-from .sparse import SparseElement, accumulate, bilinear, extend
+from .sparse import SparseElement, bilinear
 
 __all__ = [
     "BasisMonomial",
     "AlgElement",
-    "FreeWord",
     "GENERATORS",
-    "LETTERS",
     "UNIT_MONO",
     "mul",
-    "mul_by_generator",
     "monomial",
-    "normalize_word",
     "substitute",
     "iota_image",
-    "iota_word",
-    "iota",
 ]
 
 GENERATORS = ("a", "a*", "b", "b*")
@@ -114,7 +106,6 @@ _LETTER_MONO = {
     FLAG_A: BasisMonomial(0, 1, 0, 0),
     FLAG_B: BasisMonomial(0, 0, 1, 0),
 }
-LETTERS = tuple(_LETTER_MONO)
 
 
 def monomial(mu: int, m: int, n: int, nu: int) -> BasisMonomial:
@@ -212,11 +203,6 @@ def _mono_mul(t1: BasisMonomial, t2: BasisMonomial):
     return hit
 
 
-# multiplication by one letter from the right (left), as a rule on monomials
-_RIGHT = {g: partial(_mono_mul, t2=t) for g, t in _LETTER_MONO.items()}
-_LEFT = {g: partial(_mono_mul, t) for g, t in _LETTER_MONO.items()}
-
-
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -304,48 +290,6 @@ def mul(x: AlgElement, y: AlgElement) -> AlgElement:
     return _raw(bilinear(x._d, y._d, _mono_mul))
 
 
-def mul_by_generator(x: AlgElement, g, side: str = "right") -> AlgElement:
-    """Multiply by a single generator, or flag letter, on the chosen side."""
-    if g not in LETTERS:
-        raise ValueError(f"unknown generator {g!r}")
-    if side == "right":
-        return _raw(extend(x._d, _RIGHT[g]))
-    if side == "left":
-        return _raw(extend(x._d, _LEFT[g]))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-class _Word(NamedTuple):
-    letters: tuple[str, ...]
-    prefactor: ParamScalar = ONE
-
-
-class FreeWord(_Word):
-    """A word in the generators with an optional scalar prefactor."""
-
-    __slots__ = ()
-
-    def __new__(cls, letters: tuple[str, ...], prefactor: ParamScalar = ONE):
-        for g in letters:
-            if g not in GENERATORS:
-                raise ValueError(f"unknown generator {g!r}")
-        return super().__new__(cls, letters, prefactor)
-
-
-def normalize_word(word: FreeWord | Iterable[str]) -> AlgElement:
-    """Canonical form of a free word; the empty word is the unit."""
-    if isinstance(word, FreeWord):
-        letters, pref = word.letters, word.prefactor
-    else:
-        letters, pref = tuple(word), ONE
-    for g in letters:
-        if g not in GENERATORS:
-            raise ValueError(f"unknown generator {g!r}")
-    pref = scalar(pref)
-    return _raw(substitute(letters, _RIGHT,
-                           {UNIT_MONO: pref} if pref else {}, extend))
-
-
 # ---------------------------------------------------------------------------
 # the embedding of the base algebra
 #
@@ -367,17 +311,3 @@ def iota_image(name: str) -> AlgElement:
         return _IOTA[name]
     except KeyError:
         raise ValueError(f"unknown base generator {name!r}") from None
-
-
-def iota_word(letters: Iterable[str]) -> AlgElement:
-    """Image of a product of base generators (empty product is 1)."""
-    letters = tuple(letters)
-    for name in letters:
-        iota_image(name)   # rejects an unknown name
-    return substitute(letters, _IOTA, AlgElement.one(), mul)
-
-
-def iota(poly: Mapping) -> AlgElement:
-    """Image of a polynomial in f0, f1, f1*, given as {word: coefficient}."""
-    return _raw(accumulate({}, ((scalar(c), iota_word(word)._d.items())
-                                for word, c in poly.items())))

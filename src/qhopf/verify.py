@@ -264,23 +264,22 @@ def suite_galois(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
              galois.strong_connection_closed(n, "-") for n in range(1, k_max + 1))
     checks.append(_check("recursion equals closed form (negative powers)",
                          ok, count=k_max))
-    rep = galois.check_connection_properties(k_max)
+    defects = {k: galois.connection_defects(galois.strong_connection(k), k)
+               for k in range(-k_max, k_max + 1)}
     for ident in ("lifted_can", "right_colinearity", "left_colinearity",
                   "counit_law"):
-        ok = all(c[ident] for c in rep["checks"])
-        checks.append(_check(f"connection identity: {ident}", ok,
-                             k_max=k_max))
-    ok = all(galois.partition_identity_holds(n, s)
-             for n in range(1, k_max + 1) for s in "+-")
+        failures = [{"k": k, "difference": d[ident]}
+                    for k, d in defects.items() if ident in d]
+        check = _check(f"connection identity: {ident}", not failures,
+                       k_max=k_max)
+        if failures:
+            check["failures"] = failures
+        checks.append(check)
+    ok = all(galois.multiply_legs(galois.strong_connection_closed(n, s))
+             == AlgElement.one() for n in range(1, k_max + 1) for s in "+-")
     checks.append(_check("partition identities (both parameter sides)", ok,
                          count=2 * k_max))
-    try:
-        for k in range(1, 7):
-            galois.galois_witness(k)
-            galois.galois_witness(-k)
-        ok = True
-    except AssertionError:
-        ok = False
+    ok = not any("lifted_can" in defects[k] for k in range(-6, 7) if k)
     checks.append(_check("freeness witnesses for |k| <= 6", ok))
     return _finish("galois", checks, t0, k_max=k_max)
 

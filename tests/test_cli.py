@@ -325,6 +325,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     [], ["unknown-command"], ["pairing"], ["pairing", "--mu", "0"],
     ["verify", "numeric", "--N", "1"], ["connection", "--k", "x"],
+    ["verify", "all", "--p", "abc"], ["verify", "all", "--q", "1/0"],
 ], ids=lambda argv: " ".join(argv) or "no command")
 def test_usage_errors_print_one_json_error_line(capsys, argv):
     # the parser's own usage errors carry the same JSON error line on

@@ -1,5 +1,6 @@
 """Strong connection: seeds, recursion, closed form, and identities."""
 
+import json
 import signal
 import sys
 
@@ -7,10 +8,10 @@ import pytest
 
 from qhopf import galois
 from qhopf.scalars import ONE, P, Q, qbinomial, qpow
-from qhopf.galois import (TensorElement, check_connection_properties,
-                          connection_seed, galois_witness, lifted_can,
-                          multiply_legs, partition_identity_holds,
-                          strong_connection, strong_connection_closed)
+from qhopf.cli import main
+from qhopf.galois import (TensorElement, connection_defects, lifted_can,
+                          multiply_legs, strong_connection,
+                          strong_connection_closed)
 from qhopf.hopf import CotensorElement
 from qhopf.s3core import AlgElement, BasisMonomial, UNIT_MONO, mul
 
@@ -30,16 +31,12 @@ def test_connection_seeds():
         (BasisMonomial(0, 1, 0, 1), BasisMonomial(0, 0, 0, -1)): Q,
     })
     assert strong_connection(1) == want
-    assert connection_seed("+") == want
     # ell(u*) = b* (x) b + p a(1-bb*) (x) a*
     want = TensorElement({
         (BasisMonomial(0, 0, 0, -1), BasisMonomial(0, 0, 0, 1)): ONE,
         (BasisMonomial(1, 0, 1, 0), BasisMonomial(-1, 0, 0, 0)): P,
     })
     assert strong_connection(-1) == want
-    assert connection_seed("-") == want
-    with pytest.raises(ValueError):
-        connection_seed("0")
 
 
 def test_closed_form_degree_two_frozen():
@@ -100,17 +97,19 @@ def test_multiply_legs_partition_identity_k1():
 
 def test_partition_identities():
     for n in range(1, 9):
-        assert partition_identity_holds(n, "+")
-        assert partition_identity_holds(n, "-")
+        assert multiply_legs(strong_connection_closed(n, "+")) == ONE_EL
+        assert multiply_legs(strong_connection_closed(n, "-")) == ONE_EL
 
 
 def test_connection_properties_report():
-    rep = check_connection_properties(8)
-    assert rep["pass"]
-    assert not rep["failures"]
-    assert len(rep["checks"]) == 17
-    with pytest.raises(ValueError):
-        check_connection_properties(0)
+    for k in range(-8, 9):
+        assert connection_defects(strong_connection(k), k) == {}
+    # q 1 (x) a breaks three identities, and each reports its difference
+    stray = TensorElement({(UNIT_MONO, BasisMonomial(1, 0, 0, 0)): Q})
+    assert connection_defects(strong_connection(1) + stray, 1) == {
+        "lifted_can": "(q*a) (x) u",
+        "left_colinearity": "winding mismatch in left leg",
+        "counit_law": "q*a"}
 
 
 # two tensors whose products cancel in lifted_can and in multiply_legs,
@@ -129,22 +128,32 @@ _STRAY_LEGS = {
 
 
 @pytest.mark.parametrize("identity", sorted(_STRAY_LEGS))
-def test_connection_properties_report_a_stray_winding(monkeypatch, identity):
+def test_connection_properties_report_a_stray_winding(identity):
     stray = TensorElement(_STRAY_LEGS[identity])
     assert lifted_can(stray).is_zero() and multiply_legs(stray).is_zero()
+    leg = identity.split("_")[0]
+    assert connection_defects(strong_connection(1) + stray, 1) == \
+        {identity: f"winding mismatch in {leg} leg"}
+
+
+@pytest.mark.parametrize("identity", sorted(_STRAY_LEGS))
+def test_verify_reports_a_failed_identity(monkeypatch, capsys, identity):
+    # a stray leg at k = 1 fails the recursion check and its identity
+    # check, which carries k and the difference; verify exits 1
+    stray = TensorElement(_STRAY_LEGS[identity])
     real = galois.strong_connection
     monkeypatch.setattr(galois, "strong_connection",
                         lambda k: real(k) + stray if k == 1 else real(k))
-    rep = check_connection_properties(2)
-    assert not rep["pass"]
-    assert len(rep["checks"]) == 5
-    for check in rep["checks"]:
-        for name in ("lifted_can", "right_colinearity", "left_colinearity",
-                     "counit_law"):
-            assert check[name] is not (check["k"] == 1 and name == identity)
+    assert main(["verify", "galois"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    name = f"connection identity: {identity}"
+    assert report["failures"] == [
+        "recursion equals closed form (positive powers)", name]
+    (check,) = [c for c in report["reports"][0]["checks"]
+                if c["check_name"] == name]
     leg = identity.split("_")[0]
-    assert rep["failures"] == [{"k": 1, "identity": identity,
-                                "difference": f"winding mismatch in {leg} leg"}]
+    assert check["failures"] == [
+        {"k": 1, "difference": f"winding mismatch in {leg} leg"}]
 
 
 def test_per_term_windings():
@@ -156,11 +165,10 @@ def test_per_term_windings():
 
 
 def test_galois_witnesses():
-    for k in list(range(1, 7)) + [-k for k in range(1, 7)]:
-        w = galois_witness(k)
+    # the connection value is the preimage of 1 (x) u^k
+    for k in range(-6, 7):
+        w = strong_connection(k)
         assert lifted_can(w) == CotensorElement({(UNIT_MONO, k): ONE})
-        assert w == strong_connection(k)
-    assert galois_witness(0) == TensorElement.unit()
 
 
 def test_closed_form_coefficients_are_gauss_binomials():
@@ -204,16 +212,17 @@ def test_strong_connection_rejects_a_non_integer_power():
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(5)
     try:
-        for call in (strong_connection, galois_witness):
-            with pytest.raises(ValueError):
-                call(0.5)
+        with pytest.raises(ValueError):
+            strong_connection(0.5)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("call, arg", [(strong_connection_closed, 2.0),
-                                       (check_connection_properties, 1.5)])
+@pytest.mark.parametrize("call, arg", [
+    (strong_connection_closed, 2.0),
+    pytest.param(lambda k: connection_defects(strong_connection(1), k), 1.5,
+                 id="connection_defects-1.5")])
 def test_a_non_integer_power_is_a_value_error(call, arg):
     with pytest.raises(ValueError, match="integer"):
         call(arg)

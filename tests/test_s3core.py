@@ -1,17 +1,16 @@
 """Normal forms, relations, and structure maps of the sphere algebra."""
 
 import random
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhopf.scalars import ONE, P, Q, ppow, qpow, scalar
-from qhopf.s3core import (FLAG_A, FLAG_B, LETTERS, AlgElement, BasisMonomial,
-                          FreeWord, UNIT_MONO, _word, iota_image, iota_word,
-                          iota, monomial, mul, mul_by_generator,
-                          normalize_word, substitute)
+from qhopf.s3core import (FLAG_A, FLAG_B, _LETTER_MONO, AlgElement,
+                          BasisMonomial, UNIT_MONO, _word, iota_image,
+                          monomial, mul, substitute)
 from qhopf import numrep, s3core
 from qhopf.sparse import extend
 
@@ -61,42 +60,18 @@ def test_defining_relations_normalize_to_zero():
 
 def test_mul_by_generator_examples():
     # a* times a on the right picks up the flag:  a*a = 1 - q(1-aa*)
-    got = mul_by_generator(AS, "a", "right")
+    got = mul(AS, A)
     assert got == AlgElement({UNIT_MONO: ONE,
                               BasisMonomial(0, 1, 0, 0): -Q})
     # (1-aa*) b b* collapses back to (1-aa*)
     flag = AlgElement.from_monomial(BasisMonomial(0, 1, 0, 0))
-    got = mul_by_generator(mul_by_generator(flag, "b", "right"), "b*",
-                           "right")
+    got = mul(mul(flag, B), BS)
     assert got == flag
     # multiplying the unit gives the generator monomial itself
     for g in ("a", "a*", "b", "b*"):
-        assert mul_by_generator(ONE_EL, g, "left") == \
-            AlgElement.generator(g)
-        assert mul_by_generator(ONE_EL, g, "right") == \
-            AlgElement.generator(g)
-
-
-def test_left_and_right_generator_multiplication_agree_with_mul():
-    rng = random.Random(0)
-    for _ in range(60):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            mu, nu = rng.randint(-2, 2), rng.randint(-2, 2)
-            m = rng.randint(0, 2)
-            n = 0 if m else rng.randint(0, 2)
-            terms[BasisMonomial(mu, m, n, nu)] = scalar(rng.randint(-3, 3)) \
-                + Q * rng.randint(-1, 1)
-        x = AlgElement(terms)
-        # the flag letters multiply like the flag elements
-        for g, gel in (("a", A), ("a*", AS), ("b", B), ("b*", BS),
-                       (FLAG_A, BETA), (FLAG_B, GAMMA)):
-            assert mul_by_generator(x, g, "right") == mul(x, gel)
-            assert mul_by_generator(x, g, "left") == mul(gel, x)
-    with pytest.raises(ValueError):
-        mul_by_generator(ONE_EL, "c", "right")
-    with pytest.raises(ValueError):
-        mul_by_generator(ONE_EL, "a", "middle")
+        gel = AlgElement.generator(g)
+        assert mul(ONE_EL, gel) == gel
+        assert mul(gel, ONE_EL) == gel
 
 
 def test_unit_laws():
@@ -137,40 +112,23 @@ def test_associativity(x, y, z):
 
 
 def test_normalize_word_examples():
-    assert normalize_word(["a*", "a"]) == \
+    assert mul(AS, A) == \
         AlgElement({UNIT_MONO: ONE, BasisMonomial(0, 1, 0, 0): -Q})
-    assert normalize_word(["a", "a*"]) == \
+    assert mul(A, AS) == \
         AlgElement({UNIT_MONO: ONE, BasisMonomial(0, 1, 0, 0): -ONE})
     # bb* aa* = (1 - (1-bb*)) (1 - (1-aa*)) = 1 - (1-aa*) - (1-bb*)
-    got = normalize_word(["b", "b*", "a", "a*"])
+    got = mul(mul(mul(B, BS), A), AS)
     want = AlgElement({UNIT_MONO: ONE,
                        BasisMonomial(0, 1, 0, 0): -ONE,
                        BasisMonomial(0, 0, 1, 0): -ONE})
     assert got == want
-    assert normalize_word([]) == ONE_EL
-    pref = FreeWord(("a", "b"), prefactor=Q)
-    assert normalize_word(pref) == Q * mul(A, B)
     with pytest.raises(ValueError):
-        normalize_word(["a", "z"])
-
-
-def test_free_word_is_a_checked_value():
-    with pytest.raises(ValueError, match="unknown generator 'x'"):
-        FreeWord(("a", "x"))
-    w, same = FreeWord(("a", "b*"), prefactor=Q), FreeWord(("a", "b*"), Q)
-    assert w == same and hash(w) == hash(same) and w is not same
-    assert w != FreeWord(("a", "b*")) and FreeWord(("a",)).prefactor is ONE
-    assert len({w, FreeWord(("a", "b*"), Q), FreeWord(("b*", "a"), Q)}) == 2
-    with pytest.raises(AttributeError):
-        w.letters = ("b",)
-    assert w.letters == ("a", "b*")
-    assert repr(w) == \
-        "FreeWord(letters=('a', 'b*'), prefactor=ParamScalar('q'))"
+        AlgElement.generator("z")
 
 
 def test_normalize_word_against_numeric_oracle():
     # the derived value above must match the operator picture
-    got = normalize_word(["b", "b*", "a", "a*"])
+    got = mul(mul(mul(B, BS), A), AS)
     rep = numrep.build_rep("rho1theta", (0.3,), 40, 0.5, 0.3)
     word = rep.gen("b") @ rep.gen("b*") @ rep.gen("a") @ rep.gen("a*")
     diff = numrep.evaluate(got, rep) - word
@@ -221,12 +179,17 @@ def test_base_relations_vanish_under_iota():
     assert mul(ONE_EL - f0, mul(f1, f1s) - f0).is_zero()
 
 
+def _iota_word(word):
+    return reduce(mul, map(iota_image, word), ONE_EL)
+
+
 def test_iota_word_and_polynomial():
-    assert iota_word(["f1", "f1*"]) == mul(iota_image("f1"),
-                                           iota_image("f1*"))
     poly = {("f1*", "f1"): ONE, ("f1", "f1*"): -Q, ("f0",): -(P - Q),
             (): -(ONE - P)}
-    assert iota(poly).is_zero()
+    total = AlgElement.zero()
+    for word, c in poly.items():
+        total = total + c * _iota_word(word)
+    assert total.is_zero()
 
 
 def test_coinvariance():
@@ -238,7 +201,7 @@ def test_coinvariance():
     for _ in range(20):
         word = [rng.choice(["f0", "f1", "f1*"])
                 for _ in range(rng.randint(0, 4))]
-        assert iota_word(word).is_coinvariant()
+        assert _iota_word(word).is_coinvariant()
 
 
 def test_matrix_oracle_for_products():
@@ -295,14 +258,10 @@ def test_flag_letter_rules_match_their_generator_products():
     # one flag letter acts as 1 - g g*, from either side
     for t in _monomials(4):
         x = AlgElement.from_monomial(t)
-        for flag, g, gst in ((FLAG_A, "a", "a*"), (FLAG_B, "b", "b*")):
-            right = x - mul_by_generator(mul_by_generator(x, g), gst)
-            left = x - mul_by_generator(mul_by_generator(x, gst, "left"), g,
-                                        "left")
-            assert AlgElement._raw(extend(x.terms, s3core._RIGHT[flag])) \
-                == right
-            assert AlgElement._raw(extend(x.terms, s3core._LEFT[flag])) \
-                == left
+        for flag, g, gst in ((FLAG_A, A, AS), (FLAG_B, B, BS)):
+            letter = AlgElement._raw({_LETTER_MONO[flag]: ONE})
+            assert mul(x, letter) == x - mul(mul(x, g), gst)
+            assert mul(letter, x) == x - mul(g, mul(gst, x))
 
 
 # -- the reference fold: single-letter rewrite rules -------------------------
@@ -364,8 +323,8 @@ def _left_letter(g, t):
     return out
 
 
-_RIGHT_RULES = {g: partial(_right_letter, g) for g in LETTERS}
-_LEFT_RULES = {g: partial(_left_letter, g) for g in LETTERS}
+_RIGHT_RULES = {g: partial(_right_letter, g) for g in _LETTER_MONO}
+_LEFT_RULES = {g: partial(_left_letter, g) for g in _LETTER_MONO}
 
 
 def _folds(t1, t2):

@@ -3,17 +3,17 @@
 import copy
 import itertools
 import pickle
+from functools import partial
 from types import MappingProxyType
 
 import pytest
 
 from qhopf import galois, s3core
 from qhopf.chern import idempotent
-from qhopf.galois import TensorElement, connection_seed, strong_connection
+from qhopf.galois import TensorElement, strong_connection
 from qhopf.gluing import DiscElement, TrivializedElement
 from qhopf.hopf import CotensorElement, LaurentElement
-from qhopf.s3core import (UNIT_MONO, AlgElement, BasisMonomial, FreeWord,
-                          iota_image)
+from qhopf.s3core import UNIT_MONO, AlgElement, BasisMonomial, iota_image
 from qhopf.scalars import ONE, P, Q
 from qhopf.sparse import SparseElement, accumulate, bilinear, extend
 
@@ -66,7 +66,6 @@ VALUES = {
     "field scalar": (ONE + P) / (ONE - Q) + Q,
     "AlgElement": AlgElement({A1: ONE / (ONE - P), UNIT_MONO: Q}),
     "TensorElement": strong_connection(2),
-    "FreeWord": FreeWord(("a", "b*", "a"), ONE / (ONE - Q)),
     "DiscElement": DiscElement("q", {(1, 0): P}),
     "CoinvariantMatrix": idempotent(2),
 }
@@ -84,11 +83,11 @@ def test_values_copy_and_pickle(x, how):
 
 
 def test_cached_values_cannot_be_changed_through_a_reference():
-    # the connection cache, the base embedding and the seeds hand out
-    # shared values; writing into them must fail and leave them intact
+    # the connection cache and the base embedding hand out shared values;
+    # writing into them must fail and leave them intact
     ell = strong_connection(1)
     want = dict(ell.terms)
-    for shared in (ell, iota_image("f0"), connection_seed("+")):
+    for shared in (ell, iota_image("f0")):
         with pytest.raises(AttributeError):
             shared.terms.clear()
         with pytest.raises(AttributeError):
@@ -172,11 +171,13 @@ def test_extend_of_one_term_is_its_scaled_image(c):
     # in the same key order, for every letter rule on both sides
     monos = [BasisMonomial(*k) for k in itertools.product(
         (-2, -1, 0, 1, 2), (0, 1), (0, 1), (-2, -1, 0, 1, 2))]
-    for rules in (s3core._RIGHT, s3core._LEFT):
-        for rule in rules.values():
-            for t in monos:
-                got, want = extend({t: c}, rule), accumulate({}, [(c, rule(t))])
-                assert got == want and list(got) == list(want)
+    letters = s3core._LETTER_MONO.values()
+    rules = ([partial(s3core._mono_mul, t2=t) for t in letters]
+             + [partial(s3core._mono_mul, t) for t in letters])
+    for rule in rules:
+        for t in monos:
+            got, want = extend({t: c}, rule), accumulate({}, [(c, rule(t))])
+            assert got == want and list(got) == list(want)
     assert extend({1: c}, lambda k: ()) == {}
     image = extend(MappingProxyType({1: c}), lambda k: ((k, ONE), (-k, Q)))
     assert image == {1: c, -1: c * Q}
