@@ -85,6 +85,15 @@ def _check(name: str, ok: bool, **extra) -> dict:
     return out
 
 
+def _failed_check(name: str, failures: list, **extra) -> dict:
+    # a check that passes when nothing failed; a failed one lists its
+    # failures as reproducers
+    out = _check(name, not failures, **extra)
+    if failures:
+        out["failures"] = failures
+    return out
+
+
 def _finish(suite: str, checks: list, t0: float, **params) -> dict:
     return {
         "suite": suite,
@@ -256,29 +265,34 @@ def suite_galois(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     k_max = 8
     t0 = time.perf_counter()
     checks = []
-    ok = all(galois.strong_connection(n) ==
-             galois.strong_connection_closed(n, "+") for n in range(1, k_max + 1))
-    checks.append(_check("recursion equals closed form (positive powers)",
-                         ok, count=k_max))
-    ok = all(galois.strong_connection(-n) ==
-             galois.strong_connection_closed(n, "-") for n in range(1, k_max + 1))
-    checks.append(_check("recursion equals closed form (negative powers)",
-                         ok, count=k_max))
+    for sign, powers in (("+", "positive"), ("-", "negative")):
+        failures = []
+        for n in range(1, k_max + 1):
+            diff = (galois.strong_connection(n if sign == "+" else -n)
+                    - galois.strong_connection_closed(n, sign))
+            if diff:
+                failures.append({"k": n, "difference": diff.text()})
+        checks.append(_failed_check(
+            f"recursion equals closed form ({powers} powers)", failures,
+            count=k_max))
     defects = {k: galois.connection_defects(galois.strong_connection(k), k)
                for k in range(-k_max, k_max + 1)}
     for ident in ("lifted_can", "right_colinearity", "left_colinearity",
                   "counit_law"):
-        failures = [{"k": k, "difference": d[ident]}
-                    for k, d in defects.items() if ident in d]
-        check = _check(f"connection identity: {ident}", not failures,
-                       k_max=k_max)
-        if failures:
-            check["failures"] = failures
-        checks.append(check)
-    ok = all(galois.multiply_legs(galois.strong_connection_closed(n, s))
-             == AlgElement.one() for n in range(1, k_max + 1) for s in "+-")
-    checks.append(_check("partition identities (both parameter sides)", ok,
-                         count=2 * k_max))
+        checks.append(_failed_check(
+            f"connection identity: {ident}",
+            [{"k": k, "difference": d[ident]}
+             for k, d in defects.items() if ident in d], k_max=k_max))
+    failures = []
+    for n in range(1, k_max + 1):
+        for side in "+-":
+            ell = galois.strong_connection_closed(n, side)
+            diff = galois.multiply_legs(ell) - AlgElement.one()
+            if diff:
+                failures.append({"k": n, "side": side,
+                                 "difference": diff.text()})
+    checks.append(_failed_check("partition identities (both parameter sides)",
+                                failures, count=2 * k_max))
     ok = not any("lifted_can" in defects[k] for k in range(-6, 7) if k)
     checks.append(_check("freeness witnesses for |k| <= 6", ok))
     return _finish("galois", checks, t0, k_max=k_max)

@@ -19,6 +19,12 @@ def test_parse_shapes():
     assert parse("a^* * a") == Mul(Star(Sym("a")), Sym("a"))
     assert parse("(1 - a*a^*)^2") == \
         Pow(Sub(Num(1), Mul(Sym("a"), Star(Sym("a")))), 2)
+    # the parser's one-step flag gives the general path's node
+    assert parse("(1 - a a^*)") == Sub(Num(1), Mul(Sym("a"), Star(Sym("a"))))
+    assert parse("( 1 - b * b ^ * )") == \
+        Sub(Num(1), Mul(Sym("b"), Star(Sym("b"))))
+    assert parse("(1-b*b^*)^2") == \
+        Pow(Sub(Num(1), Mul(Sym("b"), Star(Sym("b")))), 2)
     assert parse("1/2") == Div(Num(1), Num(2))
     assert parse("u^-3") == Pow(Sym("u"), -3)
     assert parse("a^*^2") == Pow(Star(Sym("a")), 2)
@@ -381,6 +387,13 @@ FOLD_EDGES = {
     "a^* a^2": False,
     "b b^*": False,
     "(a + b)*a^*^2": False,
+    # words out of the order a_mu, one flag, b_nu
+    "b a": False,
+    "(1 - b b^*) a": False,
+    "b^* (1 - a a^*)": False,
+    "a^* a (1 - a a^*)": False,
+    "(1 - a a^*) (1 - b b^*) b": True,
+    "a^2 a^*": False,
 }
 
 
@@ -482,6 +495,12 @@ ERROR_MESSAGES = {
         "expression nests deeper than 100 levels (at position 100)",
     "a" + "^*" * 101:
         "expression nests deeper than 100 levels (at position 201)",
+    # a flag's symbols at the nesting limit, then one level over it
+    "(" * 98 + "(1 - a a^*)" + ")" * 98 + " )":
+        "trailing input ')' (at position 208)",
+    "(" * 99 + "(1 - a a^*)" + ")" * 99:
+        "expression nests deeper than 100 levels (at position 107)",
+    "(1 - a*a^*": "expected ')', found None (at position 10)",
     "a^10001": "expression degree 10001 exceeds the budget 10000 "
                "(at position 0)",
     "(a b)^5001": "expression degree 10002 exceeds the budget 10000 "
@@ -510,7 +529,8 @@ def test_error_messages_and_positions(text):
 
 def test_canonical_monomials_make_no_generic_product(monkeypatch):
     # a grammar change must not send monomial text back to the generic
-    # element product: count every call of s3core.mul and sparse.bilinear
+    # element product: count every call of s3core.mul and sparse.bilinear,
+    # and the monomial products that exprs makes
     from qhopf import s3core, sparse
     calls = []
 
@@ -523,13 +543,20 @@ def test_canonical_monomials_make_no_generic_product(monkeypatch):
     monkeypatch.setattr(s3core, "mul", counted("mul", s3core.mul))
     monkeypatch.setattr(sparse, "bilinear",
                         counted("bilinear", sparse.bilinear))
+    monkeypatch.setattr(exprs, "_mono_mul",
+                        counted("_mono_mul", exprs._mono_mul))
     monomials = [BasisMonomial(mu, m, n, nu)
                  for mu in range(-3, 4) for nu in range(-3, 4)
                  for m in range(4) for n in range(4 - m) if not (m and n)]
     assert len(monomials) == 49 * 7
     for t in monomials:
         assert evaluate_algebra(t.text()) == AlgElement.from_monomial(t)
+        assert evaluate_algebra(workload_monomial_text(t)) == \
+            AlgElement.from_monomial(t)
     assert calls == []
-    # the counters see a product that is not a letter fold
+    # the counters see a product that is not a letter fold, and a word
+    # out of order
     evaluate("(a + b) (a + b^*)")
     assert calls == ["mul"]
+    evaluate("b a")
+    assert calls == ["mul", "_mono_mul"]

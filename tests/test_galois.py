@@ -139,7 +139,7 @@ def test_connection_properties_report_a_stray_winding(identity):
 @pytest.mark.parametrize("identity", sorted(_STRAY_LEGS))
 def test_verify_reports_a_failed_identity(monkeypatch, capsys, identity):
     # a stray leg at k = 1 fails the recursion check and its identity
-    # check, which carries k and the difference; verify exits 1
+    # check, which both carry k and the difference; verify exits 1
     stray = TensorElement(_STRAY_LEGS[identity])
     real = galois.strong_connection
     monkeypatch.setattr(galois, "strong_connection",
@@ -147,13 +147,26 @@ def test_verify_reports_a_failed_identity(monkeypatch, capsys, identity):
     assert main(["verify", "galois"]) == 1
     report = json.loads(capsys.readouterr().out)
     name = f"connection identity: {identity}"
-    assert report["failures"] == [
-        "recursion equals closed form (positive powers)", name]
-    (check,) = [c for c in report["reports"][0]["checks"]
-                if c["check_name"] == name]
+    recursion = "recursion equals closed form (positive powers)"
+    assert report["failures"] == [recursion, name]
+    checks = {c["check_name"]: c for c in report["reports"][0]["checks"]}
+    assert checks[recursion]["failures"] == [
+        {"k": 1, "difference": stray.text()}]
     leg = identity.split("_")[0]
-    assert check["failures"] == [
+    assert checks[name]["failures"] == [
         {"k": 1, "difference": f"winding mismatch in {leg} leg"}]
+    # legs that multiply to 1 + a fail every partition identity, and the
+    # first failure names its power and side
+    multiply = galois.multiply_legs
+    monkeypatch.setattr(galois, "multiply_legs",
+                        lambda t: multiply(t) + AlgElement.generator("a"))
+    assert main(["verify", "galois"]) == 1
+    checks = {c["check_name"]: c for c in json.loads(
+        capsys.readouterr().out)["reports"][0]["checks"]}
+    partition = checks["partition identities (both parameter sides)"]
+    assert len(partition["failures"]) == 16
+    assert partition["failures"][0] == {"k": 1, "side": "+",
+                                        "difference": "a"}
 
 
 def test_per_term_windings():
