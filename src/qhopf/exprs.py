@@ -28,12 +28,14 @@ degrees as it builds each node; the evaluators take text and check them
 first.  In the letter degree a generator counts 1 and a number or
 parameter 0; in the parameter degree p and q count 1 and a literal its
 bit length.  Products and quotients add, sums take the maximum, ``^k``
-multiplies by |k|, ``^*`` and unary minus keep it.  Result sizes and
-product counts grow with them, so a bound beyond ``MAX_DEGREE``
-(``a^1000000000``, ``a`` under thirty stacked ``^2``) or
-``MAX_PARAM_DEGREE`` (``p^100000``, ``2^100000``, a literal of 40
-digits) raises :class:`ExprError` without evaluating, and a number is
-checked before it is converted; ``(1 + p + q)^128`` takes about 0.2 s.
+multiplies by max(|k|, 1) (``x^0`` still evaluates x, so it counts as
+x), ``^*`` and unary minus keep it.  Result sizes and product counts
+grow with them, so a bound beyond ``MAX_DEGREE`` (``a^1000000000``,
+``a`` under thirty stacked ``^2``) or ``MAX_PARAM_DEGREE``
+(``p^100000``, ``2^100000``, a literal of 40 digits, ``(p^100)^0 *
+(p^100)^0``) raises :class:`ExprError` without evaluating, and a number
+is checked before it is converted; ``(1 + p + q)^128`` takes about
+0.2 s.
 The budget bounds the syntax tree, not the time of a generic power of a
 sum: ``(a + b^* + a^*)^k`` took 0.003, 0.05 and 1.7 s at k = 8, 16, 32.
 
@@ -307,7 +309,9 @@ class _Parser:
                 self.fail("expected '*' or an integer after '^'", i + 1)
             self.i = i + 2
             node = _tuple_new(Pow, (Pow, node, k))
-            deg, pdeg = abs(k) * deg, abs(k) * pdeg
+            # the base is evaluated even for k = 0, so it counts once
+            k = max(abs(k), 1)
+            deg, pdeg = k * deg, k * pdeg
         return node, deg, pdeg
 
 

@@ -23,9 +23,17 @@ offset:
 
 zero wherever k+s2 leaves [0, N), which is exactly the truncation.  A
 monomial image is the product of the generator and flag bands along
-its word (:func:`qhopf.s3core.substitute`), so it costs O(N) and is
-computed from the generator definitions alone, never from the symbolic
-trace formula.
+its word (:func:`qhopf.s3core.substitute`), folded from the band of its
+first letter (only the unit monomial takes the identity band), so it
+costs O(N) and is computed from the generator definitions alone, never
+from the symbolic trace formula.
+
+:func:`numeric_trace` takes its two zero-phase representations from a
+memo keyed by (N, p, q) that keeps the 4 most recently used keys.  A
+key holds 12 read-only vectors of N complex128 numbers, 192 N bytes:
+about 48 KB for N = 48 and 200 together, and 19 MB at the command
+line's largest N = 100,000.  The representations are frozen values, so
+every caller may share them.
 
 The defect checks read operator norms off the bands: the part of one
 band on the first ``cols`` basis vectors maps them to distinct basis
@@ -48,7 +56,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -150,14 +160,17 @@ def _band_norm(x: dict, cols: int) -> float:
     return float(sum(np.abs(v[:cols]).max() for v in x.values()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedRep:
     """Banded generator images of one truncated irreducible representation.
 
     ``bands`` maps each of the six letters of a monomial word, "a",
     "a*", "b", "b*" and the flags FLAG_A = ("a", "a*") for 1 - aa* and
-    FLAG_B = ("b", "b*") for 1 - bb*, to its band map, with read-only
-    vectors; ``gen`` returns a fresh dense matrix each call.
+    FLAG_B = ("b", "b*") for 1 - bb*, to its band map.  The value is
+    frozen: ``bands`` and each band map are read-only mappings and the
+    vectors are read-only, and equality and hash read the other fields,
+    which determine the bands.  ``gen`` returns a fresh dense matrix
+    each call.
     """
 
     family: str
@@ -165,7 +178,7 @@ class TruncatedRep:
     N: int
     p: float
     q: float
-    bands: dict = field(repr=False)
+    bands: Mapping = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -215,14 +228,21 @@ def build_rep(family: str, phases, N: int, p_val: float,
     for x in bands.values():
         for v in x.values():
             v.flags.writeable = False
-    return TruncatedRep(family, phases, N, p_val, q_val, bands)
+    return TruncatedRep(family, phases, N, p_val, q_val, MappingProxyType(
+        {g: MappingProxyType(x) for g, x in bands.items()}))
+
+
+def _word_image(word: tuple, rep: TruncatedRep) -> Mapping:
+    """Band map of a word, folded from the band of its first letter."""
+    if not word:
+        return _band_identity(rep.dim)
+    return substitute(word[1:], rep.bands, rep.bands[word[0]], _band_mul)
 
 
 def _image(x: AlgElement, rep: TruncatedRep) -> dict:
     """Band map of an element: substitute the banded generators."""
-    one = _band_identity(rep.dim)
     return _band_comb(*((complex(c.evaluate(rep.p, rep.q)),
-                         substitute(_word(t), rep.bands, one, _band_mul))
+                         _word_image(_word(t), rep))
                         for t, c in x.terms.items()))
 
 
@@ -299,21 +319,25 @@ def trace_tail_bound(x: AlgElement, N: int, p_val: float,
     return bound
 
 
-def numeric_trace(x: AlgElement, N: int, p_val: float, q_val: float,
-                  reps: tuple[TruncatedRep, TruncatedRep] | None = None
-                  ) -> TraceResult:
+@lru_cache(maxsize=4)
+def _trace_pair(N: int, p_val: float,
+                q_val: float) -> tuple[TruncatedRep, TruncatedRep]:
+    # the zero-phase pair of numeric_trace; 192 N bytes per key
+    return (build_rep("rho1theta", (0.0,), N, p_val, q_val),
+            build_rep("rho2theta", (0.0,), N, p_val, q_val))
+
+
+def numeric_trace(x: AlgElement, N: int, p_val: float,
+                  q_val: float) -> TraceResult:
     """Trace difference of the two shift representations, truncated at N.
 
-    Only winding-zero elements are accepted.  A pair of prebuilt
-    zero-phase representations may be passed to amortize construction.
+    Only winding-zero elements are accepted.  The zero-phase pair comes
+    from the memo of the module docstring, built once per (N, p, q)
+    among the 4 most recent keys.
     """
     if not x.is_coinvariant():
         raise ValueError("numeric trace needs a coinvariant element")
-    if reps is None:
-        rho1 = build_rep("rho1theta", (0.0,), N, p_val, q_val)
-        rho2 = build_rep("rho2theta", (0.0,), N, p_val, q_val)
-    else:
-        rho1, rho2 = reps
+    rho1, rho2 = _trace_pair(N, p_val, q_val)
     # the trace of a band map is the sum of its offset-0 vector
     value = complex(np.sum(_image(x, rho2).get(0, 0))
                     - np.sum(_image(x, rho1).get(0, 0)))

@@ -104,14 +104,14 @@ def _finish(suite: str, checks: list, t0: float, **params) -> dict:
     }
 
 
-def _trace_agreement(pairs, N: int, p_val: float, q_val: float, reps):
+def _trace_agreement(pairs, N: int, p_val: float, q_val: float):
     """(pass, worst error, largest bound) of the truncated traces of the
     (element, exact trace) pairs against the exact traces at (p, q); a
     bound is the truncation tail plus a flat 1e-9 for float rounding."""
     from . import numrep
     ok, worst, max_bound = True, 0.0, 0.0
     for x, exact in pairs:
-        got = numrep.numeric_trace(x, N, p_val, q_val, reps=reps)
+        got = numrep.numeric_trace(x, N, p_val, q_val)
         err = abs(got.value - exact.evaluate(p_val, q_val))
         bound = got.tail_bound + 1e-9
         worst, max_bound = max(worst, err), max(max_bound, bound)
@@ -300,7 +300,6 @@ def suite_galois(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
 
 def suite_chern(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     """Idempotents, the exact trace, and the pairing."""
-    from . import numrep
     n_max, tracial_pairs = 5, 200
     t0 = time.perf_counter()
     checks = []
@@ -350,18 +349,16 @@ def suite_chern(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     checks.append(_check("trace is tracial on random coinvariant pairs", ok,
                          count=tracial_pairs))
 
-    reps = (numrep.build_rep("rho1theta", (0.0,), N, p_val, q_val),
-            numrep.build_rep("rho2theta", (0.0,), N, p_val, q_val))
     xs = [random_coinvariant(rng) for _ in range(40)]
     ok, worst, max_bound = _trace_agreement(
-        [(x, chern.trace_functional(x)) for x in xs], N, p_val, q_val, reps)
+        [(x, chern.trace_functional(x)) for x in xs], N, p_val, q_val)
     checks.append(_check(
         "exact trace matches the truncated operator trace",
         ok, count=40, worst_error=worst, max_bound=max_bound, N=N))
     # the pairing values agree with truncated traces of the idempotents
     ok, worst, _ = _trace_agreement(
         [(chern.idempotent(mu).trace(), chern.pairing(mu))
-         for mu in (-2, -1, 1, 2)], N, p_val, q_val, reps)
+         for mu in (-2, -1, 1, 2)], N, p_val, q_val)
     checks.append(_check("pairings agree with truncated numeric traces", ok,
                          worst_error=worst))
     return _finish("chern", checks, t0, n_max=n_max, p=p_val, q=q_val,
@@ -411,14 +408,12 @@ def suite_numeric(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     checks.append(_check("matrix images respect multiplication", worst <= 1e-10,
                          defect=worst, tolerance=1e-10, count=hom_pairs))
 
-    reps = (numrep.build_rep("rho1theta", (0.0,), N, p_val, q_val),
-            numrep.build_rep("rho2theta", (0.0,), N, p_val, q_val))
     xs = [AlgElement.from_monomial(BasisMonomial(mu, m, n_exp, mu))
           for mu in range(-3, 4)
           for m, n_exp in [(0, 0)] + [(m, 0) for m in range(1, 7)] +
           [(0, n) for n in range(1, 7)]]
     ok, worst, _ = _trace_agreement(
-        [(x, chern.trace_functional(x)) for x in xs], N, p_val, q_val, reps)
+        [(x, chern.trace_functional(x)) for x in xs], N, p_val, q_val)
     checks.append(_check(
         "truncated traces match the exact trace on basis monomials", ok,
         defect=worst, count=len(xs), N=N))

@@ -126,13 +126,11 @@ def test_trace_matches_numeric_oracle():
     rng = random.Random(23)
     p_val, q_val = 0.5, 0.3
     N = 300
-    reps = (numrep.build_rep("rho1theta", (0.0,), N, p_val, q_val),
-            numrep.build_rep("rho2theta", (0.0,), N, p_val, q_val))
     global_tail = p_val ** N / (1 - p_val) + q_val ** N / (1 - q_val)
     for _ in range(25):
         x = random_coinvariant(rng)
         sym = trace_functional(x).evaluate(p_val, q_val)
-        got = numrep.numeric_trace(x, N, p_val, q_val, reps=reps)
+        got = numrep.numeric_trace(x, N, p_val, q_val)
         assert abs(got.value - sym) <= global_tail + 1e-9
 
 
@@ -210,12 +208,10 @@ def test_pairing_is_the_trace_of_the_idempotent():
 def test_pairing_cross_checked_numerically():
     p_val, q_val = 0.5, 1.0 / 3.0
     N = 300
-    reps = (numrep.build_rep("rho1theta", (0.0,), N, p_val, q_val),
-            numrep.build_rep("rho2theta", (0.0,), N, p_val, q_val))
     for mu in (-3, -2, -1, 1, 2, 3):
         sym = pairing(mu).evaluate(p_val, q_val)
         tr = idempotent(mu).trace()
-        got = numrep.numeric_trace(tr, N, p_val, q_val, reps=reps)
+        got = numrep.numeric_trace(tr, N, p_val, q_val)
         assert abs(got.value - sym) <= got.tail_bound + 1e-9
 
 

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from qhopf import galois, s3core, scalars
+from qhopf import galois, numrep, s3core, scalars
 from qhopf.galois import strong_connection
 from qhopf.gluing import chi
 from qhopf.numrep import numeric_trace
@@ -36,6 +36,7 @@ def _clear(monkeypatch):
                          (s3core, "_MONO_MUL_CACHE"),
                          (galois, "_CONN_CACHE")):
         monkeypatch.setattr(module, name, {})
+    numrep._trace_pair.cache_clear()
 
 
 @pytest.mark.parametrize("trial", range(3))

@@ -446,7 +446,8 @@ def reference_budget(node, fams):
         return reference_budget(node.arg, fams)
     if isinstance(node, Pow):
         _, deg, pdeg = reference_budget(node.base, fams)
-        return fams, abs(node.exponent) * deg, abs(node.exponent) * pdeg
+        k = max(abs(node.exponent), 1)
+        return fams, k * deg, k * pdeg
     if isinstance(node, Num):
         return fams, 0, node.value.bit_length()
     family = {"a": "ab", "b": "ab", "f0": "f", "f1": "f", "u": "u"}
@@ -511,6 +512,11 @@ ERROR_MESSAGES = {
                     "expression (at position 0)",
     "a^20000 * p^200": "expression degree 20000 exceeds the budget 10000 "
                        "(at position 0)",
+    # a zero power still evaluates its base, so it counts the base once
+    "(p^100)^0 * (p^100)^0": "parameter degree 200 exceeds the budget 128 "
+                             "(at position 0)",
+    "(a^6000)^0 * a^5000": "expression degree 11000 exceeds the budget "
+                           "10000 (at position 0)",
     "a^-1": "negative powers exist only for powers of u (at position 0)",
     "1 / a": "division only by scalar expressions (at position 0)",
     "a ^ q": "expected '*' or an integer after '^' (at position 4)",

@@ -14,7 +14,7 @@ from qhopf.numrep import (build_rep, classical_maps_check, evaluate,
                           mvn_witness_check, numeric_trace,
                           polar_isometry_check, relation_defects,
                           spectrum_check, trace_tail_bound)
-from qhopf.verify import random_element
+from qhopf.verify import SUITES, random_coinvariant, random_element
 
 P_VAL, Q_VAL = 0.5, 1.0 / 3.0
 
@@ -97,7 +97,6 @@ def test_numeric_trace_of_the_idempotent_trace():
 def test_tail_bound_is_honest():
     # compare the N = 40 truncation against N = 400 ("converged") values
     rng = random.Random(41)
-    from qhopf.verify import random_coinvariant
     for _ in range(10):
         x = random_coinvariant(rng)
         small = numeric_trace(x, 40, P_VAL, Q_VAL)
@@ -237,7 +236,6 @@ def test_banded_images_match_dense_reference(N):
 
 @pytest.mark.parametrize("N", [2, 3, 12, 40])
 def test_banded_traces_and_defects_match_dense_reference(N):
-    from qhopf.verify import random_coinvariant
     rng = random.Random(2000 + N)
     rho1 = build_rep("rho1theta", (0.0,), N, P_VAL, Q_VAL)
     rho2 = build_rep("rho2theta", (0.0,), N, P_VAL, Q_VAL)
@@ -245,7 +243,7 @@ def test_banded_traces_and_defects_match_dense_reference(N):
         x = random_coinvariant(rng, max_flag=4)
         want = (np.trace(_dense_element(x, rho2))
                 - np.trace(_dense_element(x, rho1)))
-        got = numeric_trace(x, N, P_VAL, Q_VAL, reps=(rho1, rho2))
+        got = numeric_trace(x, N, P_VAL, Q_VAL)
         assert abs(got.value - want) <= 1e-13
     for rep in _reps(N, rng):
         a, ast = rep.gen("a"), rep.gen("a*")
@@ -281,12 +279,12 @@ def test_banded_traces_and_defects_match_dense_reference(N):
 
 def test_generator_matrices_are_values():
     rep = build_rep("rho1theta", (0.3,), 12, P_VAL, Q_VAL)
-    reps = (build_rep("rho1theta", (0.0,), 12, P_VAL, Q_VAL),
-            build_rep("rho2theta", (0.0,), 12, P_VAL, Q_VAL))
     x = AlgElement({BasisMonomial(0, 1, 0, 0): Q,
                     BasisMonomial(0, 0, 2, 0): Q * Q,
                     BasisMonomial(1, 0, 1, 1): Q})
-    trace = numeric_trace(x, 12, P_VAL, Q_VAL, reps=reps)
+    trace = numeric_trace(x, 12, P_VAL, Q_VAL)
+    # the shared pair that numeric_trace read
+    reps = numrep._trace_pair(12, P_VAL, Q_VAL)
     defects = relation_defects(rep)
     for r in (rep, *reps):
         for g in ("a", "a*", "b", "b*"):
@@ -294,7 +292,7 @@ def test_generator_matrices_are_values():
             m[1, 0] = 0
             m[0, 0] = 5
             assert r.gen(g)[0, 0] != 5
-    assert numeric_trace(x, 12, P_VAL, Q_VAL, reps=reps) == trace
+    assert numeric_trace(x, 12, P_VAL, Q_VAL) == trace
     assert relation_defects(rep) == defects
     # the banded generators themselves are read-only
     for v in rep.bands["b"].values():
@@ -312,6 +310,72 @@ def test_generator_matrices_are_values():
             for v in r.bands[f].values():
                 with pytest.raises(ValueError):
                     v[0] = 0
+
+
+
+def test_truncated_rep_is_a_value():
+    rep = build_rep("rho2theta", (0.7,), 8, P_VAL, Q_VAL)
+    with pytest.raises(AttributeError):
+        rep.N = 9
+    with pytest.raises(TypeError):
+        rep.bands["a"] = {0: np.zeros(8)}
+    with pytest.raises(TypeError):
+        rep.bands["a"][0] = np.zeros(8)
+    with pytest.raises(TypeError):
+        rep.bands[FLAG_A][0] = np.zeros(8)
+    assert rep.N == 8 and set(rep.bands["a"]) == {1}
+    # the fields other than the bands determine it
+    twin = build_rep("rho2theta", (0.7,), 8, P_VAL, Q_VAL)
+    assert twin == rep and hash(twin) == hash(rep)
+    assert build_rep("rho2theta", (0.8,), 8, P_VAL, Q_VAL) != rep
+
+
+def _spy_build_rep(monkeypatch):
+    built = []
+    original = numrep.build_rep
+
+    def spy(family, phases, N, p_val, q_val):
+        built.append((family, N, p_val, q_val))
+        return original(family, phases, N, p_val, q_val)
+
+    numrep._trace_pair.cache_clear()
+    monkeypatch.setattr(numrep, "build_rep", spy)
+    return built
+
+
+def test_repeated_traces_build_the_pair_once(monkeypatch):
+    built = _spy_build_rep(monkeypatch)
+    x = AlgElement({BasisMonomial(0, 1, 0, 0): Q,
+                    BasisMonomial(1, 0, 2, 1): Q * Q})
+    first = numeric_trace(x, 30, P_VAL, Q_VAL)
+    for _ in range(4):
+        assert numeric_trace(x, 30, P_VAL, Q_VAL) == first
+    assert built == [("rho1theta", 30, P_VAL, Q_VAL),
+                     ("rho2theta", 30, P_VAL, Q_VAL)]
+    # the memo returns the same frozen pair
+    assert numrep._trace_pair(30, P_VAL, Q_VAL) is numrep._trace_pair(
+        30, P_VAL, Q_VAL)
+    numrep._trace_pair.cache_clear()
+
+
+def test_the_trace_memo_evicts_its_oldest_key(monkeypatch):
+    built = _spy_build_rep(monkeypatch)
+    bound = numrep._trace_pair.cache_info().maxsize
+    assert bound == 4
+    x = AlgElement({BasisMonomial(0, 2, 0, 0): Q})
+    keys = [(n, P_VAL, Q_VAL) for n in range(10, 10 + bound + 1)]
+    for N, p_val, q_val in keys:
+        numeric_trace(x, N, p_val, q_val)
+    assert len(built) == 2 * len(keys)
+    assert numrep._trace_pair.cache_info().currsize == bound
+    # the newest keys are still held, the oldest one is rebuilt
+    for N, p_val, q_val in keys[1:]:
+        numeric_trace(x, N, p_val, q_val)
+    assert len(built) == 2 * len(keys)
+    numeric_trace(x, *keys[0])
+    assert built[-2:] == [("rho1theta", 10, P_VAL, Q_VAL),
+                          ("rho2theta", 10, P_VAL, Q_VAL)]
+    numrep._trace_pair.cache_clear()
 
 
 def _random_band(rng, N, s):
@@ -383,3 +447,12 @@ def test_defect_and_spectrum_checks_form_no_dense_matrix(monkeypatch):
         res = mvn_witness_check(n)
         assert res["max_defect"] <= 1e-12 and res["projection_rank"] == 1
         assert res["partial_isometry_defect"] <= 1e-12
+    # a truncated trace, cold and then from the memo
+    x = random_coinvariant(rng)
+    numrep._trace_pair.cache_clear()
+    cold = numeric_trace(x, 40, P_VAL, Q_VAL)
+    assert numeric_trace(x, 40, P_VAL, Q_VAL) == cold
+    # and the whole numeric suites
+    for suite in ("numeric", "chern", "classical"):
+        report = SUITES[suite](p_val=P_VAL, q_val=Q_VAL, N=40, seed=3)
+        assert report["pass"], suite
