@@ -29,11 +29,18 @@ SCHEMA = 1
 
 
 def _fraction(text: str) -> Fraction:
+    # a rational number that the numeric checks can read as a float
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") \
             from exc
+    try:
+        float(x)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(
+            f"outside the float range: {text!r}") from exc
+    return x
 
 
 # budget of --N: numeric traces are banded, O(N) memory and time per

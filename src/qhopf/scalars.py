@@ -25,9 +25,9 @@ The value's own reduced denominator picks one of two representations:
   ``2`` and ``1/(2 q)`` is ``1`` over ``2 q``.  An operation with such an
   operand takes this field path, and its result returns to the Laurent
   form when its reduced denominator is a monomial with coefficient 1.
-  The gcd, pseudo-remainders and exact division all run on int
-  coefficients (Gauss's lemma keeps quotients by primitive divisors
-  integral); rational coefficients are cleared once on entry.
+  The gcd (contents in p, then in q, then one remainder sequence) and
+  exact division run on ints (Gauss's lemma keeps quotients by primitive
+  divisors integral); rational coefficients are cleared once on entry.
 
 Sums of products of Laurent values go through one kernel, ``_packed_sums``
 (called by ``sparse.accumulate``, and by ``_pmul`` for one product); it
@@ -176,9 +176,12 @@ _POLY_ONE = {_K0: 1}
 # ---------------------------------------------------------------------------
 # exact division and gcd in Z[p, q] (exponents >= 0)
 #
-# gcds run a primitive remainder sequence in q over Z[p] (a polynomial in
-# p alone is swapped into q first); by Gauss's lemma the gcd of primitive
-# polynomials is primitive, so every quotient by it stays integral.
+# An irreducible factor lies in Z[p], in Z[q] or in neither, so the gcd
+# is the gcd of the contents in p, times the gcd of the contents in q of
+# what remains, times the last member of the primitive remainder sequence
+# in q over Z[p] of the two rests.  One univariate sequence on int lists
+# computes every content.  By Gauss's lemma the gcd is primitive, so
+# every quotient by it stays integral.
 # ---------------------------------------------------------------------------
 
 def _pdiv_exact(f, g):
@@ -225,36 +228,6 @@ def _pdiv_exact(f, g):
     return out
 
 
-def _pure_axis(f):
-    # 0 if f involves only p, 1 if only q, None if mixed (f non-constant)
-    has_p = any(i for i, _ in f)
-    has_q = any(j for _, j in f)
-    if has_p and not has_q:
-        return 0
-    if has_q and not has_p:
-        return 1
-    return None
-
-
-def _swap(f):
-    return {(j, i): c for (i, j), c in f.items()}
-
-
-def _axis_content(f, axis):
-    # gcd of the slices of f in the variable `axis` alone (grouped by the
-    # other exponent): the largest divisor of f in that variable
-    slices: dict = {}
-    for (i, j), c in f.items():
-        other, mono = (j, (i, 0)) if axis == 0 else (i, (0, j))
-        slices.setdefault(other, {})[mono] = c
-    g: dict = {}
-    for s in sorted(slices.values(), key=len):
-        g = _pgcd(g, s)
-        if len(g) == 1 and (0, 0) in g:
-            break
-    return g
-
-
 def _qdeg(f):
     return max(j for _, j in f)
 
@@ -277,68 +250,70 @@ def _prem(a, b):
     return a
 
 
-def _prs(x, y):
-    # gcd of two polynomials without content in Z[p] of positive degree:
-    # the last member of their primitive remainder sequence in q
-    x, y = _pprim(x), _pprim(y)
-    if _qdeg(x) < _qdeg(y):
-        x, y = y, x
-    while y:
-        r = _prem(x, y)
-        if any(i for i, _ in r):
-            cont = _axis_content(r, 0)
-            if cont != _POLY_ONE:
-                r = _pdiv_exact(r, cont)
-        x, y = y, r
-    return x
+def _uprim(a):
+    # primitive part of a nonzero int list, with a positive last entry
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _ugcd(a, b):
+    # primitive gcd of int coefficient lists (index = exponent, no trailing
+    # zeros, b = [] for 0), with a positive leading coefficient
+    if not b:
+        return _uprim(a)
+    low = [next(k for k, c in enumerate(x) if c) for x in (a, b)]
+    b, a = sorted((_uprim(a[low[0]:]), _uprim(b[low[1]:])), key=len)
+    while len(b) > 1:
+        n, lb = len(b) - 1, b[-1]
+        while len(a) > n:
+            # a - (la / lb) x^s b if lb divides la, else lb a - la x^s b
+            la = a.pop()
+            h, r = divmod(la, lb)
+            if r:
+                a, h = [lb * c for c in a], la
+            for k, c in enumerate(b[:-1], len(a) - n):
+                a[k] -= h * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a and _uprim(a)
+    return [0] * min(low) + (a if not b else [1])
+
+
+def _udict(a, axis):
+    # the int list a as a polynomial in the variable `axis`
+    return {(e, 0) if axis == 0 else (0, e): c for e, c in enumerate(a) if c}
+
+
+def _split(f, axis):
+    # (the content of f in the variable `axis` alone, as an int list, and
+    # f divided by it, up to an integer factor)
+    slices: dict = {}
+    for m, c in f.items():
+        slices.setdefault(m[1 - axis], {})[m[axis]] = c
+    g: list = []
+    for s in sorted(slices.values(), key=len):
+        g = _ugcd([s.get(e, 0) for e in range(max(s) + 1)], g)
+        if g == [1]:
+            return g, f
+    if len(slices) == 1:  # f is g times a power of the other variable
+        return g, _udict([0] * min(slices) + [1], 1 - axis)
+    return g, _pdiv_exact(f, _udict(g, axis))
 
 
 def _pgcd(f, g):
-    """Primitive gcd in Z[p, q]; the sign is arbitrary but deterministic."""
-    if not f:
-        return _pprim(g)
-    if not g:
-        return _pprim(f)
-    # strip monomial content from each argument
-    fi = min(i for i, _ in f)
-    fj = min(j for _, j in f)
-    gi = min(i for i, _ in g)
-    gj = min(j for _, j in g)
-    f0 = _pshift(f, -fi, -fj) if (fi or fj) else f
-    g0 = _pshift(g, -gi, -gj) if (gi or gj) else g
-    ci, cj = min(fi, gi), min(fj, gj)
-    if len(f0) == 1 or len(g0) == 1:
-        # a stripped single term is a constant: no non-monomial factor
-        core = _POLY_ONE
-    else:
-        core = _pgcd_core(f0, g0)
-    return _pshift(core, ci, cj) if (ci or cj) else dict(core)
-
-
-def _pgcd_core(f0, g0):
-    # both arguments stripped of monomial factors and non-constant
-    ax_f, ax_g = _pure_axis(f0), _pure_axis(g0)
-    if ax_f is not None and ax_g is not None:
-        if ax_f != ax_g:
-            return _POLY_ONE  # univariate in different variables
-        if ax_f == 0:
-            return _swap(_prs(_swap(f0), _swap(g0)))
-        return _prs(f0, g0)
-    if ax_g is not None:
-        # any common divisor of a pure-axis poly is pure-axis itself
-        return _pgcd(_axis_content(f0, ax_g), g0)
-    if ax_f is not None:
-        return _pgcd(_axis_content(g0, ax_f), f0)
-    # peel one-variable content: the full axis content of a polynomial is
-    # coprime to its cofactor, so the gcd splits multiplicatively
-    for one, other in ((g0, f0), (f0, g0)):
-        for axis in (1, 0):
-            d = _axis_content(one, axis)
-            if len(d) > 1:
-                rest = _pdiv_exact(one, d)
-                return _pmul(_pgcd(other, d), _pgcd(other, rest))
-    # both arguments are content-free and genuinely bivariate
-    return _prs(f0, g0)
+    """Primitive gcd of nonzero f and g in Z[p, q], up to its sign."""
+    out = _POLY_ONE
+    for axis in (0, 1):
+        (cf, f), (cg, g) = _split(f, axis), _split(g, axis)
+        out = _pmul(out, _udict(_ugcd(cf, cg), axis))
+    if len(f) > 1 < len(g):
+        # a rest without content in p or q is constant or involves both
+        g, f = sorted((_pprim(f), _pprim(g)), key=_qdeg)
+        while g:
+            f, g = g, _prem(f, g)
+            g = g and _split(g, 0)[1]
+        out = _pmul(out, f)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -158,14 +158,14 @@ def suite_algebra(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     for name, val in base_rels.items():
         checks.append(_check(name, val.is_zero()))
 
-    ok = True
-    for _ in range(triples):
+    failures = []
+    for i in range(triples):
         x, y, z = (random_element(rng) for _ in range(3))
         if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            ok = False
-            break
-    checks.append(_check("associativity on random triples", ok,
-                         count=triples))
+            failures.append({"sample": i, "x": x.text(), "y": y.text(),
+                             "z": z.text()})
+    checks.append(_failed_check("associativity on random triples",
+                                failures, count=triples))
 
     ok = True
     ok_inv = True
@@ -338,16 +338,16 @@ def suite_chern(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
                          ok_int, values=pair_values))
 
     rng = random.Random(seed)
-    ok = True
-    for _ in range(tracial_pairs):
+    failures = []
+    for i in range(tracial_pairs):
         x = random_coinvariant(rng)
         y = random_coinvariant(rng)
         if chern.trace_functional(mul(x, y)) != chern.trace_functional(
                 mul(y, x)):
-            ok = False
-            break
-    checks.append(_check("trace is tracial on random coinvariant pairs", ok,
-                         count=tracial_pairs))
+            failures.append({"sample": i, "x": x.text(), "y": y.text()})
+    checks.append(_failed_check(
+        "trace is tracial on random coinvariant pairs", failures,
+        count=tracial_pairs))
 
     xs = [random_coinvariant(rng) for _ in range(40)]
     ok, worst, max_bound = _trace_agreement(

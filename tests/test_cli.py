@@ -1,6 +1,7 @@
 """Command line interface: reports, JSON schema, and exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -111,6 +112,38 @@ def test_verify_suite_passes(capsys):
     assert report["reports"][0]["suite"] == "galois"
     names = [c["check_name"] for c in report["reports"][0]["checks"]]
     assert any("closed form" in n for n in names)
+
+
+@pytest.mark.parametrize("suite, check, operands", [
+    ("algebra", "associativity on random triples", "xyz"),
+    ("chern", "trace is tracial on random coinvariant pairs", "xy"),
+])
+def test_verify_lists_a_failed_sample_as_text(capsys, monkeypatch, suite,
+                                              check, operands):
+    # the sample loop is the first draw of the suite's seeded generator;
+    # a product perturbed at sample 4 fails that check alone, and its
+    # failure lists the sample and operands that read back to the sample
+    from qhopf import verify
+    from qhopf.exprs import evaluate
+    from qhopf.s3core import AlgElement, BasisMonomial
+    rng = random.Random(7)
+    draw = verify.random_element if suite == "algebra" else \
+        verify.random_coinvariant
+    samples = [[draw(rng) for _ in operands] for _ in range(5)]
+    x, y = samples[4][:2]
+    assert x != y
+    bump = AlgElement.one() if suite == "algebra" else \
+        AlgElement.from_monomial(BasisMonomial(0, 1, 0, 0))
+    real = verify.mul
+    monkeypatch.setattr(verify, "mul", lambda u, v: real(u, v) + bump
+                        if (u, v) == (x, y) else real(u, v))
+    code, out, _ = run_cli(capsys, "verify", suite, "--seed", "7")
+    report = json.loads(out)
+    assert code == 1 and report["failures"] == [check]
+    failures, = [c["failures"] for c in report["reports"][0]["checks"]
+                 if c["check_name"] == check]
+    assert [f["sample"] for f in failures] == [4]
+    assert [evaluate(failures[0][n]) for n in operands] == samples[4]
 
 
 def test_verify_text_mode_and_seed_env(capsys, monkeypatch):
@@ -326,6 +359,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     [], ["unknown-command"], ["pairing"], ["pairing", "--mu", "0"],
     ["verify", "numeric", "--N", "1"], ["connection", "--k", "x"],
     ["verify", "all", "--p", "abc"], ["verify", "all", "--q", "1/0"],
+    ["verify", "all", "--p", "1e400"], ["verify", "all", "--q", "1e400"],
 ], ids=lambda argv: " ".join(argv) or "no command")
 def test_usage_errors_print_one_json_error_line(capsys, argv):
     # the parser's own usage errors carry the same JSON error line on

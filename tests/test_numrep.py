@@ -105,6 +105,20 @@ def test_tail_bound_is_honest():
         assert trace_tail_bound(x, 40, P_VAL, Q_VAL) == small.tail_bound
 
 
+@pytest.mark.parametrize("flag", [(1, 0), (0, 1)], ids=["1-aa*", "1-bb*"])
+def test_tail_bound_is_the_truncation_error_of_a_flag_power(flag):
+    # the diagonal of a single flag power is geometric with positive terms,
+    # so the truncated trace misses exactly the tail that the bound states
+    from qhopf.chern import trace_functional
+    for k in (1, 2):
+        x = AlgElement.from_monomial(BasisMonomial(0, k * flag[0],
+                                                   k * flag[1], 0))
+        exact = trace_functional(x).evaluate(P_VAL, Q_VAL)
+        for N in range(3, 7):
+            got = numeric_trace(x, N, P_VAL, Q_VAL)
+            assert abs(abs(got.value - exact) - got.tail_bound) <= 1e-12
+
+
 def test_spectrum_checks():
     for n in (2, 10, 50, 200):
         rep = build_rep("rho1theta", (0.0,), n, P_VAL, Q_VAL)

@@ -1,6 +1,7 @@
 """Exact coefficient field and Gauss binomials."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -506,6 +507,81 @@ def test_packed_sums_at_the_slot_bound_and_declines(monkeypatch):
         assert accumulate({}, blocks) == ({t: f * c} if f else {})
     monkeypatch.undo()
     assert _packed_sums([]) is None and accumulate({}, []) == {}
+
+
+def test_packed_sums_bound_a_key_by_the_sum_of_its_products():
+    # 1,024 equal products into one key at the real threshold: each
+    # product's bound is 2 c0^2 < 2^57, their sum needs 67 bits
+    from qhopf.scalars import _packed_sums
+    from qhopf.sparse import accumulate
+    c0 = 2**28 - 1
+    f, c = c0 + c0 * Q, c0 + c0 * P
+    blocks = [(f, [("t", c)])] * 1024
+    want = ZERO
+    for _ in blocks:
+        want = want + f * c
+    assert _packed_sums(blocks) is not None
+    assert accumulate({}, blocks) == {"t": want}
+
+
+def gcd_factor(rng, kind):
+    # a monomial, a polynomial in p alone or in q alone, or a mixed one
+    if kind == "monomial":
+        return {(rng.randint(0, 6), rng.randint(0, 6)): rng.choice([1, -2, 3])}
+    f = {}
+    for _ in range(rng.randint(2, 4)):
+        f[(0 if kind == "q" else rng.randint(0, 3),
+           0 if kind == "p" else rng.randint(0, 3))] = rng.randint(-5, 5) or 1
+    return f
+
+
+def gcd_product(rng):
+    out = {(0, 0): rng.choice([1, 2, -6])}
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["monomial", "p", "q", "mixed", "mixed"])
+        out = reference_product(out, gcd_factor(rng, kind))
+    return out
+
+
+def assert_gcd(f, g, c):
+    # h = gcd(f, g) with c | f, g: primitive, a multiple of c's primitive
+    # part, a divisor of both, with coprime cofactors
+    from qhopf.scalars import _pdiv_exact, _pgcd
+    h = _pgcd(f, g)
+    assert math.gcd(*h.values()) == 1
+    cp = {m: v // math.gcd(*c.values()) for m, v in c.items()}
+    _pdiv_exact(h, cp)
+    assert _pgcd(_pdiv_exact(f, h), _pdiv_exact(g, h)) in ({(0, 0): 1},
+                                                             {(0, 0): -1})
+    return h
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gcd_of_products_with_a_common_factor(seed):
+    rng = random.Random(1700 + seed)
+    for _ in range(150):
+        a, b, c = gcd_product(rng), gcd_product(rng), gcd_product(rng)
+        assert_gcd(reference_product(a, c), reference_product(b, c), c)
+
+
+def test_gcd_fixed_cases():
+    # a monomial against a dense polynomial: it leaves through the contents
+    dense = {(i, j): (i + 2 * j) % 7 - 3 for i in range(4) for j in range(4)
+             if (i + 2 * j) % 7 != 3}
+    mono = {(14, 18): 1}
+    assert assert_gcd(mono, dense, {(0, 0): 1}) == {(0, 0): 1}
+    shifted = {(i + 3, j + 20): v for (i, j), v in dense.items()}
+    assert assert_gcd(mono, shifted, {(3, 18): 1}) == {(3, 18): 1}
+    # p alone against q alone, with a common integer factor
+    pure_p = reference_product({(0, 0): 6, (1, 0): -6}, {(0, 0): 2, (2, 0): 1})
+    pure_q = reference_product({(0, 0): 4, (0, 3): 2}, {(0, 0): 1, (0, 1): 1})
+    assert assert_gcd(pure_p, pure_q, {(0, 0): 2}) == {(0, 0): 1}
+    # the q-Pochhammer (q; q)_12 against an integer multiple of it
+    poch = {(0, 0): 1}
+    for m in range(1, 13):
+        poch = reference_product(poch, {(0, 0): 1, (0, m): -1})
+    h = assert_gcd(poch, {m: 15 * v for m, v in poch.items()}, poch)
+    assert h in (poch, {m: -v for m, v in poch.items()})
 
 
 @pytest.mark.parametrize("seed", range(4))
