@@ -21,14 +21,15 @@ for winding -1 it is exactly -1, independent of p and q, and the tests
 pin the value mu for every 1 <= |mu| <= 20.  The pairing needs only
 the diagonal entries r_j l_j, so it forms n+1 sphere products where
 the whole idempotent takes (n+1)^2.  Both read the legs l_k (x) r_k
-as the summands of ``galois.strong_connection_closed``.  A matrix is
+as the summands of ``galois.strong_connection``, the closed form that
+``verify galois`` checks against the sandwich recursion.  A matrix is
 a sparse element keyed (row, column, monomial) and tagged with its shape.
 """
 
 from __future__ import annotations
 
 from .scalars import ONE, ParamScalar, ZERO, ppow, qpow
-from .galois import strong_connection_closed
+from .galois import strong_connection
 from .hopf import _power
 from .s3core import AlgElement, _mono_mul
 from .sparse import SparseElement, accumulate, extend
@@ -108,15 +109,15 @@ class CoinvariantMatrix(SparseElement):
 
 
 def _legs(mu: int):
-    """The right and the left legs of the connection value on u^|mu|.
+    """The right and the left legs of the connection value on u^(-mu).
 
     The right legs are monomials, the left legs (monomial, coefficient)
-    pairs: the summands l_k (x) r_k of the closed form (its "+" sign for
-    mu < 0), ordered by the flag exponent k of the left leg.
+    pairs: the summands l_k (x) r_k of the closed form, ordered by the
+    flag exponent k of the left leg.
     """
     if _power(mu) == 0:
         raise ValueError("winding 0 is the free module; no idempotent here")
-    ell = strong_connection_closed(abs(mu), "+" if mu < 0 else "-")
+    ell = strong_connection(-mu)
     terms = sorted(ell.terms.items(), key=lambda t: t[0][0].m + t[0][0].n)
     return ([right for (_, right), _ in terms],
             [(left, c) for (left, _), c in terms])

@@ -28,18 +28,17 @@ from .sparse import SparseElement
 SCHEMA = 1
 
 
-def _fraction(text: str) -> Fraction:
-    # a rational number that the numeric checks can read as a float
+def _parameter(text: str) -> Fraction:
+    # a rational number whose float, which the numeric checks read, lies
+    # in (0, 1): the float of 1e-400 is 0, that of 1e400 overflows
     try:
         x = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") \
-            from exc
-    try:
-        float(x)
-    except OverflowError as exc:
+        ok = 0.0 < float(x) < 1.0
+    except (ValueError, ZeroDivisionError, OverflowError):
+        ok = False
+    if not ok:
         raise argparse.ArgumentTypeError(
-            f"outside the float range: {text!r}") from exc
+            f"not a rational number whose float lies in (0, 1): {text!r}")
     return x
 
 
@@ -48,10 +47,10 @@ def _fraction(text: str) -> Fraction:
 N_MIN, N_MAX = 2, 100_000
 
 # budgets of --k and --mu, each measured at its limit (whole commands,
-# five runs per sign, on a shared 2-core Xeon): connection --k 64 takes
-# about 0.4 s and prints 0.85 MB; pairing --mu 30 takes 0.17-0.2 s;
-# idempotent prints (n+1)^2 entries, so it stops sooner: --mu 14 takes
-# 0.25-0.3 s and prints 1.2 MB
+# five runs per sign, on a shared 2-core Xeon): connection --k 64, in
+# closed form, takes 0.16-0.19 s and prints 0.85 MB; pairing --mu 30
+# takes 0.17-0.2 s; idempotent prints (n+1)^2 entries, so it stops
+# sooner: --mu 14 takes 0.25-0.3 s and prints 1.2 MB
 K_MAX = 64
 PAIRING_MU_MAX = 30
 IDEMPOTENT_MU_MAX = 14
@@ -62,7 +61,7 @@ SUITE_CHOICES = ("algebra", "chern", "classical", "galois", "gluing",
                  "numeric", "all")
 
 
-def _bounded(lo: int, hi: int, what: str, nonzero: bool = False):
+def _bounded(lo: int, hi: float, what: str, nonzero: bool = False):
     """An argparse type: an integer in [lo, hi], and nonzero if asked."""
     def check(text: str) -> int:
         try:
@@ -79,14 +78,16 @@ def _bounded(lo: int, hi: int, what: str, nonzero: bool = False):
     return check
 
 
+# --seed and QHOPF_SEED: any integer >= 0
+_seed = _bounded(0, float("inf"), "seed")
+
+
 def _default_seed() -> int:
     env = os.environ.get("QHOPF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 7
+    try:
+        return 7 if env is None else _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"QHOPF_SEED: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        parents=[output])
     p.add_argument("--k", required=True,
                    type=_bounded(-K_MAX, K_MAX, "circle power"),
-                   help=f"circle power, |k| <= {K_MAX} (about 0.4 s "
+                   help=f"circle power, |k| <= {K_MAX} (0.16-0.19 s "
                         f"and 0.85 MB of JSON at the limit)")
 
     p = sub.add_parser("idempotent", help="line-module idempotent matrix",
@@ -157,16 +158,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite",
                        parents=[output])
     p.add_argument("suite", choices=SUITE_CHOICES)
-    p.add_argument("--p", type=_fraction, default=Fraction(1, 2),
-                   help="value of p (rational or decimal; default 1/2)")
-    p.add_argument("--q", type=_fraction, default=Fraction(1, 3),
-                   help="value of q (default 1/3)")
+    p.add_argument("--p", type=_parameter, default=Fraction(1, 2),
+                   help="value of p in (0, 1) (rational or decimal; "
+                        "default 1/2)")
+    p.add_argument("--q", type=_parameter, default=Fraction(1, 3),
+                   help="value of q in (0, 1) (default 1/3)")
     p.add_argument("--N", default=300,
                    type=_bounded(N_MIN, N_MAX, "truncation dimension"),
                    help=f"truncation dimension for numeric traces, "
                         f"{N_MIN} <= N <= {N_MAX} (default 300)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default: QHOPF_SEED or 7)")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="random seed, >= 0 (default: QHOPF_SEED or 7)")
     return ap
 
 
@@ -269,8 +271,9 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
         return report, 0
 
     if cmd == "verify":
-        from . import verify   # only this command loads the suites
+        # every parameter is checked before the first suite runs
         seed = args.seed if args.seed is not None else _default_seed()
+        from . import verify   # only this command loads the suites
         names = list(verify.SUITES) if args.suite == "all" else [args.suite]
         reports = [verify.SUITES[name](
             p_val=float(args.p), q_val=float(args.q), N=args.N, seed=seed)

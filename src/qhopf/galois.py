@@ -1,24 +1,23 @@
 """The strong connection of the circle fibration and its identities.
 
 The lifted canonical map sends s (x) t to s * Delta_R(t).  The
-connection ell assigns to u^k a tensor built from the seeds
+connection ell is defined by the seeds
 
     ell(u)  = a* (x) a + q b(1-aa*) (x) b*,
     ell(u*) = b* (x) b + p a(1-bb*) (x) a*,
 
-by sandwiching: ell(u^k) = sum_i  x_i ell(u^(k-1)) y_i  with the seed
-terms x_i (x) y_i acting on the left leg from the left and on the
-right leg from the right (mirror recursion for negative powers).  The
-closed form is a Gauss-binomial sum; multiplying the two legs of
-ell(u^k) together telescopes to 1 (the partition identity).
-
-The connection value ell(u^k) is also the freeness witness, a preimage
-of 1 (x) u^k under the lifted canonical map: the product-of-preimages
-rule (witnesses sum_i h_i (x) h~_i for 1 (x) h and sum_j g_j (x) g~_j
-for 1 (x) g give sum_ij g_j h_i (x) h~_i g~_j for 1 (x) hg), iterated
-from the degree +-1 seeds, is the sandwich recursion.
-:func:`connection_defects` checks this and the other identities of a
-connection value.
+and by sandwiching: ell(u^k) = sum_i  x_i ell(u^(k-1)) y_i  with the
+seed terms x_i (x) y_i acting on the left leg from the left and on the
+right leg from the right (mirror recursion for negative powers).  This
+is the product-of-preimages rule (witnesses sum_i h_i (x) h~_i for
+1 (x) h and sum_j g_j (x) g~_j for 1 (x) g give sum_ij g_j h_i (x)
+h~_i g~_j for 1 (x) hg) iterated from the degree +-1 seeds, so
+ell(u^k) is the freeness witness, a preimage of 1 (x) u^k under the
+lifted canonical map.  :func:`strong_connection` serves every value
+from the closed Gauss-binomial form; ``verify galois`` and the tests
+walk the recursion (:func:`_sandwich`) and compare.  Multiplying the
+legs of ell(u^k) together telescopes to 1 (the partition identity);
+:func:`connection_defects` checks this and the other identities.
 """
 
 from __future__ import annotations
@@ -95,57 +94,38 @@ _SEED_MINUS = TensorElement({
 })
 
 
-_CONN_CACHE: dict[int, TensorElement] = {}
-
-
 def strong_connection(k: int) -> TensorElement:
-    """Value of the connection on u^k, computed by the sandwich recursion.
+    """Value of the connection on u^k, in closed Gauss-binomial form.
 
-    The recursion runs as a loop upward from the largest cached power of
-    the same sign, so the stack depth does not grow with |k|.
+    For k = n > 0 the j-th summand is
+    [n, j]_q q^(n-j) (1-aa*)^(n-j) a*^j b^(n-j)  (x)  a^j b*^(n-j);
+    k = -n exchanges a with b and q with p, and k = 0 gives the unit.
     """
-    k = _power(k)
-    step, seed = (1, _SEED_PLUS) if k > 0 else (-1, _SEED_MINUS)
-    j = k
-    while j and j not in _CONN_CACHE:
-        j -= step
-    out = _CONN_CACHE.get(j)
-    if out is None:
-        out = _CONN_CACHE[0] = TensorElement.unit()
-    while j != k:
-        j += step
-        out = _CONN_CACHE[j] = _sandwich(seed, out)
-    return out
+    n = abs(_power(k))
+    if k > 0:
+        # reordering (1-aa*)^(n-j) a*^j into a*^j (1-aa*)^(n-j) gives
+        # q^(-j(n-j))
+        out = {(BasisMonomial(-j, n - j, 0, n - j),
+                BasisMonomial(j, 0, 0, -(n - j))):
+               qbinomial(n, j) * qpow(n - j - j * (n - j))
+               for j in range(n + 1)}
+    elif k < 0:
+        out = {(BasisMonomial(n - j, 0, n - j, -j),
+                BasisMonomial(-(n - j), 0, 0, j)):
+               qbinomial(n, j, param="p") * ppow(n - j)
+               for j in range(n + 1)}
+    else:
+        return TensorElement.unit()
+    # valid keys (one flag exponent is 0) and nonzero coefficients
+    return TensorElement._raw(out)
 
 
 def strong_connection_closed(n: int, sign: str = "+") -> TensorElement:
-    """Closed Gauss-binomial form of the connection on u^n or u*^n.
-
-    For the + sign the k-th summand is
-    [n, k]_q q^(n-k) (1-aa*)^(n-k) a*^k b^(n-k)  (x)  a^k b*^(n-k);
-    the - sign exchanges a with b and q with p.
-    """
-    if _power(n) < 1:
-        raise ValueError("closed form needs a positive power")
-    out: dict = {}
-    if sign == "+":
-        for k in range(n + 1):
-            # reordering (1-aa*)^(n-k) a*^k into a*^k (1-aa*)^(n-k)
-            # gives q^(-k(n-k))
-            coeff = qbinomial(n, k) * qpow(n - k - k * (n - k))
-            left = BasisMonomial(-k, n - k, 0, n - k)
-            right = BasisMonomial(k, 0, 0, -(n - k))
-            out[(left, right)] = coeff
-    elif sign == "-":
-        for k in range(n + 1):
-            coeff = qbinomial(n, k, param="p") * ppow(n - k)
-            left = BasisMonomial(n - k, 0, n - k, -k)
-            right = BasisMonomial(-(n - k), 0, 0, k)
-            out[(left, right)] = coeff
-    else:
-        raise ValueError("sign must be '+' or '-'")
-    # valid keys (one flag exponent is 0) and nonzero coefficients
-    return TensorElement._raw(out)
+    """The connection on u^n (sign "+") or on u*^n (sign "-"), n >= 1."""
+    if _power(n) < 1 or sign not in ("+", "-"):
+        raise ValueError("closed form needs a power n >= 1 and a sign "
+                         "'+' or '-'")
+    return strong_connection(n if sign == "+" else -n)
 
 
 def lifted_can(t: TensorElement) -> CotensorElement:

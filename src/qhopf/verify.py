@@ -261,15 +261,18 @@ def suite_gluing(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
 
 
 def suite_galois(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
-    """Connection recursion vs closed form and all connection identities."""
+    """Recursion vs the served closed form, and all connection identities."""
     k_max = 8
     t0 = time.perf_counter()
     checks = []
-    for sign, powers in (("+", "positive"), ("-", "negative")):
-        failures = []
+    for sign, seed_term, powers in ((1, galois._SEED_PLUS, "positive"),
+                                    (-1, galois._SEED_MINUS, "negative")):
+        # walk the sandwich recursion from the unit, independently of
+        # the served values; a failure is served minus recursion
+        failures, ell = [], galois.TensorElement.unit()
         for n in range(1, k_max + 1):
-            diff = (galois.strong_connection(n if sign == "+" else -n)
-                    - galois.strong_connection_closed(n, sign))
+            ell = galois._sandwich(seed_term, ell)
+            diff = galois.strong_connection(sign * n) - ell
             if diff:
                 failures.append({"k": n, "difference": diff.text()})
         checks.append(_failed_check(
@@ -283,14 +286,11 @@ def suite_galois(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
             f"connection identity: {ident}",
             [{"k": k, "difference": d[ident]}
              for k, d in defects.items() if ident in d], k_max=k_max))
-    failures = []
-    for n in range(1, k_max + 1):
-        for side in "+-":
-            ell = galois.strong_connection_closed(n, side)
-            diff = galois.multiply_legs(ell) - AlgElement.one()
-            if diff:
-                failures.append({"k": n, "side": side,
-                                 "difference": diff.text()})
+    # the partition identities are the counit laws of the nonzero powers
+    failures = [{"k": n, "side": side, "difference": d["counit_law"]}
+                for n in range(1, k_max + 1)
+                for side, d in (("+", defects[n]), ("-", defects[-n]))
+                if "counit_law" in d]
     checks.append(_failed_check("partition identities (both parameter sides)",
                                 failures, count=2 * k_max))
     ok = not any("lifted_can" in defects[k] for k in range(-6, 7) if k)

@@ -360,6 +360,8 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     ["verify", "numeric", "--N", "1"], ["connection", "--k", "x"],
     ["verify", "all", "--p", "abc"], ["verify", "all", "--q", "1/0"],
     ["verify", "all", "--p", "1e400"], ["verify", "all", "--q", "1e400"],
+    ["verify", "all", "--p", "0"], ["verify", "all", "--q", "1e-400"],
+    ["verify", "all", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv) or "no command")
 def test_usage_errors_print_one_json_error_line(capsys, argv):
     # the parser's own usage errors carry the same JSON error line on
@@ -371,6 +373,36 @@ def test_usage_errors_print_one_json_error_line(capsys, argv):
     report = json.loads(err)
     assert report["schema"] == 1 and report["error"]
     assert report["usage"].startswith("usage: qhopf")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "all", "--p", "0"], None),
+    (["verify", "all", "--p", "1"], None),
+    (["verify", "all", "--q", "1e-400"], None),
+    (["verify", "all", "--seed", "-1"], None),
+    (["verify", "all"], "abc"),
+    (["verify", "galois"], "-1"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else
+    f"QHOPF_SEED={x}" if x else "env unset")
+def test_verify_checks_its_numbers_before_any_suite_runs(capsys, monkeypatch,
+                                                         argv, env):
+    # a suite that ran would end in an internal error, exit 3
+    from qhopf import verify
+
+    def never(**kwargs):
+        raise AssertionError("a suite ran before its parameters were checked")
+
+    monkeypatch.setattr(verify, "SUITES", {name: never
+                                           for name in verify.SUITES})
+    if env is None:
+        monkeypatch.delenv("QHOPF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QHOPF_SEED", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert ("QHOPF_SEED" if env else argv[2]) in json.loads(err)["error"]
 
 
 def test_closed_pipe_ends_quietly_with_the_command_code():

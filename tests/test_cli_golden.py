@@ -89,7 +89,8 @@ def corpus():
     cases += [["pairing", "--mu", str(mu)]
               for mu in (1, 2, 3, 4, -1, -2, -3, -4,
                          6, 7, 8, 9, -6, -7, -8, -9)]
-    cases += [["connection", "--k", str(k)] for k in (3, -3)]
+    cases += [["connection", "--k", str(k)]
+              for k in (3, -3, 8, -8, 16, -16)]
     cases += [["idempotent", "--mu", str(mu)] for mu in (2, -2)]
     cases += [["winding", e] for e in WINDING]
     cases += [["coaction", e] for e in COACTION]

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from qhopf import galois, numrep, s3core, scalars
+from qhopf import numrep, s3core, scalars
 from qhopf.galois import strong_connection
 from qhopf.gluing import chi
 from qhopf.numrep import numeric_trace
@@ -33,8 +33,7 @@ def _work(seed: int) -> list:
 
 def _clear(monkeypatch):
     for module, name in ((scalars, "_QBIN_ROWS"),
-                         (s3core, "_MONO_MUL_CACHE"),
-                         (galois, "_CONN_CACHE")):
+                         (s3core, "_MONO_MUL_CACHE")):
         monkeypatch.setattr(module, name, {})
     numrep._trace_pair.cache_clear()
 

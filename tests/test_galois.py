@@ -57,9 +57,14 @@ def test_closed_form_degree_two_frozen():
 
 
 def test_recursion_equals_closed_form():
-    for n in range(1, 9):
-        assert strong_connection(n) == strong_connection_closed(n, "+")
-        assert strong_connection(-n) == strong_connection_closed(n, "-")
+    # the sandwich recursion from the seeds, walked from the unit, is the
+    # definition that the closed form serves
+    for sign, seed in (("+", galois._SEED_PLUS), ("-", galois._SEED_MINUS)):
+        ell = TensorElement.unit()
+        for n in range(1, 9):
+            ell = galois._sandwich(seed, ell)
+            assert strong_connection(n if sign == "+" else -n) == ell
+            assert strong_connection_closed(n, sign) == ell
     with pytest.raises(ValueError):
         strong_connection_closed(0, "+")
     with pytest.raises(ValueError):
@@ -169,6 +174,22 @@ def test_verify_reports_a_failed_identity(monkeypatch, capsys, identity):
                                         "difference": "a"}
 
 
+def test_verify_compares_each_served_value_with_the_recursion(monkeypatch,
+                                                              capsys):
+    # a served value doubled at k = 5 fails the recursion check at k = 5
+    # alone, with the served value minus the recursion as its difference:
+    # the recursion is walked from the seeds, so k = 6 does not inherit it
+    real = galois.strong_connection
+    monkeypatch.setattr(galois, "strong_connection",
+                        lambda k: real(k) + real(k) if k == 5 else real(k))
+    assert main(["verify", "galois"]) == 1
+    checks = {c["check_name"]: c for c in json.loads(
+        capsys.readouterr().out)["reports"][0]["checks"]}
+    assert checks["recursion equals closed form (positive powers)"][
+        "failures"] == [{"k": 5, "difference": real(5).text()}]
+    assert checks["recursion equals closed form (negative powers)"]["pass"]
+
+
 def test_per_term_windings():
     for k in range(-8, 9):
         for (s, t) in strong_connection(k).terms:
@@ -200,8 +221,7 @@ def test_json_and_text_render():
     assert "(x)" in ell.text()
 
 
-def test_strong_connection_stack_depth_is_bounded(monkeypatch):
-    monkeypatch.setattr(galois, "_CONN_CACHE", {})
+def test_strong_connection_stack_depth_is_bounded():
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -213,13 +233,11 @@ def test_strong_connection_stack_depth_is_bounded(monkeypatch):
         sys.setrecursionlimit(limit)
     assert plus == strong_connection_closed(40, "+")
     assert minus == strong_connection_closed(40, "-")
-    # the cache was filled on the way up; a smaller power is a cache hit
-    assert galois._CONN_CACHE[39] is strong_connection(39)
 
 
 def test_strong_connection_rejects_a_non_integer_power():
-    # unchecked, a fractional power steps past 0 in the search for a
-    # cached power and never stops; the alarm turns a hang into a failure
+    # a fractional power is rejected before any work; the alarm turns a
+    # hang into a failure
     def hang(signum, frame):
         raise TimeoutError("no answer for a fractional power")
     previous = signal.signal(signal.SIGALRM, hang)
@@ -242,13 +260,14 @@ def test_a_non_integer_power_is_a_value_error(call, arg):
 
 
 def test_one_shot_leg_products_leave_the_monomial_memo_alone(monkeypatch):
-    # the connection recursion and the lifted canonical map multiply
-    # monomial pairs that never recur, so they skip the product memo
+    # the connection recursion, the lifted canonical map and the leg
+    # products multiply monomial pairs that never recur, so they skip
+    # the product memo
     from qhopf import s3core
     monkeypatch.setattr(s3core, "_MONO_MUL_CACHE", {})
-    monkeypatch.setattr(galois, "_CONN_CACHE", {})
     for k in (7, -7, 3):
         ell = strong_connection(k)
         assert lifted_can(ell) == CotensorElement({(UNIT_MONO, k): ONE})
         assert multiply_legs(ell) == AlgElement.one()
+    assert galois._sandwich(galois._SEED_PLUS, ell) == strong_connection(4)
     assert s3core._MONO_MUL_CACHE == {}
