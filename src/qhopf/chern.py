@@ -15,7 +15,14 @@ winding-zero basis monomials it has the closed form
     mu = 0, m >= 1        -> 1/(1 - q^m)
     mu = 0, n >= 1        -> -1/(1 - p^n)
 
-(geometric series of the diagonal eigenvalues q^k resp. p^k).  Pairing
+(geometric series of the diagonal eigenvalues q^k resp. p^k).  The
+trace sums the coefficients per flag; a flag whose coefficient is a
+Laurent value that its denominator 1 - q^m or 1 - p^n divides adds the
+exact Laurent quotient, and only the other flags go over the product of
+their denominators and one field-path reduction.  Every flag of the
+pairing divides: the coefficient of (1 - aa*)^m in tr E_(-n) is
+(-1)^m q^(-s(n, m)) [n, m]_q (q; q)_m with s(n, m) = mn - m(m+1)/2, and
+likewise in p on the b-flags at +n, so the pairing needs no gcd.  Pairing
 the trace with the matrix trace of an idempotent yields an integer;
 for winding -1 it is exactly -1, independent of p and q, and the tests
 pin the value mu for every 1 <= |mu| <= 20.  The pairing needs only
@@ -28,7 +35,8 @@ a sparse element keyed (row, column, monomial) and tagged with its shape.
 
 from __future__ import annotations
 
-from .scalars import ONE, ParamScalar, ZERO, ppow, qpow
+from .scalars import (ONE, ParamScalar, ZERO, _quotient_one_minus, ppow,
+                      qpow)
 from .galois import strong_connection
 from .hopf import _power
 from .s3core import AlgElement, _mono_mul
@@ -152,18 +160,27 @@ def trace_functional(x: AlgElement) -> ParamScalar:
     """
     if not x.is_coinvariant():
         raise ValueError(f"trace of a non-coinvariant element: {x}")
-    # sum the coefficients per flag, then every flag's c/(1 - q^m) or
-    # -c/(1 - p^n) over the product of the denominators, and reduce once;
-    # the unit monomial contributes 0: the representation images cancel
+    # sum the coefficients per flag; add the exact Laurent quotients, then
+    # every other flag's c/(1 - q^m) or -c/(1 - p^n) over the product of
+    # their denominators, reduced once; the unit monomial contributes 0:
+    # the representation images cancel
     flags: dict = {}
     for t, c in x.terms.items():
         if t.mu == 0 and (t.m or t.n):
             flags[t.m, t.n] = flags.get((t.m, t.n), ZERO) + c
-    num, den = ZERO, ONE
+    rest = []
+    num = ZERO
     for (m, n), c in flags.items():
+        h = _quotient_one_minus(c, m or n, "q" if m else "p")
+        if h is None:
+            rest.append((m, n, c))
+        else:
+            num = num + h if m else num - h
+    den = ONE
+    for m, n, c in rest:
         d = ONE - qpow(m) if m else ONE - ppow(n)
         num, den = num * d + (c if m else -c) * den, den * d
-    return num / den
+    return num / den if rest else num
 
 
 def pairing(mu: int) -> ParamScalar:

@@ -30,8 +30,12 @@ SCHEMA = 1
 
 def _parameter(text: str) -> Fraction:
     # a rational number whose float, which the numeric checks read, lies
-    # in (0, 1): the float of 1e-400 is 0, that of 1e400 overflows
+    # in (0, 1): the float of 1e-400 is 0, that of 1e400 overflows.  A
+    # decimal's float is checked before its Fraction, which computes 10**e
+    # for the exponent e; both round correctly, so they agree on the range
     try:
+        if "/" not in text and not 0.0 < float(text) < 1.0:
+            raise ValueError(text)
         x = Fraction(text)
         ok = 0.0 < float(x) < 1.0
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -48,9 +52,11 @@ N_MIN, N_MAX = 2, 100_000
 
 # budgets of --k and --mu, each measured at its limit (whole commands,
 # five runs per sign, on a shared 2-core Xeon): connection --k 64, in
-# closed form, takes 0.16-0.19 s and prints 0.85 MB; pairing --mu 30
-# takes 0.17-0.2 s; idempotent prints (n+1)^2 entries, so it stops
-# sooner: --mu 14 takes 0.25-0.3 s and prints 1.2 MB
+# closed form, takes 0.16-0.19 s and prints 0.85 MB; pairing --mu 30,
+# with exact flag quotients in the trace, takes 0.12-0.15 s, measured
+# beside connection --k 64 at 0.10-0.12 s on a quieter machine;
+# idempotent prints (n+1)^2 entries, so it stops sooner: --mu 14 takes
+# 0.25-0.3 s and prints 1.2 MB
 K_MAX = 64
 PAIRING_MU_MAX = 30
 IDEMPOTENT_MU_MAX = 14
@@ -153,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_bounded(-PAIRING_MU_MAX, PAIRING_MU_MAX,
                                  "winding label", nonzero=True),
                    help=f"winding label, 1 <= |mu| <= {PAIRING_MU_MAX} "
-                        f"(0.17-0.2 s at the limit)")
+                        f"(0.12-0.15 s at the limit)")
 
     p = sub.add_parser("verify", help="run a verification suite",
                        parents=[output])

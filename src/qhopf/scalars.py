@@ -228,6 +228,31 @@ def _pdiv_exact(f, g):
     return out
 
 
+def _quotient_one_minus(x, k, param):
+    """x / (1 - s^k) for s = p or q and k >= 1, when that is a Laurent
+    value; None when x is a field value or 1 - s^k does not divide it.
+
+    1 - s^k is prime to p and q, so it divides x exactly when it divides
+    x's int dict, and the quotient keeps x's offset (its lowest p and q
+    exponents are x's, so it is in normal form).  Vanishing at s = 1
+    for each power of the other parameter is necessary and rules most
+    non-divisors out without a division.
+    """
+    if x._d is not None:
+        return None
+    axis = 0 if param == "p" else 1
+    at_one: dict = {}
+    for m, c in x._n.items():
+        at_one[m[1 - axis]] = at_one.get(m[1 - axis], 0) + c
+    if any(at_one.values()):
+        return None
+    try:
+        h = _pdiv_exact(x._n, {_K0: 1, (k, 0) if axis == 0 else (0, k): -1})
+    except ArithmeticError:
+        return None
+    return _new(h, None, x._o) if h else ZERO
+
+
 def _qdeg(f):
     return max(j for _, j in f)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhopf.scalars import ONE, P, Q, scalar
+from qhopf.scalars import ONE, P, Q, ppow, qbinomial, qpow, scalar
 from qhopf.chern import (CoinvariantMatrix, idempotent, pairing,
                          trace_functional)
 from qhopf.galois import strong_connection
@@ -152,11 +152,40 @@ def reference_trace(x):
     return total
 
 
+def flag(m, n):
+    return BasisMonomial(0, m, n, 0)
+
+
+def random_laurent(rng):
+    # a few int terms p^i q^j, offsets down to -2
+    return sum((rng.choice((-3, -2, -1, 1, 2, 3)) * ppow(rng.randint(-2, 2))
+                * qpow(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))),
+               scalar(0))
+
+
+def divisible_flags(rng):
+    # flag coefficients that their denominators divide exactly: random
+    # Laurent values times 1 - q^m on (1 - aa*)^m, times 1 - p^n on
+    # (1 - bb*)^n
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            terms[flag(k, 0)] = random_laurent(rng) * (ONE - qpow(k))
+        else:
+            terms[flag(0, k)] = random_laurent(rng) * (ONE - ppow(k))
+    return AlgElement(terms)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_trace_matches_the_per_term_sum(seed):
     # seeded coinvariant elements with both flag kinds, repeated flag
-    # exponents and field coefficients, against the per-term reference
+    # exponents and field coefficients, against the per-term reference;
+    # then flag coefficients that their denominators divide, alone, added
+    # to or subtracted from those on the same flags and on others, and
+    # cancelled
     rng = random.Random(700 + seed)
+    extra = random.Random(900 + seed)
     field = (ONE / (ONE - P * Q), (ONE + Q) / (ONE - P),
              scalar(Fraction(2, 3)))
     for _ in range(8):
@@ -168,6 +197,50 @@ def test_trace_matches_the_per_term_sum(seed):
                             BasisMonomial(0, 0, rng.randint(1, 3), 0):
                             rng.choice(field)})
         assert trace_functional(x) == reference_trace(x), x.text()
+        d = divisible_flags(extra)
+        for y in (d, d + x, d - x, d - d):
+            assert trace_functional(y) == reference_trace(y), y.text()
+    # 1 - q^2 does not divide (1 - q)(1 + q^2), though it vanishes at q = 1
+    for c in ((ONE - Q) * (ONE + Q * Q), (ONE - Q) * (ONE + Q) * Q ** -2):
+        x = AlgElement({flag(2, 0): c, flag(0, 1): ONE - P})
+        assert trace_functional(x) == reference_trace(x), x.text()
+    # divisible flags whose quotients cancel
+    x = AlgElement({flag(1, 0): ONE - Q, flag(0, 1): ONE - P})
+    assert trace_functional(x).is_zero()
+
+
+def test_the_pairing_takes_no_field_path_reduction(monkeypatch):
+    # every flag coefficient of the diagonal sum is divisible by its
+    # denominator, so the trace adds exact Laurent quotients
+    from qhopf import scalars
+    calls = []
+    engine = scalars._reduce
+    monkeypatch.setattr(scalars, "_reduce",
+                        lambda *args: calls.append(args) or engine(*args))
+    for n in range(1, 13):
+        for mu in (-n, n):
+            assert pairing(mu) == mu
+    assert calls == []
+
+
+def test_flag_coefficients_of_the_diagonal_sum():
+    # sum_j r_j l_j = sum_m (-1)^m s^(-s(n, m)) [n, m]_s (s; s)_m times the
+    # m-th power of the flag, s(n, m) = mn - m(m+1)/2: a-flags and s = q
+    # at winding -n, b-flags and s = p at +n (ROADMAP item 3(a))
+    for n in range(1, 13):
+        for mu in (-n, n):
+            s, param = (qpow, "q") if mu < 0 else (ppow, "p")
+            diag = AlgElement.zero()
+            for (left, right), c in strong_connection(-mu).terms.items():
+                diag = diag + mul(AlgElement({right: ONE}),
+                                  AlgElement({left: c}))
+            want, poch = {}, ONE
+            for m in range(n + 1):
+                poch = poch * (ONE - s(m)) if m else ONE
+                want[flag(m, 0) if mu < 0 else flag(0, m)] = \
+                    (-1) ** m * s(m * (m + 1) // 2 - m * n) * \
+                    qbinomial(n, m, param) * poch
+            assert diag == AlgElement(want), mu
 
 
 def test_pairing_winding_minus_one_is_exactly_minus_one():

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -362,6 +363,8 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     ["verify", "all", "--p", "1e400"], ["verify", "all", "--q", "1e400"],
     ["verify", "all", "--p", "0"], ["verify", "all", "--q", "1e-400"],
     ["verify", "all", "--seed", "-1"],
+    ["verify", "all", "--p", "1e-1000000"],
+    ["verify", "all", "--q", "1e1000000"],
 ], ids=lambda argv: " ".join(argv) or "no command")
 def test_usage_errors_print_one_json_error_line(capsys, argv):
     # the parser's own usage errors carry the same JSON error line on
@@ -373,6 +376,26 @@ def test_usage_errors_print_one_json_error_line(capsys, argv):
     report = json.loads(err)
     assert report["schema"] == 1 and report["error"]
     assert report["usage"].startswith("usage: qhopf")
+
+
+@pytest.mark.parametrize("option, text", [("--p", "1e-1000000"),
+                                          ("--q", "1e1000000")])
+def test_a_huge_exponent_is_rejected_before_its_fraction(
+        capsys, monkeypatch, option, text):
+    # Fraction computes 10**e for the exponent e, which costs time that
+    # grows with e; the float range check comes first
+    from qhopf import cli
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", spy)
+    code, out, err = run_cli(capsys, "verify", "all", option, text)
+    assert code == 2 and out == ""
+    assert "float lies in (0, 1)" in json.loads(err)["error"]
+    assert (text,) not in built
 
 
 @pytest.mark.parametrize("argv, env", [

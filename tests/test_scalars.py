@@ -606,6 +606,27 @@ def test_exact_division_inverts_the_product(seed):
         _pdiv_exact({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): -1})
 
 
+@pytest.mark.parametrize("param, s", [("q", qpow), ("p", ppow)])
+def test_quotient_by_one_minus_a_power(param, s):
+    from qhopf.scalars import _quotient_one_minus
+    rng = random.Random(41)
+    for _ in range(30):
+        # a Laurent value with negative offsets, or skipped
+        x = random_poly_scalar(rng, 4) * ppow(-2) * qpow(-3)
+        k = rng.randint(1, 5)
+        if x.is_zero() or x._d is not None:
+            continue
+        assert _quotient_one_minus(x * (ONE - s(k)), k, param) == x
+        want = x / (ONE - s(k))
+        got = _quotient_one_minus(x, k, param)
+        assert got is None if want._d is not None else got == want
+    assert _quotient_one_minus(ZERO, 3, param) == ZERO
+    # vanishes at s = 1 without being divisible, and a field value
+    x = (ONE - s(1)) * (ONE + s(2))
+    assert _quotient_one_minus(x, 2, param) is None
+    assert _quotient_one_minus((ONE - s(2)) / (ONE - P * Q), 2, param) is None
+
+
 def random_poly_scalar(rng, max_deg=2):
     x = ZERO
     for _ in range(rng.randint(1, 4)):
