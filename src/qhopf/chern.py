@@ -16,7 +16,7 @@ winding-zero basis monomials it has the closed form
     mu = 0, n >= 1        -> -1/(1 - p^n)
 
 (geometric series of the diagonal eigenvalues q^k resp. p^k).  The
-trace sums the coefficients per flag; a flag whose coefficient is a
+trace reads one coefficient per flag; a flag whose coefficient is a
 Laurent value that its denominator 1 - q^m or 1 - p^n divides adds the
 exact Laurent quotient, and only the other flags go over the product of
 their denominators and one field-path reduction.  Every flag of the
@@ -74,10 +74,6 @@ class CoinvariantMatrix(SparseElement):
     def shape(self):
         return self.tag
 
-    def is_square(self):
-        rows, cols = self.tag
-        return rows == cols
-
     @property
     def entries(self) -> list:
         """A new list of rows of entries, absent ones as zero elements."""
@@ -104,7 +100,8 @@ class CoinvariantMatrix(SparseElement):
 
     def trace(self) -> AlgElement:
         """Sum of the diagonal entries; stays coinvariant."""
-        if not self.is_square():
+        rows, cols = self.tag
+        if rows != cols:
             raise ValueError("trace of a non-square matrix")
         return AlgElement._raw(extend(
             {key: c for key, c in self._d.items() if key[0] == key[1]},
@@ -160,17 +157,15 @@ def trace_functional(x: AlgElement) -> ParamScalar:
     """
     if not x.is_coinvariant():
         raise ValueError(f"trace of a non-coinvariant element: {x}")
-    # sum the coefficients per flag; add the exact Laurent quotients, then
-    # every other flag's c/(1 - q^m) or -c/(1 - p^n) over the product of
-    # their denominators, reduced once; the unit monomial contributes 0:
-    # the representation images cancel
-    flags: dict = {}
-    for t, c in x.terms.items():
-        if t.mu == 0 and (t.m or t.n):
-            flags[t.m, t.n] = flags.get((t.m, t.n), ZERO) + c
+    # a flag (0, m, n, 0) is one key of the coinvariant x; add the exact
+    # Laurent quotients, then every other flag's c/(1 - q^m) or
+    # -c/(1 - p^n) over the product of their denominators, reduced once;
+    # the unit monomial contributes 0: the representation images cancel
     rest = []
     num = ZERO
-    for (m, n), c in flags.items():
+    for (mu, m, n, _), c in x.terms.items():
+        if mu or not (m or n):
+            continue
         h = _quotient_one_minus(c, m or n, "q" if m else "p")
         if h is None:
             rest.append((m, n, c))

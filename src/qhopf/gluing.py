@@ -33,10 +33,8 @@ from .s3core import (FLAG_A, FLAG_B, GENERATORS, AlgElement, BasisMonomial,
 from .sparse import SparseElement, extend
 
 __all__ = [
-    "DiscMonomial",
     "DiscElement",
     "TrivializedElement",
-    "LaurentTensor",
     "disc_generator",
     "boundary",
     "boundary_tensor",
@@ -47,10 +45,9 @@ __all__ = [
     "trivialization_over_base",
 ]
 
-DiscMonomial = tuple  # (mu, m): x_mu (1 - x x*)^m
 
-
-def _disc_key(t) -> DiscMonomial:
+def _disc_key(t) -> tuple:
+    # a disc monomial (mu, m): x_mu (1 - x x*)^m
     mu, m = t
     monomial(mu, m, 0, 0)   # integer indices, m >= 0
     return mu, m
@@ -82,11 +79,11 @@ class DiscElement(_Tagged):
     def one(cls, tag: str):
         return cls(tag, {(0, 0): ONE})
 
-    def _mono_mul(self, t1: DiscMonomial, t2: DiscMonomial):
+    def _mono_mul(self, t1: tuple, t2: tuple):
         return [((mu, m), c) for mu, m, c
                 in _disc_mul(*t1, *t2, _SPOW[self.tag], self.tag)]
 
-    def _key_text(self, t: DiscMonomial) -> str:
+    def _key_text(self, t: tuple) -> str:
         mu, m = t
         sym = "x" if self.tag == "p" else "y"
         if not m:
@@ -130,14 +127,9 @@ class TrivializedElement(_Tagged):
         return [(((mu, m), k), c) for mu, m, c
                 in _disc_mul(*t1, *t2, _SPOW[self.tag], self.tag)]
 
-    def u_powers(self) -> set[int]:
-        return {k for (_, k) in self._d}
-
-    def disc_by_power(self) -> dict[int, DiscElement]:
-        return self._parts(itemgetter(1, 0), DiscElement, self.tag)
-
     def text(self) -> str:
-        return _over_powers_text(self.disc_by_power())
+        return _over_powers_text(
+            self._parts(itemgetter(1, 0), DiscElement, self.tag))
 
 
 def _chart_images(leg: str, keys: tuple) -> dict:
@@ -176,18 +168,15 @@ def chi(x: AlgElement, leg: str) -> TrivializedElement:
 # the boundary two-torus and the transition twist
 # ---------------------------------------------------------------------------
 
-LaurentTensor = dict  # {(j, k): coeff} for u^j (x) u^k
-
-
-def boundary_tensor(x: TrivializedElement) -> LaurentTensor:
-    """Apply the boundary map to the disc leg of a trivialized element."""
+def boundary_tensor(x: TrivializedElement) -> dict:
+    """Boundary map on the disc leg: {(j, k): coeff} for u^j (x) u^k."""
     def image(key):
         (mu, m), k = key
         return () if m else (((mu, k), ONE),)
     return extend(x.terms, image)
 
 
-def phi12(t: LaurentTensor) -> LaurentTensor:
+def phi12(t: dict) -> dict:
     """Change of trivialization on the boundary: f (x) u^k -> f u^-k (x) u^k."""
     return extend(t, lambda jk: (((jk[0] - jk[1], jk[1]), ONE),))
 
@@ -213,4 +202,4 @@ def trivialization_over_base(x: AlgElement, leg: str) -> bool:
     """Images of coinvariant elements carry only the trivial circle power."""
     if not x.is_coinvariant():
         raise ValueError("input is not coinvariant")
-    return chi(x, leg).u_powers() <= {0}
+    return all(k == 0 for _, k in chi(x, leg).terms)

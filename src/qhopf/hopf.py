@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .scalars import ONE, ZERO, ParamScalar
-from .s3core import AlgElement, UNIT_MONO, _checked, _mono_mul
+from .s3core import AlgElement, _checked, _mono_mul
 from .sparse import SparseElement, extend
 
 __all__ = [
@@ -52,10 +52,6 @@ class LaurentElement(SparseElement):
     _key = staticmethod(_power)
     _mono_mul = staticmethod(lambda j, k: ((j + k, ONE),))
     _key_text = staticmethod(_u_text)
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):
@@ -107,14 +103,6 @@ class CotensorElement(SparseElement):
     _key = staticmethod(_cotensor_key)
     _mono_mul = staticmethod(_cotensor_mono_mul)
 
-    @classmethod
-    def one(cls):
-        return cls({(UNIT_MONO, 0): ONE})
-
-    def left_leg_by_power(self) -> dict[int, AlgElement]:
-        """Collect the algebra legs sitting over each power of u."""
-        return self._parts(itemgetter(1, 0), AlgElement)
-
     def json_terms(self) -> list[dict]:
         return [{"mu": t.mu, "m": t.m, "n": t.n, "nu": t.nu,
                  "u_power": k, "coeff": str(c)}
@@ -122,7 +110,7 @@ class CotensorElement(SparseElement):
                                         key=lambda kv: (kv[0][1], kv[0][0]))]
 
     def text(self) -> str:
-        return _over_powers_text(self.left_leg_by_power())
+        return _over_powers_text(self._parts(itemgetter(1, 0), AlgElement))
 
 
 def coaction(x: AlgElement) -> CotensorElement:

@@ -201,10 +201,7 @@ def build_rep(family: str, phases, N: int, p_val: float,
         raise ValueError(f"unknown family {family!r}")
     if not (0.0 < p_val < 1.0 and 0.0 < q_val < 1.0):
         raise ValueError("parameters must lie in (0, 1)")
-    if isinstance(phases, (int, float)):
-        phases = (float(phases),)
-    else:
-        phases = tuple(float(t) for t in phases)
+    phases = tuple(float(t) for t in phases)
     if family == "classical":
         if len(phases) != 2:
             raise ValueError("the classical family takes two phases")

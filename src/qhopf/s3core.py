@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 from typing import Mapping, NamedTuple
 
-from .scalars import ONE, ParamScalar, ppow, qbinomial, qpow, scalar
+from .scalars import ONE, ppow, qbinomial, qpow
 from .sparse import SparseElement, bilinear
 
 __all__ = [
@@ -58,11 +58,6 @@ class BasisMonomial(NamedTuple):
     def winding(self) -> int:
         """Total circle weight: each a or b* adds +1, each a* or b adds -1."""
         return self.mu - self.nu
-
-    @property
-    def degree_label(self) -> int:
-        """Grading label in the opposite sign convention (coaction by u^-mu)."""
-        return -(self.mu - self.nu)
 
     def shift_reach(self) -> int:
         return abs(self.mu) + abs(self.nu)
@@ -265,9 +260,6 @@ class AlgElement(SparseElement):
     def is_coinvariant(self) -> bool:
         """True iff every monomial has winding 0 (self lies over the base)."""
         return all(t.winding == 0 for t in self._d)
-
-    def coefficient(self, t: BasisMonomial) -> ParamScalar:
-        return self._d.get(t, scalar(0))
 
     def shift_reach(self) -> int:
         """Largest |mu| + |nu| over the support; 0 for the zero element."""

@@ -300,7 +300,6 @@ def test_coinvariant_matrix_validation():
         CoinvariantMatrix([])
     m = CoinvariantMatrix([[ONE_EL, BETA]])
     assert m.shape == (1, 2)
-    assert not m.is_square()
     e1, e2 = idempotent(-1), idempotent(2)
     for op in (lambda: e1 + e2, lambda: e1 - e2, lambda: e1 @ e2,
                lambda: m @ m):

@@ -85,6 +85,15 @@ def test_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "idempotent", "--mu", "0")
     assert code == 2
+    # a circle-valued input and a non-integer negative exponent
+    for text, message in (("u", "expected a sphere-algebra expression, "
+                                "got one in u"),
+                          ("a^-x", "expected 'INT'")):
+        code, out, err = run_cli(capsys, "normalize", text)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        report = json.loads(err)
+        assert message in report["error"] and "traceback" not in report
     assert main(["unknown-command"]) == 2
 
 
@@ -145,6 +154,35 @@ def test_verify_lists_a_failed_sample_as_text(capsys, monkeypatch, suite,
                  if c["check_name"] == check]
     assert [f["sample"] for f in failures] == [4]
     assert [evaluate(failures[0][n]) for n in operands] == samples[4]
+
+
+@pytest.mark.parametrize("suite, target, check", [
+    ("gluing", "qhopf.gluing.gluing_check", "gluing on random elements"),
+    ("algebra", "qhopf.hopf.coaction_is_coassociative",
+     "coaction is coassociative with counit law"),
+])
+def test_a_failed_check_draws_as_many_samples(monkeypatch, suite, target,
+                                              check):
+    # every check draws its samples before it checks them, so a failure
+    # changes neither the number of draws nor the later checks' samples
+    from qhopf import verify
+    calls = {}
+    for name in ("random_element", "random_coinvariant"):
+        def counted(*args, _name=name, _real=getattr(verify, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(verify, name, counted)
+    params = {"p_val": 0.5, "q_val": 1 / 3, "N": 300, "seed": 7}
+    passing = verify.SUITES[suite](**params)
+    drawn, calls = calls, {}
+    monkeypatch.setattr(target, lambda *args: False)
+    failing = verify.SUITES[suite](**params)
+    assert calls == drawn
+    names = [c["check_name"] for c in passing["checks"]]
+    later = names.index(check) + 1
+    assert passing["pass"] and not failing["pass"]
+    assert not failing["checks"][later - 1]["pass"]
+    assert failing["checks"][later:] == passing["checks"][later:]
 
 
 def test_verify_text_mode_and_seed_env(capsys, monkeypatch):

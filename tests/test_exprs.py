@@ -94,6 +94,8 @@ def test_evaluate_scalars_and_promotions():
                                        AlgElement.generator("a*"))
     # scalar-valued input lands on a multiple of the unit
     assert evaluate_algebra("p") == AlgElement.one().scale(P)
+    with pytest.raises(ExprError, match="expected a scalar expression"):
+        evaluate_scalar("a")
 
 
 def test_evaluate_base_generators_route_through_embedding():

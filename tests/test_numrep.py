@@ -27,6 +27,14 @@ def test_build_rep_weights():
     assert np.allclose(rep.gen("a"), np.eye(3))
     assert np.allclose(rep.gen("a*"), rep.gen("a").conj().T)
     assert np.allclose(rep.gen("b*"), b.conj().T)
+    # the adjoint of the b* band (offset -1) is the b band
+    back = numrep._band_adjoint(rep.bands["b*"])
+    assert back.keys() == {1} and np.allclose(back[1], rep.bands["b"][1])
+    # offsets -2..2: the adjoint's dense matrix is the conjugate transpose
+    rng = np.random.default_rng(5)
+    x = {s: _random_band(rng, 6, s) for s in range(-2, 3)}
+    assert np.allclose(numrep._band_dense(numrep._band_adjoint(x), 6),
+                       numrep._band_dense(x, 6).conj().T)
 
 
 def test_build_rep_families_and_errors():
