@@ -19,12 +19,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import chern, galois, gluing, hopf
-from .exprs import ExprError, evaluate, evaluate_algebra
-from .scalars import ParamScalar
-from .s3core import mul
-from .sparse import SparseElement
-
 SCHEMA = 1
 
 
@@ -50,16 +44,16 @@ def _parameter(text: str) -> Fraction:
 # monomial, so the ceiling bounds a run of the chern and numeric suites
 N_MIN, N_MAX = 2, 100_000
 
-# budgets of --k and --mu, each measured at its limit (whole commands,
-# five runs per sign, on a shared 2-core Xeon): connection --k 64, in
-# closed form, takes 0.16-0.19 s and prints 0.85 MB; pairing --mu 30,
-# with exact flag quotients in the trace, takes 0.12-0.15 s, measured
-# beside connection --k 64 at 0.10-0.12 s on a quieter machine;
-# idempotent prints (n+1)^2 entries, so it stops sooner: --mu 14 takes
-# 0.25-0.3 s and prints 1.2 MB
+# budgets of --k and --mu, and the whole command's time at each limit:
+# medians of ten uncached runs per sign, all taken in one session beside
+# a bare interpreter at 0.036 s and pairing --mu -1 at 0.062 s (shared
+# 2-core Xeon); idempotent prints (n+1)^2 entries, so it stops sooner
 K_MAX = 64
 PAIRING_MU_MAX = 30
 IDEMPOTENT_MU_MAX = 14
+AT_LIMIT = {"connection": "0.10-0.11 s and 0.85 MB of JSON",
+            "idempotent": "0.22 s and 1.2 MB of JSON",
+            "pairing": "0.12 s"}
 
 # the verify command's choices: qhopf.verify's suites, sorted, then "all";
 # named here so that building the parser does not import verify
@@ -142,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        parents=[output])
     p.add_argument("--k", required=True,
                    type=_bounded(-K_MAX, K_MAX, "circle power"),
-                   help=f"circle power, |k| <= {K_MAX} (0.16-0.19 s "
-                        f"and 0.85 MB of JSON at the limit)")
+                   help=f"circle power, |k| <= {K_MAX} "
+                        f"({AT_LIMIT['connection']} at the limit)")
 
     p = sub.add_parser("idempotent", help="line-module idempotent matrix",
                        parents=[output])
@@ -151,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_bounded(-IDEMPOTENT_MU_MAX, IDEMPOTENT_MU_MAX,
                                  "winding label", nonzero=True),
                    help=f"winding label, 1 <= |mu| <= {IDEMPOTENT_MU_MAX} "
-                        f"(0.25-0.3 s and 1.2 MB of JSON at the limit)")
+                        f"({AT_LIMIT['idempotent']} at the limit)")
 
     p = sub.add_parser("pairing", help="trace paired with an idempotent",
                        parents=[output])
@@ -159,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    type=_bounded(-PAIRING_MU_MAX, PAIRING_MU_MAX,
                                  "winding label", nonzero=True),
                    help=f"winding label, 1 <= |mu| <= {PAIRING_MU_MAX} "
-                        f"(0.12-0.15 s at the limit)")
+                        f"({AT_LIMIT['pairing']} at the limit)")
 
     p = sub.add_parser("verify", help="run a verification suite",
                        parents=[output])
@@ -178,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _element_payload(x: SparseElement) -> dict:
+def _element_payload(x) -> dict:
     return {"text": x.text(), "terms": x.json_terms()}
 
 
@@ -207,60 +201,70 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def run_command(args: argparse.Namespace) -> tuple[dict, int]:
-    """Execute one parsed command; returns (report, exit_code)."""
+    """Execute one parsed command, importing only the engine modules it
+    calls; returns (report, exit_code)."""
     cmd = args.command
     report: dict = {"schema": SCHEMA, "command": cmd}
 
     if cmd == "normalize":
-        x = evaluate_algebra(args.expression)
+        from . import exprs
+        x = exprs.evaluate_algebra(args.expression)
         report["result"] = _element_payload(x)
         return report, 0
 
     if cmd == "mul":
-        x = evaluate_algebra(args.left)
-        y = evaluate_algebra(args.right)
-        report["result"] = _element_payload(mul(x, y))
+        from . import exprs, s3core
+        x = exprs.evaluate_algebra(args.left)
+        y = exprs.evaluate_algebra(args.right)
+        report["result"] = _element_payload(s3core.mul(x, y))
         return report, 0
 
     if cmd == "star":
-        val = evaluate(args.expression)
-        if isinstance(val, ParamScalar):
+        from . import exprs, scalars
+        val = exprs.evaluate(args.expression)
+        if isinstance(val, scalars.ParamScalar):
             report["result"] = {"text": str(val)}
         else:
             report["result"] = _element_payload(val.star())
         return report, 0
 
     if cmd == "winding":
-        x = evaluate_algebra(args.expression)
+        from . import exprs
+        x = exprs.evaluate_algebra(args.expression)
         report["result"] = {
             str(w): _element_payload(part)
             for w, part in x.winding_components().items()}
         return report, 0
 
     if cmd == "coaction":
-        x = evaluate_algebra(args.expression)
+        from . import exprs, hopf
+        x = exprs.evaluate_algebra(args.expression)
         report["result"] = _element_payload(hopf.coaction(x))
         return report, 0
 
     if cmd == "gluing-check":
-        x = evaluate_algebra(args.expression)
+        from . import exprs, gluing
+        x = exprs.evaluate_algebra(args.expression)
         ok = gluing.gluing_check(x)
         report["pass"] = ok
         return report, 0 if ok else 1
 
     if cmd == "trace":
-        x = evaluate_algebra(args.expression)
+        from . import chern, exprs
+        x = exprs.evaluate_algebra(args.expression)
         val = chern.trace_functional(x)
         report["result"] = {"value": str(val), "integer": val.is_integer()}
         return report, 0
 
     if cmd == "connection":
+        from . import galois
         ell = galois.strong_connection(args.k)
         report["k"] = args.k
         report["result"] = ell.json_terms()
         return report, 0
 
     if cmd == "idempotent":
+        from . import chern
         e = chern.idempotent(args.mu)
         report["mu"] = args.mu
         report["size"] = e.shape[0]
@@ -270,6 +274,7 @@ def run_command(args: argparse.Namespace) -> tuple[dict, int]:
         return report, 0
 
     if cmd == "pairing":
+        from . import chern
         val = chern.pairing(args.mu)
         report["mu"] = args.mu
         report["value"] = str(val)
@@ -308,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         report, code = run_command(args)
-    except (ExprError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:   # ExprError included
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}),
               file=sys.stderr)
         return 2

@@ -163,9 +163,11 @@ def suite_algebra(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     failures = []
     for i in range(triples):
         x, y, z = (random_element(rng) for _ in range(3))
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+        left, right = mul(mul(x, y), z), mul(x, mul(y, z))
+        if left != right:
             failures.append({"sample": i, "x": x.text(), "y": y.text(),
-                             "z": z.text()})
+                             "z": z.text(),
+                             "difference": (left - right).text()})
     checks.append(_failed_check("associativity on random triples",
                                 failures, count=triples))
 
@@ -344,9 +346,11 @@ def suite_chern(*, p_val: float, q_val: float, N: int, seed: int) -> dict:
     for i in range(tracial_pairs):
         x = random_coinvariant(rng)
         y = random_coinvariant(rng)
-        if chern.trace_functional(mul(x, y)) != chern.trace_functional(
-                mul(y, x)):
-            failures.append({"sample": i, "x": x.text(), "y": y.text()})
+        left = chern.trace_functional(mul(x, y))
+        right = chern.trace_functional(mul(y, x))
+        if left != right:
+            failures.append({"sample": i, "x": x.text(), "y": y.text(),
+                             "difference": str(left - right)})
     checks.append(_failed_check(
         "trace is tracial on random coinvariant pairs", failures,
         count=tracial_pairs))

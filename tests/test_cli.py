@@ -132,8 +132,10 @@ def test_verify_lists_a_failed_sample_as_text(capsys, monkeypatch, suite,
                                               check, operands):
     # the sample loop is the first draw of the suite's seeded generator;
     # a product perturbed at sample 4 fails that check alone, and its
-    # failure lists the sample and operands that read back to the sample
-    from qhopf import verify
+    # failure lists the sample and operands that read back to the sample,
+    # and the difference of the two sides, which reads back to what the
+    # bump adds: bump z to (xy)z, the bump's trace to tr(xy)
+    from qhopf import chern, verify
     from qhopf.exprs import evaluate
     from qhopf.s3core import AlgElement, BasisMonomial
     rng = random.Random(7)
@@ -154,6 +156,10 @@ def test_verify_lists_a_failed_sample_as_text(capsys, monkeypatch, suite,
                  if c["check_name"] == check]
     assert [f["sample"] for f in failures] == [4]
     assert [evaluate(failures[0][n]) for n in operands] == samples[4]
+    added = real(bump, samples[4][2]) if suite == "algebra" else \
+        chern.trace_functional(bump)
+    assert not added.is_zero()
+    assert evaluate(failures[0]["difference"]) == added
 
 
 @pytest.mark.parametrize("suite, target, check", [
@@ -206,24 +212,47 @@ def test_package_import_does_not_load_numpy():
     # numpy is needed only by the operator models, which the numeric
     # suites import when they run; verify and numrep load only for the
     # verify command, and no command needs dataclasses or inspect (which
-    # pull in ast, dis and tokenize): each would cost start-up time
+    # pull in ast, dis and tokenize): each would cost start-up time.
+    # The package and the CLI load no engine module until a command
+    # runs, and each command loads only the modules it calls
     unneeded = ["numpy", "dataclasses", "inspect", "qhopf.verify",
                 "qhopf.numrep"]
     code = ("import json, sys, qhopf, qhopf.cli\n"
             "from qhopf.cli import main\n"
+            "def loaded(names):\n"
+            "    return [m for m in names if m in sys.modules]\n"
+            "at_import = sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'qhopf')\n"
             "assert main(['pairing', '--mu', '-1']) == 0\n"
+            "after_pairing = loaded(['qhopf.exprs', 'qhopf.gluing',\n"
+            "                        'qhopf.verify', 'qhopf.numrep'])\n"
             "assert main(['normalize', 'a^* * a']) == 0\n"
             f"unneeded = {unneeded!r}\n"
-            "loaded = [[m for m in unneeded if m in sys.modules]]\n"
+            "commands = loaded(unneeded)\n"
             "assert main(['verify', 'algebra']) == 0\n"
-            "loaded.append([m for m in unneeded if m in sys.modules])\n"
-            "print(json.dumps(loaded))\n")
+            "print(json.dumps([at_import, after_pairing, commands,\n"
+            "                  loaded(unneeded)]))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    commands, verify = json.loads(proc.stdout.strip().splitlines()[-1])
+    at_import, after_pairing, commands, verify = json.loads(
+        proc.stdout.strip().splitlines()[-1])
+    assert at_import == ["qhopf", "qhopf.cli"]
+    assert after_pairing == []
     assert commands == []
     assert verify == ["qhopf.verify"]   # the guard sees a loaded module
+
+    # an expression command, alone in its process, loads the parser but
+    # none of the modules behind the connection, the pairing or the charts
+    code = ("import json, sys\n"
+            "from qhopf.cli import main\n"
+            "assert main(['normalize', 'a^* * a']) == 0\n"
+            "print(json.dumps([m for m in ('qhopf.exprs', 'qhopf.galois',\n"
+            "    'qhopf.chern', 'qhopf.gluing') if m in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["qhopf.exprs"]
 
 
 def test_verify_choices_are_the_suites(capsys):
