@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from .scalars import (ONE, ParamScalar, ZERO, _quotient_one_minus, ppow,
                       qpow)
-from .galois import strong_connection
 from .hopf import _power
 from .s3core import AlgElement, _mono_mul
 from .sparse import SparseElement, accumulate, extend
@@ -120,6 +119,7 @@ def _legs(mu: int):
     pairs: the summands l_k (x) r_k of the closed form, ordered by the
     flag exponent k of the left leg.
     """
+    from .galois import strong_connection   # not needed by the trace
     if _power(mu) == 0:
         raise ValueError("winding 0 is the free module; no idempotent here")
     ell = strong_connection(-mu)

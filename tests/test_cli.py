@@ -254,6 +254,18 @@ def test_package_import_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["qhopf.exprs"]
 
+    # the trace reads one coefficient per flag: it loads the module of
+    # the trace, but not the connection behind the idempotents
+    code = ("import json, sys\n"
+            "from qhopf.cli import main\n"
+            "assert main(['trace', '1 - a*a^*']) == 0\n"
+            "print(json.dumps([m for m in ('qhopf.chern', 'qhopf.galois')\n"
+            "                  if m in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["qhopf.chern"]
+
 
 def test_verify_choices_are_the_suites(capsys):
     from qhopf import cli, verify

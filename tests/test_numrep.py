@@ -1,7 +1,9 @@
 """Truncated representations and the numeric witnesses."""
 
+import dataclasses
 import math
 import random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -478,3 +480,179 @@ def test_defect_and_spectrum_checks_form_no_dense_matrix(monkeypatch):
     for suite in ("numeric", "chern", "classical"):
         report = SUITES[suite](p_val=P_VAL, q_val=Q_VAL, N=40, seed=3)
         assert report["pass"], suite
+
+
+# ---------------------------------------------------------------------------
+# band kernels against their zero-fill form and against dense matrices
+# ---------------------------------------------------------------------------
+
+def _zero_fill_mul(x, y):
+    # every product written into a new zeroed vector, summed out of place
+    out = {}
+    for s2, v2 in y.items():
+        dim = len(v2)
+        for s1, v1 in x.items():
+            s = s1 + s2
+            if abs(s) >= dim:
+                continue
+            w = np.zeros(dim, dtype=complex)
+            if s2 >= 0:
+                w[:dim - s2] = v1[s2:] * v2[:dim - s2]
+            else:
+                w[-s2:] = v1[:dim + s2] * v2[-s2:]
+            out[s] = out[s] + w if s in out else w
+    return out
+
+
+def _zero_fill_comb(*pairs):
+    out = {}
+    for c, x in pairs:
+        for s, v in x.items():
+            w = c * v
+            out[s] = out[s] + w if s in out else w
+    return out
+
+
+def _zero_fill_adjoint(x):
+    out = {}
+    for s, v in x.items():
+        w = np.zeros(len(v), dtype=complex)
+        if s >= 0:
+            w[s:] = v[:len(v) - s].conj()
+        else:
+            w[:len(v) + s] = v[-s:].conj()
+        out[-s] = w
+    return out
+
+
+def _random_band_map(rng, dim):
+    # empty, one band or several, at offsets from -dim-1 to dim+1; the
+    # vectors are read-only, as a TruncatedRep's are
+    count = int(rng.choice([0, 1, 1, 1, 2, 3]))
+    offsets = rng.choice(np.arange(-dim - 1, dim + 2), size=count,
+                         replace=False)
+    x = {int(s): _random_band(rng, dim, int(s)) for s in offsets}
+    for v in x.values():
+        v.flags.writeable = False
+    return x
+
+
+def _same_bits(got, want):
+    return list(got) == list(want) and all(
+        got[s].dtype == want[s].dtype
+        and got[s].tobytes() == want[s].tobytes() for s in want)
+
+
+def _dense(x, dim):
+    # a band at |offset| >= dim is zero and has no place in the matrix
+    return numrep._band_dense({s: v for s, v in x.items() if abs(s) < dim},
+                              dim)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_band_kernels_match_zero_fill_and_dense_reference(dim):
+    rng = np.random.default_rng(4000 + dim)
+    kernels = [(numrep._band_mul, _zero_fill_mul, 2),
+               (numrep._band_adjoint, _zero_fill_adjoint, 1)]
+    for _ in range(300):
+        for kernel, reference, arity in kernels:
+            args = [_random_band_map(rng, dim) for _ in range(arity)]
+            before = [{s: v.copy() for s, v in x.items()} for x in args]
+            try:
+                want = reference(*args)
+            except ValueError:
+                # slices past an offset beyond +-dim fail in either form
+                with pytest.raises(ValueError):
+                    kernel(*args)
+                continue
+            got = kernel(*args)
+            assert _same_bits(got, want)
+            assert all(_same_bits(x, b) for x, b in zip(args, before))
+            assert not any(np.shares_memory(w, v) for w in got.values()
+                           for x in args for v in x.values())
+            dense = [_dense(x, dim) for x in args]
+            expect = (dense[0] @ dense[1] if arity == 2
+                      else dense[0].conj().T)
+            assert np.abs(_dense(got, dim) - expect).max() <= 1e-13
+        pairs = [(complex(*rng.normal(size=2)), _random_band_map(rng, dim))
+                 for _ in range(int(rng.integers(1, 5)))]
+        pairs[0] = (1.0, pairs[0][1])
+        before = [{s: v.copy() for s, v in x.items()} for _, x in pairs]
+        got = numrep._band_comb(*pairs)
+        assert _same_bits(got, _zero_fill_comb(*pairs))
+        assert all(_same_bits(x, b) for (_, x), b in zip(pairs, before))
+        assert not any(np.shares_memory(w, v) for w in got.values()
+                       for _, x in pairs for v in x.values())
+        expect = sum(c * _dense(x, dim) for c, x in pairs)
+        assert np.abs(_dense(got, dim) - expect).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the trace images only the words that reach the offset-0 band
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [2, 5, 30])
+def test_trace_image_keeps_the_diagonal_of_the_whole_image(N):
+    rng = random.Random(5000 + N)
+    for rep in _reps(N, rng):
+        for _ in range(60):
+            x = random_element(rng, max_shift=N + 1, max_flag=3,
+                               max_terms=5)
+            got, want = numrep._trace_image(x, rep), numrep._image(x, rep)
+            assert (0 in got) == (0 in want)
+            if 0 in want:
+                assert np.array_equal(got[0], want[0])
+                assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_a_multi_band_letter_keeps_every_word(monkeypatch):
+    rng = random.Random(53)
+    rep = build_rep("rho1theta", (0.4,), 12, P_VAL, Q_VAL)
+    # give the letter a a second band: no word with an a may be dropped
+    two = {0: rep.bands["a"][0], 2: _random_band(np.random.default_rng(7),
+                                                 12, 2)}
+    rep = dataclasses.replace(rep, bands=MappingProxyType(
+        {**rep.bands, "a": MappingProxyType(two)}))
+    imaged = []
+    original = numrep._word_image
+
+    def spy(word, r):
+        imaged.append(word)
+        return original(word, r)
+
+    monkeypatch.setattr(numrep, "_word_image", spy)
+    for _ in range(20):
+        x = AlgElement({BasisMonomial(rng.randint(1, 3), rng.randint(0, 2),
+                                      0, rng.randint(-3, 3)): Q
+                        for _ in range(3)})
+        imaged.clear()
+        got = numrep._trace_image(x, rep)
+        assert len(imaged) == len(x.terms)
+        assert _same_bits(got, numrep._image(x, rep))
+    # a word of one-band letters with a net offset is still dropped there
+    imaged.clear()
+    b = AlgElement.generator("b")
+    assert numrep._trace_image(b, rep) == {} and imaged == []
+
+
+def test_a_trace_of_off_diagonal_words_forms_no_band_product(monkeypatch):
+    # winding-zero words with a shift move the basis in both families
+    x = AlgElement({BasisMonomial(1, 0, 0, 1): Q,
+                    BasisMonomial(-2, 3, 0, -2): Q * Q,
+                    BasisMonomial(3, 0, 2, 3): 1 - Q})
+    diagonal = AlgElement({BasisMonomial(0, 2, 0, 0): Q})
+    for y in (x, diagonal):
+        numeric_trace(y, 40, P_VAL, Q_VAL)   # the pair is built here
+    products = []
+    original = numrep._band_mul
+
+    def counted(*args):
+        products.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numrep, "_band_mul", counted)
+    assert numeric_trace(x, 40, P_VAL, Q_VAL).value == 0
+    assert products == []
+    # the spy sees the products of a word on the diagonal
+    numeric_trace(diagonal, 40, P_VAL, Q_VAL)
+    assert products
