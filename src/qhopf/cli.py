@@ -44,16 +44,17 @@ def _parameter(text: str) -> Fraction:
 # monomial, so the ceiling bounds a run of the chern and numeric suites
 N_MIN, N_MAX = 2, 100_000
 
-# budgets of --k and --mu, and the whole command's time at each limit:
-# medians of ten uncached runs per sign, all taken in one session beside
-# a bare interpreter at 0.036 s and pairing --mu -1 at 0.062 s (shared
-# 2-core Xeon); idempotent prints (n+1)^2 entries, so it stops sooner
+# budgets of --k and --mu, and the whole command's time at each limit and
+# at N_MAX: medians of ten uncached runs per sign, all measured together
+# beside a bare interpreter at 0.068 s and pairing --mu -1 at 0.117 s
+# (shared 2-core Xeon); idempotent prints (n+1)^2 entries, so it stops sooner
 K_MAX = 64
 PAIRING_MU_MAX = 30
 IDEMPOTENT_MU_MAX = 14
-AT_LIMIT = {"connection": "0.10-0.11 s and 0.85 MB of JSON",
-            "idempotent": "0.22 s and 1.2 MB of JSON",
-            "pairing": "0.12 s"}
+AT_LIMIT = {"connection": "0.19-0.20 s and 0.85 MB of JSON",
+            "idempotent": "0.41-0.43 s and 1.2 MB of JSON",
+            "pairing": "0.21-0.22 s", "verify chern": "0.52 s",
+            "verify numeric": "0.54 s"}
 
 # the verify command's choices: qhopf.verify's suites, sorted, then "all";
 # named here so that building the parser does not import verify
@@ -166,7 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", default=300,
                    type=_bounded(N_MIN, N_MAX, "truncation dimension"),
                    help=f"truncation dimension for numeric traces, "
-                        f"{N_MIN} <= N <= {N_MAX} (default 300)")
+                        f"{N_MIN} <= N <= {N_MAX} (default 300; at the "
+                        f"limit, verify chern {AT_LIMIT['verify chern']}, "
+                        f"verify numeric {AT_LIMIT['verify numeric']})")
     p.add_argument("--seed", type=_seed, default=None,
                    help="random seed, >= 0 (default: QHOPF_SEED or 7)")
     return ap

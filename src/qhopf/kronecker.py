@@ -3,18 +3,17 @@
 The engine of ``scalars._packed_sums``, loaded by the first call worth
 packing.  A value packs once, as its lowest exponents and one int with
 p -> X^W, q -> X at X = 2^s; products multiply, sums add shifted ints,
-and each key decodes once, in balanced digits.  As evaluation at 2^s is
-a ring homomorphism, only that sum must fit: W > each key's q-extent,
-2^(s-1) > its bound, the sum over its products f g c of ||f||_1 ||g||_1
-||c||_1 with one l1 norm replaced by that factor's largest |c|.
+and each key decodes once, in balanced digits (by the decoder that also
+lifts the field-path gcd).  As evaluation at 2^s is a ring homomorphism,
+only that sum must fit: W > each key's q-extent, 2^(s-1) > its bound,
+the sum over its products f g c of ||f||_1 ||g||_1 ||c||_1 with one l1
+norm replaced by that factor's largest |c|.
 """
 
 import struct
 from itertools import product
 
-from .scalars import ONE, _laurent
-
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+from .scalars import ONE, _SLOT_FORMATS, _balanced_digits, _kbias, _laurent
 
 
 def packed_sums(blocks, budget):
@@ -53,17 +52,13 @@ def packed_sums(blocks, budget):
              else packed[id(f)] for f, _ in blocks]
     for r, k, c, i, j in todo:
         r[5] += prods[k] * packed[c] << bits * ((i - r[0]) * width + j - r[2])
-    half, out = 1 << (bits - 1), {}
+    out = {}
     for t, (i0, i1, j0, j1, _, v) in keys.items():
         if v:
             n = (i1 - i0) * width + j1 - j0 + 1
-            raw = (v + _kbias(nbytes, n)).to_bytes(n * nbytes, "little")
-            digits = (struct.unpack(f"<{n}{fmt}", raw) if fmt else
-                      [int.from_bytes(raw[k:k + nbytes], "little")
-                       for k in range(0, len(raw), nbytes)])
-            out[t] = _laurent({m: d - half for m, d in zip(
-                product(range(i1 - i0 + 1), range(width)), digits)
-                if d != half}, i0, j0)
+            out[t] = _laurent({m: d for m, d in zip(
+                product(range(i1 - i0 + 1), range(width)),
+                _balanced_digits(v, nbytes, n)) if d}, i0, j0)
     return out
 
 
@@ -92,7 +87,3 @@ def _kpack(s, width, nbytes, fmt):
            b"".join(d.to_bytes(nbytes, "little") for d in digits))
     return int.from_bytes(raw, "little") - _kbias(nbytes, slots)
 
-
-def _kbias(nbytes, nslots):
-    # the int of nslots slots of nbytes, each holding 2^(8 nbytes - 1)
-    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")

@@ -178,8 +178,10 @@ def _mono_product(t1: BasisMonomial, t2: BasisMonomial):
     """
     mu1, m1, n1, nu1 = t1
     mu2, m2, n2, nu2 = t2
-    # a side whose factors carry a flag keeps it in every term, so the
-    # other side needs only its term without a new flag
+    # a flag on each side makes the product 0; a side with one keeps it
+    # in every term, so the other side needs only its term without one
+    if (m1 or m2) and (n1 or n2):
+        return ()
     right = _disc_mul(-nu2, n2, -nu1, n1, ppow, "p", m1 or m2)
     return tuple((BasisMonomial(mu, m, n, -nu), c * e)
                  for mu, m, c in _disc_mul(mu1, m1, mu2, m2, qpow, "q",

@@ -25,9 +25,9 @@ The value's own reduced denominator picks one of two representations:
   ``2`` and ``1/(2 q)`` is ``1`` over ``2 q``.  An operation with such an
   operand takes this field path, and its result returns to the Laurent
   form when its reduced denominator is a monomial with coefficient 1.
-  The gcd (contents in p, then in q, then one remainder sequence) and
-  exact division run on ints (Gauss's lemma keeps quotients by primitive
-  divisors integral); rational coefficients are cleared once on entry.
+  The gcd (GCDHEU in q, or contents and a remainder sequence after six
+  failed certificates) and exact division run on ints; rational
+  coefficients are cleared once on entry.
 
 Sums of products of Laurent values go through one kernel, ``_packed_sums``
 (called by ``sparse.accumulate``, and by ``_pmul`` for one product); it
@@ -43,6 +43,7 @@ literally and read back.  The monomial order is graded lex, ``p < q``.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from itertools import accumulate
 from types import MappingProxyType
@@ -176,12 +177,13 @@ _POLY_ONE = {_K0: 1}
 # ---------------------------------------------------------------------------
 # exact division and gcd in Z[p, q] (exponents >= 0)
 #
-# An irreducible factor lies in Z[p], in Z[q] or in neither, so the gcd
-# is the gcd of the contents in p, times the gcd of the contents in q of
-# what remains, times the last member of the primitive remainder sequence
-# in q over Z[p] of the two rests.  One univariate sequence on int lists
-# computes every content.  By Gauss's lemma the gcd is primitive, so
-# every quotient by it stays integral.
+# The gcd is GCDHEU in q (Char, Geddes and Gonnet, J. Symbolic Comput.
+# 7, 1989), certified by exact division (_pgcd).  Its fallback: as an
+# irreducible factor lies in Z[p], in Z[q] or in neither, the gcd of the
+# contents in p, times that of the contents in q of the rests, times the
+# last member of their primitive remainder sequence in q over Z[p].  One
+# sequence on int lists computes every content and GCDHEU's gcd in Z[p];
+# by Gauss's lemma the gcd is primitive, so quotients by it are integral.
 # ---------------------------------------------------------------------------
 
 def _pdiv_exact(f, g):
@@ -325,8 +327,69 @@ def _split(f, axis):
     return g, _pdiv_exact(f, _udict(g, axis))
 
 
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _kbias(nbytes, nslots):
+    # the int of nslots slots of nbytes, each holding 2^(8 nbytes - 1)
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
+
+
+def _balanced_digits(v, nbytes, n):
+    # v's n lowest digits in base X = 2^(8 nbytes), each in [-X/2, X/2)
+    fmt, half = _SLOT_FORMATS.get(nbytes), 1 << (8 * nbytes - 1)
+    raw = (v + _kbias(nbytes, n)).to_bytes(n * nbytes, "little")
+    return [d - half for d in (struct.unpack(f"<{n}{fmt}", raw) if fmt else
+            (int.from_bytes(raw[k:k + nbytes], "little")
+             for k in range(0, len(raw), nbytes)))]
+
+
+def _qeval(f, bits):
+    # f at q = 2^bits, as an int list in p
+    out = [0] * (max(i for i, _ in f) + 1)
+    for (i, j), c in f.items():
+        out[i] += c << bits * j
+    return out
+
+
+# failed certificates per pair, and the pairs left to the sequence
+GCDHEU_TRIES = 6
+gcd_fallbacks = 0
+
+
 def _pgcd(f, g):
-    """Primitive gcd of nonzero f and g in Z[p, q], up to its sign."""
+    """(h, f/h, g/h) for the primitive gcd h of nonzero f and g, up to its
+    sign, by GCDHEU at q = X = 2^(8 k), or else the remainder sequence.
+
+    The gcd in Z[p] of f(p, X) and g(p, X), with its integer content (a
+    factor in q alone shows there), lifts in balanced base-X digits to G.
+    If H = pp(G) divides f and g it is their gcd D = H K: a divisor in
+    Z[q] of f's or g's p-coefficients has roots below 1 + min(|f|, |g|)
+    <= X/2 (max norms), so X is no root of lc_p(K); K(p, X) divides G's
+    content (<= X/2), so K is in Z[q], and |K(X)| > X/2 unless K = +-1.
+    """
+    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
+    k = ((2 * norm + 2).bit_length() + 7) // 8
+    for k in range(k, k + GCDHEU_TRIES):
+        a, b = _qeval(f, 8 * k), _qeval(g, 8 * k)
+        c, h = math.gcd(*a, *b), {}
+        for i, v in enumerate(_ugcd(a, b)):
+            v *= c
+            h.update(((i, j), d) for j, d in enumerate(
+                _balanced_digits(v, k, v.bit_length() // (8 * k) + 2)) if d)
+        h = _pprim(h)
+        try:
+            return h, _pdiv_exact(f, h), _pdiv_exact(g, h)
+        except ArithmeticError:
+            pass
+    global gcd_fallbacks
+    gcd_fallbacks += 1
+    h = _seqgcd(f, g)
+    return h, _pdiv_exact(f, h), _pdiv_exact(g, h)
+
+
+def _seqgcd(f, g):
+    # the primitive gcd, up to its sign, by contents and the sequence
     out = _POLY_ONE
     for axis in (0, 1):
         (cf, f), (cg, g) = _split(f, axis), _split(g, axis)
@@ -439,10 +502,7 @@ def _reduce(num, den):
     """
     if not num:
         return ZERO
-    g = _pgcd(num, den)
-    if len(g) != 1 or next(iter(g)) != (0, 0):
-        num = _pdiv_exact(num, g)
-        den = _pdiv_exact(den, g)
+    _, num, den = _pgcd(num, den)
     k = math.gcd(math.gcd(*num.values()), *den.values())
     if den[min(den, key=_gkey)] < 0:
         k = -k

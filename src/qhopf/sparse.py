@@ -41,7 +41,9 @@ def accumulate(out: dict, blocks, subtract: bool = False) -> dict:
     (f1, f2) for f1 f2; pairs are read twice, so none is an iterator.
     """
     blocks = blocks if blocks.__class__ is list else list(blocks)
-    sums = _packed_sums(blocks) if blocks else None
+    # a lone block with the factor ONE is a sum: nothing to pack
+    sums = (_packed_sums(blocks) if len(blocks) > 1 or blocks
+            and blocks[0][0] is not ONE else None)
     if sums is not None:
         blocks = ((ONE, sums.items()),)
     get = out.get
@@ -81,10 +83,12 @@ def bilinear(x, y, f) -> dict:
     """Bilinear extension: the sum of c1 c2 f(t1, t2) over pairs of terms."""
     if len(x) == len(y) == 1:   # one product: nothing to sum, as in extend
         (t1, c1), (t2, c2) = *x.items(), *y.items()
-        return extend({t2: c1 * c2}, lambda t: f(t1, t))
+        m = f(t1, t2)
+        return extend({t2: c1 * c2}, lambda t: m) if m else {}
     y = y.items()
-    return accumulate({}, [(c1 * c2, f(t1, t2))
-                           for t1, c1 in x.items() for t2, c2 in y])
+    # no block for a vanishing f(t1, t2); accumulate forms c1 c2
+    return accumulate({}, [((c1, c2), m) for t1, c1 in x.items()
+                           for t2, c2 in y if (m := f(t1, t2))])
 
 
 class SparseElement:

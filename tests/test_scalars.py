@@ -543,25 +543,37 @@ def gcd_product(rng):
     return out
 
 
+def neg(f):
+    return {m: -v for m, v in f.items()}
+
+
 def assert_gcd(f, g, c):
-    # h = gcd(f, g) with c | f, g: primitive, a multiple of c's primitive
-    # part, a divisor of both, with coprime cofactors
-    from qhopf.scalars import _pdiv_exact, _pgcd
-    h = _pgcd(f, g)
+    # h = gcd(f, g) with c | f, g, by the remainder sequence and by GCDHEU
+    # where it answers, equal up to sign: primitive, a multiple of c's
+    # primitive part, a divisor of both, with coprime cofactors.  Whether
+    # GCDHEU answered is returned beside h
+    from qhopf import scalars
+    from qhopf.scalars import _pdiv_exact, _pgcd, _seqgcd
+    h = _seqgcd(f, g)
     assert math.gcd(*h.values()) == 1
     cp = {m: v // math.gcd(*c.values()) for m, v in c.items()}
     _pdiv_exact(h, cp)
-    assert _pgcd(_pdiv_exact(f, h), _pdiv_exact(g, h)) in ({(0, 0): 1},
-                                                             {(0, 0): -1})
-    return h
+    cofactors = _pdiv_exact(f, h), _pdiv_exact(g, h)
+    assert _seqgcd(*cofactors) in ({(0, 0): 1}, {(0, 0): -1})
+    fallbacks = scalars.gcd_fallbacks
+    assert _pgcd(f, g) in ((h, *cofactors), (neg(h), *map(neg, cofactors)))
+    return h, scalars.gcd_fallbacks == fallbacks
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_gcd_of_products_with_a_common_factor(seed):
     rng = random.Random(1700 + seed)
+    answered = 0
     for _ in range(150):
         a, b, c = gcd_product(rng), gcd_product(rng), gcd_product(rng)
-        assert_gcd(reference_product(a, c), reference_product(b, c), c)
+        answered += assert_gcd(reference_product(a, c),
+                               reference_product(b, c), c)[1]
+    assert answered == 150
 
 
 def test_gcd_fixed_cases():
@@ -569,19 +581,83 @@ def test_gcd_fixed_cases():
     dense = {(i, j): (i + 2 * j) % 7 - 3 for i in range(4) for j in range(4)
              if (i + 2 * j) % 7 != 3}
     mono = {(14, 18): 1}
-    assert assert_gcd(mono, dense, {(0, 0): 1}) == {(0, 0): 1}
+    assert assert_gcd(mono, dense, {(0, 0): 1}) == ({(0, 0): 1}, True)
     shifted = {(i + 3, j + 20): v for (i, j), v in dense.items()}
-    assert assert_gcd(mono, shifted, {(3, 18): 1}) == {(3, 18): 1}
+    assert assert_gcd(mono, shifted, {(3, 18): 1}) == ({(3, 18): 1}, True)
     # p alone against q alone, with a common integer factor
     pure_p = reference_product({(0, 0): 6, (1, 0): -6}, {(0, 0): 2, (2, 0): 1})
     pure_q = reference_product({(0, 0): 4, (0, 3): 2}, {(0, 0): 1, (0, 1): 1})
-    assert assert_gcd(pure_p, pure_q, {(0, 0): 2}) == {(0, 0): 1}
+    assert assert_gcd(pure_p, pure_q, {(0, 0): 2}) == ({(0, 0): 1}, True)
     # the q-Pochhammer (q; q)_12 against an integer multiple of it
     poch = {(0, 0): 1}
     for m in range(1, 13):
         poch = reference_product(poch, {(0, 0): 1, (0, m): -1})
-    h = assert_gcd(poch, {m: 15 * v for m, v in poch.items()}, poch)
-    assert h in (poch, {m: -v for m, v in poch.items()})
+    h, answered = assert_gcd(poch, {m: 15 * v for m, v in poch.items()}, poch)
+    assert h in (poch, neg(poch)) and answered
+    # a factor in q alone: at q = X it is the integer content of the gcd
+    # in Z[p] of the images, (1 + X^2) times p^2, so dropping that content
+    # would certify the proper divisor p^2
+    common = {(2, 0): 1, (2, 2): 1}
+    h, answered = assert_gcd(
+        reference_product(common, {(0, 0): 3, (1, 1): 1, (0, 3): -2}),
+        reference_product(common, {(0, 0): 1, (1, 0): -1, (2, 1): 5}), common)
+    assert h in (common, neg(common)) and answered
+
+
+def test_gcd_falls_back_to_the_sequence_after_its_tries(monkeypatch):
+    # with no GCDHEU try left every pair takes the remainder sequence, is
+    # counted, and reduces to the same canonical value
+    from qhopf import scalars
+
+    def quotient():
+        return ((P * P - Q * Q) * (2 + P * Q) / ((P - Q) * (1 + Q) ** 3)
+                / (3 - P * Q * Q))
+    want, fallbacks = quotient(), scalars.gcd_fallbacks
+    monkeypatch.setattr(scalars, "GCDHEU_TRIES", 0)
+    got = quotient()
+    assert scalars.gcd_fallbacks > fallbacks
+    assert got == want and str(got) == str(want)
+
+
+def shaped_factor(rng, terms, dp, dq):
+    # `terms` terms with coefficients in [-9, 9], a nonzero constant and
+    # one of q-degree dq, p-degrees at most dp
+    def coefficient():
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+    f = {(0, 0): coefficient(), (rng.randint(0, dp), dq): coefficient()}
+    while len(f) < terms:
+        f[rng.randint(0, dp), rng.randint(0, dq)] = coefficient()
+    return f
+
+
+@pytest.mark.parametrize("seed, common, left, right, shape", [
+    # the 1,144-character normalize input's shape: mixed factors of degree
+    # up to 6, q-degree 22, 35 and 41 terms
+    (791791, (3, 6, 6), [(3, 6, 6), (3, 6, 6), (2, 6, 4)],
+     [(3, 6, 6), (3, 6, 6), (3, 6, 4)], (35, 41, 22)),
+    # a 6-term common factor of a 93- and a 124-term polynomial of
+    # p-degree up to 12 and q-degree 14
+    (603, (6, 3, 4), [(6, 4, 5), (6, 5, 5)], [(8, 4, 5), (8, 5, 5)],
+     (93, 124, 14))], ids=["35x41", "93x124"])
+def test_gcd_of_pairs_past_the_remainder_sequence(seed, common, left, right,
+                                                  shape):
+    # the remainder sequence takes over a minute on either pair; GCDHEU
+    # returns the common factor without falling back
+    from qhopf import scalars
+    from qhopf.scalars import _pdiv_exact, _pgcd
+    rng = random.Random(seed)
+    c = shaped_factor(rng, *common)
+    f, g = c, c
+    for spec in left:
+        f = reference_product(f, shaped_factor(rng, *spec))
+    for spec in right:
+        g = reference_product(g, shaped_factor(rng, *spec))
+    assert (len(f), len(g), max(j for _, j in f)) == shape
+    fallbacks = scalars.gcd_fallbacks
+    h, fh, gh = _pgcd(f, g)
+    assert scalars.gcd_fallbacks == fallbacks
+    assert h in (c, neg(c))
+    assert (fh, gh) == tuple(_pdiv_exact(x, h) for x in (f, g))
 
 
 @pytest.mark.parametrize("seed", range(4))

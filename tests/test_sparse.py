@@ -165,6 +165,47 @@ def test_accumulate_extend_bilinear():
     assert prod == {3: Q * P, 0: Q}
 
 
+def test_products_that_vanish_form_no_coefficient_product(monkeypatch):
+    # (1 - a a^*)(1 - b b^*) = 0: a monomial pair with a flag on each side
+    # computes no disc product, and its coefficients are not multiplied
+    from qhopf.scalars import ParamScalar
+    flagged = [BasisMonomial(mu, m, n, nu) for mu in (-1, 0, 2)
+               for m, n in ((1, 0), (0, 1), (2, 0), (0, 2)) for nu in (0, 1)]
+
+    def refuse(*args):
+        raise AssertionError("a vanishing product was computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(s3core, "_disc_mul", refuse)
+        for t1, t2 in itertools.product(flagged, repeat=2):
+            if (t1.m or t2.m) and (t1.n or t2.n):
+                assert s3core._mono_product(t1, t2) == ()
+    a_flags = {t: 1 + Q for t in flagged if t.m}
+    b_flags = {t: 2 - P for t in flagged if t.n}
+    one_a, one_b = dict([next(iter(a_flags.items()))]), dict(
+        [next(iter(b_flags.items()))])
+    monkeypatch.setattr(s3core, "_MONO_MUL_CACHE", {})
+    monkeypatch.setattr(ParamScalar, "__mul__", refuse)
+    for x, y in ((a_flags, b_flags), (b_flags, a_flags), (one_a, one_b)):
+        assert bilinear(x, y, s3core._mono_mul) == {}
+
+
+def test_sums_do_not_ask_the_packing_kernel(monkeypatch):
+    # a sum of two elements forms no product, so nothing can be packed
+    from qhopf import sparse
+
+    def refuse(blocks):
+        raise AssertionError("a sum asked the packing kernel")
+
+    x = AlgElement({BasisMonomial(k, 0, 0, -k): (1 + Q) ** k
+                    for k in range(9)})
+    y = AlgElement({BasisMonomial(k, 0, 0, -k): (P - Q) ** k
+                    for k in range(4, 12)})
+    want = {t: x.terms.get(t, 0) + c for t, c in y.terms.items()}
+    monkeypatch.setattr(sparse, "_packed_sums", refuse)
+    assert (x + y) - x == y and dict((x + y).terms) == {**x.terms, **want}
+
+
 @pytest.mark.parametrize("c", [ONE, P, -Q / 2])
 def test_extend_of_one_term_is_its_scaled_image(c):
     # one term has nothing to sum: the result is what accumulate gives,
