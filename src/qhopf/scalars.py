@@ -322,8 +322,6 @@ def _split(f, axis):
         g = _ugcd([s.get(e, 0) for e in range(max(s) + 1)], g)
         if g == [1]:
             return g, f
-    if len(slices) == 1:  # f is g times a power of the other variable
-        return g, _udict([0] * min(slices) + [1], 1 - axis)
     return g, _pdiv_exact(f, _udict(g, axis))
 
 
@@ -367,11 +365,14 @@ def _pgcd(f, g):
     Z[q] of f's or g's p-coefficients has roots below 1 + min(|f|, |g|)
     <= X/2 (max norms), so X is no root of lc_p(K); K(p, X) divides G's
     content (<= X/2), so K is in Z[q], and |K(X)| > X/2 unless K = +-1.
+    An X at which f or g loses its p-leading coefficient is a failed try.
     """
     norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
     k = ((2 * norm + 2).bit_length() + 7) // 8
     for k in range(k, k + GCDHEU_TRIES):
         a, b = _qeval(f, 8 * k), _qeval(g, 8 * k)
+        if not a[-1] or not b[-1]:
+            continue  # X is a root of lc_p(f g): no candidate
         c, h = math.gcd(*a, *b), {}
         for i, v in enumerate(_ugcd(a, b)):
             v *= c

@@ -41,9 +41,7 @@ def accumulate(out: dict, blocks, subtract: bool = False) -> dict:
     (f1, f2) for f1 f2; pairs are read twice, so none is an iterator.
     """
     blocks = blocks if blocks.__class__ is list else list(blocks)
-    # a lone block with the factor ONE is a sum: nothing to pack
-    sums = (_packed_sums(blocks) if len(blocks) > 1 or blocks
-            and blocks[0][0] is not ONE else None)
+    sums = _packed_sums(blocks) if blocks else None
     if sums is not None:
         blocks = ((ONE, sums.items()),)
     get = out.get
@@ -83,8 +81,8 @@ def bilinear(x, y, f) -> dict:
     """Bilinear extension: the sum of c1 c2 f(t1, t2) over pairs of terms."""
     if len(x) == len(y) == 1:   # one product: nothing to sum, as in extend
         (t1, c1), (t2, c2) = *x.items(), *y.items()
-        m = f(t1, t2)
-        return extend({t2: c1 * c2}, lambda t: m) if m else {}
+        c = c1 * c2 if (m := f(t1, t2)) else None
+        return {s: c if e is ONE else c * e for s, e in m}
     y = y.items()
     # no block for a vanishing f(t1, t2); accumulate forms c1 c2
     return accumulate({}, [((c1, c2), m) for t1, c1 in x.items()

@@ -602,6 +602,16 @@ def test_gcd_fixed_cases():
         reference_product(common, {(0, 0): 3, (1, 1): 1, (0, 3): -2}),
         reference_product(common, {(0, 0): 1, (1, 0): -1, (2, 1): 5}), common)
     assert h in (common, neg(common)) and answered
+    # X = 256 sized from the smaller max-norm is a root of the other
+    # operand's leading coefficient in p: q - 256 evaluates to 0 and
+    # p q - 256 p + 1 to 1, so that X is passed over, not used
+    one = {(0, 0): 1}
+    for f, g in [({(0, 1): 1, (0, 0): -256}, {(0, 0): 1, (0, 1): 1}),
+                 ({(1, 1): 1, (1, 0): -256, (0, 0): 1},
+                  {(0, 0): 1, (0, 1): 1, (2, 0): 1})]:
+        for x, y in ((f, g), (g, f)):
+            h, answered = assert_gcd(x, y, one)
+            assert h in (one, neg(one)) and answered
 
 
 def test_gcd_falls_back_to_the_sequence_after_its_tries(monkeypatch):

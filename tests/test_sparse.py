@@ -190,22 +190,6 @@ def test_products_that_vanish_form_no_coefficient_product(monkeypatch):
         assert bilinear(x, y, s3core._mono_mul) == {}
 
 
-def test_sums_do_not_ask_the_packing_kernel(monkeypatch):
-    # a sum of two elements forms no product, so nothing can be packed
-    from qhopf import sparse
-
-    def refuse(blocks):
-        raise AssertionError("a sum asked the packing kernel")
-
-    x = AlgElement({BasisMonomial(k, 0, 0, -k): (1 + Q) ** k
-                    for k in range(9)})
-    y = AlgElement({BasisMonomial(k, 0, 0, -k): (P - Q) ** k
-                    for k in range(4, 12)})
-    want = {t: x.terms.get(t, 0) + c for t, c in y.terms.items()}
-    monkeypatch.setattr(sparse, "_packed_sums", refuse)
-    assert (x + y) - x == y and dict((x + y).terms) == {**x.terms, **want}
-
-
 @pytest.mark.parametrize("c", [ONE, P, -Q / 2])
 def test_extend_of_one_term_is_its_scaled_image(c):
     # one term has nothing to sum: the result is what accumulate gives,
