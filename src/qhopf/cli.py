@@ -105,11 +105,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: eleven subparsers cost about 1.5 ms, and
     # parsing with them reads but never changes them; subparsers take
-    # the class of their parent, so every usage error goes to _Parser
+    # the class of their parent, so every usage error goes to _Parser.
+    # The output flags have no default, which main supplies: a subparser's
+    # default would overwrite a flag given before the command
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", dest="as_json", action="store_true",
-                        default=True, help="emit JSON (default)")
+                        default=argparse.SUPPRESS, help="emit JSON (default)")
     output.add_argument("--text", dest="as_json", action="store_false",
+                        default=argparse.SUPPRESS,
                         help="emit aligned text instead of JSON")
     ap = _Parser(
         prog="qhopf",
@@ -331,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 3
     try:
-        _emit(report, args.as_json)
+        _emit(report, getattr(args, "as_json", True))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: end quietly, and point stdout at devnull

@@ -25,9 +25,8 @@ The value's own reduced denominator picks one of two representations:
   ``2`` and ``1/(2 q)`` is ``1`` over ``2 q``.  An operation with such an
   operand takes this field path, and its result returns to the Laurent
   form when its reduced denominator is a monomial with coefficient 1.
-  The gcd (GCDHEU in q, or contents and a remainder sequence after six
-  failed certificates) and exact division run on ints; rational
-  coefficients are cleared once on entry.
+  The gcd (GCDHEU in q, certified by exact division) and exact division
+  run on ints; rational coefficients are cleared once on entry.
 
 Sums of products of Laurent values go through one kernel, ``_packed_sums``
 (called by ``sparse.accumulate``, and by ``_pmul`` for one product); it
@@ -45,7 +44,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from types import MappingProxyType
 
 __all__ = [
@@ -178,12 +177,10 @@ _POLY_ONE = {_K0: 1}
 # exact division and gcd in Z[p, q] (exponents >= 0)
 #
 # The gcd is GCDHEU in q (Char, Geddes and Gonnet, J. Symbolic Comput.
-# 7, 1989), certified by exact division (_pgcd).  Its fallback: as an
-# irreducible factor lies in Z[p], in Z[q] or in neither, the gcd of the
-# contents in p, times that of the contents in q of the rests, times the
-# last member of their primitive remainder sequence in q over Z[p].  One
-# sequence on int lists computes every content and GCDHEU's gcd in Z[p];
-# by Gauss's lemma the gcd is primitive, so quotients by it are integral.
+# 7, 1989; Liao and Fateman, ISSAC 1995), certified by exact division
+# (_pgcd).  One sequence on int lists (_ugcd) computes its gcd in Z[p] of
+# the images; by Gauss's lemma the gcd is primitive, so quotients by it
+# are integral.
 # ---------------------------------------------------------------------------
 
 def _pdiv_exact(f, g):
@@ -255,28 +252,6 @@ def _quotient_one_minus(x, k, param):
     return _new(h, None, x._o) if h else ZERO
 
 
-def _qdeg(f):
-    return max(j for _, j in f)
-
-
-def _prem(a, b):
-    # primitive pseudo-remainder of a by b as polynomials in q over Z[p];
-    # dividing out the integer content after each elimination keeps the
-    # classical Euclid coefficient swell in check
-    n = _qdeg(b)
-    lb = {(i, 0): c for (i, j), c in b.items() if j == n}
-    while a:
-        d = _qdeg(a)
-        if d < n:
-            break
-        # the leading coefficient of a, times q^(d - n)
-        la = {(i, d - n): c for (i, j), c in a.items() if j == d}
-        a = _padd(_pmul(a, lb), _pmul(b, la), True)[0]
-        if a:
-            a = _pprim(a)
-    return a
-
-
 def _uprim(a):
     # primitive part of a nonzero int list, with a positive last entry
     g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
@@ -306,25 +281,6 @@ def _ugcd(a, b):
     return [0] * min(low) + (a if not b else [1])
 
 
-def _udict(a, axis):
-    # the int list a as a polynomial in the variable `axis`
-    return {(e, 0) if axis == 0 else (0, e): c for e, c in enumerate(a) if c}
-
-
-def _split(f, axis):
-    # (the content of f in the variable `axis` alone, as an int list, and
-    # f divided by it, up to an integer factor)
-    slices: dict = {}
-    for m, c in f.items():
-        slices.setdefault(m[1 - axis], {})[m[axis]] = c
-    g: list = []
-    for s in sorted(slices.values(), key=len):
-        g = _ugcd([s.get(e, 0) for e in range(max(s) + 1)], g)
-        if g == [1]:
-            return g, f
-    return g, _pdiv_exact(f, _udict(g, axis))
-
-
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -350,14 +306,9 @@ def _qeval(f, bits):
     return out
 
 
-# failed certificates per pair, and the pairs left to the sequence
-GCDHEU_TRIES = 6
-gcd_fallbacks = 0
-
-
 def _pgcd(f, g):
     """(h, f/h, g/h) for the primitive gcd h of nonzero f and g, up to its
-    sign, by GCDHEU at q = X = 2^(8 k), or else the remainder sequence.
+    sign, by GCDHEU at q = X = 2^(8 k) for k = k0, k0 + 1, ...
 
     The gcd in Z[p] of f(p, X) and g(p, X), with its integer content (a
     factor in q alone shows there), lifts in balanced base-X digits to G.
@@ -365,11 +316,22 @@ def _pgcd(f, g):
     Z[q] of f's or g's p-coefficients has roots below 1 + min(|f|, |g|)
     <= X/2 (max norms), so X is no root of lc_p(K); K(p, X) divides G's
     content (<= X/2), so K is in Z[q], and |K(X)| > X/2 unless K = +-1.
-    An X at which f or g loses its p-leading coefficient is a failed try.
+    An X at which f or g loses its p-leading coefficient is passed over,
+    and so is one whose candidate fails the certificate.
+
+    The loop ends.  Let A = f/D and B = g/D.  At an X that is no root of
+    lc_p(f) lc_p(g), the gcd in Z[p] of the images is +-e S D(p, X), with
+    e an integer and S primitive.  S is not constant only if X is a root
+    of Res_p(A, B), a nonzero polynomial in Z[q] (S = 1 when A or B has
+    p-degree 0).  The p-coefficients of A and B have no common factor in
+    Q[q], so some Z[q]-combination of them is a nonzero integer N, and e
+    divides N.  So every X but finitely many (the roots of lc_p(f g)
+    Res_p(A, B), and X <= 2 |N| |D|) lifts to +-e D, whose primitive part
+    +-D passes the certificate.
     """
     norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
     k = ((2 * norm + 2).bit_length() + 7) // 8
-    for k in range(k, k + GCDHEU_TRIES):
+    for k in count(k):
         a, b = _qeval(f, 8 * k), _qeval(g, 8 * k)
         if not a[-1] or not b[-1]:
             continue  # X is a root of lc_p(f g): no candidate
@@ -383,26 +345,6 @@ def _pgcd(f, g):
             return h, _pdiv_exact(f, h), _pdiv_exact(g, h)
         except ArithmeticError:
             pass
-    global gcd_fallbacks
-    gcd_fallbacks += 1
-    h = _seqgcd(f, g)
-    return h, _pdiv_exact(f, h), _pdiv_exact(g, h)
-
-
-def _seqgcd(f, g):
-    # the primitive gcd, up to its sign, by contents and the sequence
-    out = _POLY_ONE
-    for axis in (0, 1):
-        (cf, f), (cg, g) = _split(f, axis), _split(g, axis)
-        out = _pmul(out, _udict(_ugcd(cf, cg), axis))
-    if len(f) > 1 < len(g):
-        # a rest without content in p or q is constant or involves both
-        g, f = sorted((_pprim(f), _pprim(g)), key=_qdeg)
-        while g:
-            f, g = g, _prem(f, g)
-            g = g and _split(g, 0)[1]
-        out = _pmul(out, f)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -192,11 +192,14 @@ def test_a_failed_check_draws_as_many_samples(monkeypatch, suite, target,
 
 
 def test_verify_text_mode_and_seed_env(capsys, monkeypatch):
+    # --text before the command holds too: the subparser must not reset it
     monkeypatch.setenv("QHOPF_SEED", "123")
-    code, out, _ = run_cli(capsys, "verify", "classical", "--text")
-    assert code == 0
-    assert "suite classical: PASS" in out
-    assert "seed" in out and "123" in out
+    for argv in (["verify", "classical", "--text"],
+                 ["--text", "verify", "classical"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "suite classical: PASS" in out
+        assert "seed" in out and "123" in out
 
 
 def test_cli_subprocess_entry():

@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from qhopf import numrep, s3core, scalars
+from qhopf.chern import trace_functional
 from qhopf.galois import strong_connection
 from qhopf.gluing import chi
 from qhopf.numrep import numeric_trace
@@ -28,6 +29,8 @@ def _work(seed: int) -> list:
     out += [strong_connection(k) for k in rng.sample(range(-6, 7), 6)]
     out += [numeric_trace(random_coinvariant(rng), 40, 0.5, 1 / 3)
             for _ in range(3)]
+    # exact traces reduce field values: the field-path gcd runs in threads
+    out += [trace_functional(random_coinvariant(rng)) for _ in range(6)]
     return out
 
 

@@ -525,9 +525,19 @@ def test_packed_sums_bound_a_key_by_the_sum_of_its_products():
 
 
 def gcd_factor(rng, kind):
-    # a monomial, a polynomial in p alone or in q alone, or a mixed one
+    # a monomial, a polynomial in p alone or in q alone, a mixed one, or
+    # one near a power of 256: such a factor in lc_p vanishes at an
+    # evaluation point X = 256^k, or its image shares a factor with that
+    # of another at X
     if kind == "monomial":
         return {(rng.randint(0, 6), rng.randint(0, 6)): rng.choice([1, -2, 3])}
+    if kind == "near 256":
+        j, m = rng.randint(1, 3), rng.randint(1, 6)
+        return rng.choice([
+            {(1, 0): 1, (0, j): -1},
+            {(1, 0): 1, (0, 0): -256**j},
+            {(0, 1): 1, (0, 0): rng.choice((-1, 0, 1)) - 256**j},
+            {(0, 0): 1, rng.choice(((m, 0), (0, m))): -1}])
     f = {}
     for _ in range(rng.randint(2, 4)):
         f[(0 if kind == "q" else rng.randint(0, 3),
@@ -535,11 +545,13 @@ def gcd_factor(rng, kind):
     return f
 
 
-def gcd_product(rng):
+GCD_KINDS = ("monomial", "p", "q", "mixed", "mixed")
+
+
+def gcd_product(rng, kinds=GCD_KINDS):
     out = {(0, 0): rng.choice([1, 2, -6])}
     for _ in range(rng.randint(0, 3)):
-        kind = rng.choice(["monomial", "p", "q", "mixed", "mixed"])
-        out = reference_product(out, gcd_factor(rng, kind))
+        out = reference_product(out, gcd_factor(rng, rng.choice(kinds)))
     return out
 
 
@@ -547,33 +559,102 @@ def neg(f):
     return {m: -v for m, v in f.items()}
 
 
+# ---------------------------------------------------------------------------
+# reference gcd in Z[p, q], by the classical route: as an irreducible
+# factor lies in Z[p], in Z[q] or in neither, the gcd of the contents in
+# p, times that of the contents in q of the rests, times the last member
+# of their primitive remainder sequence in q over Z[p]
+# ---------------------------------------------------------------------------
+
+def qdeg(f):
+    return max(j for _, j in f)
+
+
+def primitive(f):
+    g = math.gcd(*f.values())
+    return {m: c // g for m, c in f.items()}
+
+
+def pseudo_remainder(a, b):
+    # primitive pseudo-remainder of a by b as polynomials in q over Z[p]
+    n = qdeg(b)
+    lb = {(i, 0): c for (i, j), c in b.items() if j == n}
+    while a:
+        d = qdeg(a)
+        if d < n:
+            break
+        # minus the leading coefficient of a, times q^(d - n)
+        la = {(i, d - n): -c for (i, j), c in a.items() if j == d}
+        a = reference_product(a, lb)
+        for m, c in reference_product(b, la).items():
+            a[m] = a.get(m, 0) + c
+        a = {m: c for m, c in a.items() if c}
+        if a:
+            a = primitive(a)
+    return a
+
+
+def univariate(a, axis):
+    # the int list a as a polynomial in the variable `axis`
+    return {(e, 0) if axis == 0 else (0, e): c for e, c in enumerate(a) if c}
+
+
+def split_content(f, axis):
+    # (the content of f in the variable `axis` alone, as an int list, and
+    # f divided by it, up to an integer factor)
+    from qhopf.scalars import _pdiv_exact, _ugcd
+    slices: dict = {}
+    for m, c in f.items():
+        slices.setdefault(m[1 - axis], {})[m[axis]] = c
+    g: list = []
+    for s in sorted(slices.values(), key=len):
+        g = _ugcd([s.get(e, 0) for e in range(max(s) + 1)], g)
+        if g == [1]:
+            return g, f
+    return g, _pdiv_exact(f, univariate(g, axis))
+
+
+def reference_gcd(f, g):
+    # the primitive gcd of nonzero f and g, up to its sign
+    from qhopf.scalars import _ugcd
+    out = {(0, 0): 1}
+    for axis in (0, 1):
+        (cf, f), (cg, g) = split_content(f, axis), split_content(g, axis)
+        out = reference_product(out, univariate(_ugcd(cf, cg), axis))
+    if len(f) > 1 < len(g):
+        # a rest without content in p or q is constant or involves both
+        g, f = sorted((primitive(f), primitive(g)), key=qdeg)
+        while g:
+            f, g = g, pseudo_remainder(f, g)
+            g = g and split_content(g, 0)[1]
+        out = reference_product(out, f)
+    return out
+
+
 def assert_gcd(f, g, c):
-    # h = gcd(f, g) with c | f, g, by the remainder sequence and by GCDHEU
-    # where it answers, equal up to sign: primitive, a multiple of c's
-    # primitive part, a divisor of both, with coprime cofactors.  Whether
-    # GCDHEU answered is returned beside h
-    from qhopf import scalars
-    from qhopf.scalars import _pdiv_exact, _pgcd, _seqgcd
-    h = _seqgcd(f, g)
+    # h = gcd(f, g) with c | f, g, by the reference and by GCDHEU, equal
+    # up to sign: primitive, a multiple of c's primitive part, a divisor
+    # of both, with coprime cofactors
+    from qhopf.scalars import _pdiv_exact, _pgcd
+    h = reference_gcd(f, g)
     assert math.gcd(*h.values()) == 1
     cp = {m: v // math.gcd(*c.values()) for m, v in c.items()}
     _pdiv_exact(h, cp)
     cofactors = _pdiv_exact(f, h), _pdiv_exact(g, h)
-    assert _seqgcd(*cofactors) in ({(0, 0): 1}, {(0, 0): -1})
-    fallbacks = scalars.gcd_fallbacks
+    assert reference_gcd(*cofactors) in ({(0, 0): 1}, {(0, 0): -1})
     assert _pgcd(f, g) in ((h, *cofactors), (neg(h), *map(neg, cofactors)))
-    return h, scalars.gcd_fallbacks == fallbacks
+    return h
 
 
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", range(4))
 def test_gcd_of_products_with_a_common_factor(seed):
+    # seed 3 mixes in factors near powers of 256, which GCDHEU's first
+    # evaluation points can be roots of
     rng = random.Random(1700 + seed)
-    answered = 0
+    kinds = GCD_KINDS[:4] + ("near 256",) * 2 if seed == 3 else GCD_KINDS
     for _ in range(150):
-        a, b, c = gcd_product(rng), gcd_product(rng), gcd_product(rng)
-        answered += assert_gcd(reference_product(a, c),
-                               reference_product(b, c), c)[1]
-    assert answered == 150
+        a, b, c = (gcd_product(rng, kinds) for _ in range(3))
+        assert_gcd(reference_product(a, c), reference_product(b, c), c)
 
 
 def test_gcd_fixed_cases():
@@ -581,27 +662,27 @@ def test_gcd_fixed_cases():
     dense = {(i, j): (i + 2 * j) % 7 - 3 for i in range(4) for j in range(4)
              if (i + 2 * j) % 7 != 3}
     mono = {(14, 18): 1}
-    assert assert_gcd(mono, dense, {(0, 0): 1}) == ({(0, 0): 1}, True)
+    assert assert_gcd(mono, dense, {(0, 0): 1}) == {(0, 0): 1}
     shifted = {(i + 3, j + 20): v for (i, j), v in dense.items()}
-    assert assert_gcd(mono, shifted, {(3, 18): 1}) == ({(3, 18): 1}, True)
+    assert assert_gcd(mono, shifted, {(3, 18): 1}) == {(3, 18): 1}
     # p alone against q alone, with a common integer factor
     pure_p = reference_product({(0, 0): 6, (1, 0): -6}, {(0, 0): 2, (2, 0): 1})
     pure_q = reference_product({(0, 0): 4, (0, 3): 2}, {(0, 0): 1, (0, 1): 1})
-    assert assert_gcd(pure_p, pure_q, {(0, 0): 2}) == ({(0, 0): 1}, True)
+    assert assert_gcd(pure_p, pure_q, {(0, 0): 2}) == {(0, 0): 1}
     # the q-Pochhammer (q; q)_12 against an integer multiple of it
     poch = {(0, 0): 1}
     for m in range(1, 13):
         poch = reference_product(poch, {(0, 0): 1, (0, m): -1})
-    h, answered = assert_gcd(poch, {m: 15 * v for m, v in poch.items()}, poch)
-    assert h in (poch, neg(poch)) and answered
+    h = assert_gcd(poch, {m: 15 * v for m, v in poch.items()}, poch)
+    assert h in (poch, neg(poch))
     # a factor in q alone: at q = X it is the integer content of the gcd
     # in Z[p] of the images, (1 + X^2) times p^2, so dropping that content
     # would certify the proper divisor p^2
     common = {(2, 0): 1, (2, 2): 1}
-    h, answered = assert_gcd(
+    h = assert_gcd(
         reference_product(common, {(0, 0): 3, (1, 1): 1, (0, 3): -2}),
         reference_product(common, {(0, 0): 1, (1, 0): -1, (2, 1): 5}), common)
-    assert h in (common, neg(common)) and answered
+    assert h in (common, neg(common))
     # X = 256 sized from the smaller max-norm is a root of the other
     # operand's leading coefficient in p: q - 256 evaluates to 0 and
     # p q - 256 p + 1 to 1, so that X is passed over, not used
@@ -610,23 +691,18 @@ def test_gcd_fixed_cases():
                  ({(1, 1): 1, (1, 0): -256, (0, 0): 1},
                   {(0, 0): 1, (0, 1): 1, (2, 0): 1})]:
         for x, y in ((f, g), (g, f)):
-            h, answered = assert_gcd(x, y, one)
-            assert h in (one, neg(one)) and answered
-
-
-def test_gcd_falls_back_to_the_sequence_after_its_tries(monkeypatch):
-    # with no GCDHEU try left every pair takes the remainder sequence, is
-    # counted, and reduces to the same canonical value
-    from qhopf import scalars
-
-    def quotient():
-        return ((P * P - Q * Q) * (2 + P * Q) / ((P - Q) * (1 + Q) ** 3)
-                / (3 - P * Q * Q))
-    want, fallbacks = quotient(), scalars.gcd_fallbacks
-    monkeypatch.setattr(scalars, "GCDHEU_TRIES", 0)
-    got = quotient()
-    assert scalars.gcd_fallbacks > fallbacks
-    assert got == want and str(got) == str(want)
+            h = assert_gcd(x, y, one)
+            assert h in (one, neg(one))
+    # lc_p(f) = (q - 256) ... (q - 256^7) vanishes at the first seven
+    # points X = 256^k, so GCDHEU certifies p + 1 at the eighth
+    common = {(0, 0): 1, (1, 0): 1}
+    f = common
+    for j in range(1, 8):
+        f = reference_product(f, {(0, 1): 1, (0, 0): -256**j})
+    g = reference_product(reference_product(common, {(0, 0): 1, (0, 1): 1}),
+                          {(1, 0): 1, (0, 1): -1})
+    h = assert_gcd(f, g, common)
+    assert h in (common, neg(common))
 
 
 def shaped_factor(rng, terms, dp, dq):
@@ -651,9 +727,8 @@ def shaped_factor(rng, terms, dp, dq):
      (93, 124, 14))], ids=["35x41", "93x124"])
 def test_gcd_of_pairs_past_the_remainder_sequence(seed, common, left, right,
                                                   shape):
-    # the remainder sequence takes over a minute on either pair; GCDHEU
-    # returns the common factor without falling back
-    from qhopf import scalars
+    # the remainder sequence (reference_gcd above) takes over a minute on
+    # either pair; GCDHEU returns the common factor
     from qhopf.scalars import _pdiv_exact, _pgcd
     rng = random.Random(seed)
     c = shaped_factor(rng, *common)
@@ -663,9 +738,7 @@ def test_gcd_of_pairs_past_the_remainder_sequence(seed, common, left, right,
     for spec in right:
         g = reference_product(g, shaped_factor(rng, *spec))
     assert (len(f), len(g), max(j for _, j in f)) == shape
-    fallbacks = scalars.gcd_fallbacks
     h, fh, gh = _pgcd(f, g)
-    assert scalars.gcd_fallbacks == fallbacks
     assert h in (c, neg(c))
     assert (fh, gh) == tuple(_pdiv_exact(x, h) for x in (f, g))
 
