@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .scalars import ONE, ZERO, ParamScalar
-from .s3core import AlgElement, _checked, _mono_mul
+from .s3core import AlgElement, _checked, _mono_mul, mul
 from .sparse import SparseElement, extend
 
 __all__ = [
@@ -134,7 +134,6 @@ def coaction_is_coassociative(x: AlgElement) -> bool:
 
 
 def coaction_is_multiplicative(x: AlgElement, y: AlgElement) -> bool:
-    from .s3core import mul
     return coaction(mul(x, y)) == coaction(x) * coaction(y)
 
 

@@ -65,7 +65,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .s3core import FLAG_A, FLAG_B, AlgElement, _word, substitute
+from .s3core import FLAG_A, FLAG_B, AlgElement, _word, mul, substitute
 
 __all__ = [
     "TruncatedRep",
@@ -301,7 +301,6 @@ def homomorphism_defect(x: AlgElement, y: AlgElement,
     difference may have several bands, so the value is the band-norm
     upper bound on its operator norm (exact when one band remains).
     """
-    from .s3core import mul
     d = x.shift_reach() + y.shift_reach()
     cols = rep.dim - d
     lhs = _image(mul(x, y), rep)

@@ -1,6 +1,9 @@
 """Idempotents, the exact trace, and the pairing."""
 
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,13 +49,37 @@ def test_idempotent_squared():
 def test_idempotent_squared_where_the_product_is_packed(mu, monkeypatch):
     # at these sizes the matrix product sums its coefficient products as
     # packed big integers in one call
-    from qhopf import kronecker
-    sums, engine = [], kronecker.packed_sums
-    monkeypatch.setattr(kronecker, "packed_sums",
+    from qhopf import sparse
+    sums, engine = [], sparse._packed_sums
+    monkeypatch.setattr(sparse, "_packed_sums",
                         lambda *args: sums.append(engine(*args)) or sums[-1])
     e = idempotent(mu)
     assert (e @ e - e).is_zero()
     assert any(s is not None for s in sums)
+
+
+def test_packing_loads_no_module():
+    # the packed kernel lives in scalars, so the first sum worth packing
+    # imports nothing: in a fresh interpreter, after the idempotent (which
+    # loads galois for its legs), the packed product adds no module
+    code = ("import json, sys\n"
+            "from qhopf import chern, sparse\n"
+            "e = chern.idempotent(-4)\n"
+            "before = set(sys.modules)\n"
+            "sums, engine = [], sparse._packed_sums\n"
+            "def spy(*args):\n"
+            "    sums.append(engine(*args))\n"
+            "    return sums[-1]\n"
+            "sparse._packed_sums = spy\n"
+            "e @ e\n"
+            "print(json.dumps([any(s is not None for s in sums),\n"
+            "                  sorted(set(sys.modules) - before)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    packed, added = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert packed
+    assert added == []
 
 
 @pytest.mark.parametrize("call", [idempotent, pairing])

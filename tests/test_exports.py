@@ -1,9 +1,11 @@
-"""The public names of the package."""
+"""The public names of the package, and what loads when."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +64,48 @@ def test_unknown_names_fail_and_submodules_still_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# the imports inside a function, (module, function, imported module): each
+# keeps a module out of a process that does not need it
+LAZY_IMPORTS = {
+    *(("cli", "run_command", m) for m in (
+        "chern", "exprs", "galois", "gluing", "hopf", "s3core", "scalars",
+        "verify")),                        # each command loads what it calls
+    ("cli", "main", "traceback"),          # only for an unexpected error
+    ("verify", "_trace_agreement", "numrep"),      # numpy
+    ("verify", "suite_numeric", "numrep"),
+    ("verify", "suite_classical", "numrep"),
+    ("chern", "_legs", "galois"),          # the trace command needs no legs
+}
+
+
+def _imports_in_functions(path):
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Import) and func:
+                found.update((path.stem, func, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and func:
+                names = ([child.module] if child.module else
+                         [a.name for a in child.names])
+                found.update((path.stem, func, n) for n in names)
+            else:
+                visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_imports_inside_functions_are_the_listed_lazy_ones():
+    # an import inside a function runs on every call, and a module first
+    # imported there is compiled inside that call; only the imports that
+    # keep a module out of a command that does not need it belong there
+    found = set()
+    for path in sorted(Path(qhopf.__file__).parent.glob("*.py")):
+        found |= _imports_in_functions(path)
+    assert sorted(found - LAZY_IMPORTS) == []
+    assert sorted(LAZY_IMPORTS - found) == []
